@@ -446,7 +446,7 @@ def interval_containment(code: ECode, fuel: Optional[Fuel] = None) -> str:
     n = 0
     while budget.take():
         try:
-            lo, hi = code.interval(n)
+            lo, hi = code.interval(n, budget)
         except OutOfFuel:
             return "unknown"
         if lo >= -slack and hi <= 1 + slack:

@@ -193,7 +193,8 @@ class OutcomeSet:
 
 
 class Ctx:
-    __slots__ = ("alg", "strat", "fuel", "lits", "rules", "nodes", "node_cap")
+    __slots__ = ("alg", "strat", "fuel", "lits", "rules", "free", "nodes",
+                 "node_cap")
 
     def __init__(self, alg: PartialAlgebra, strat, fuel: Fuel):
         self.alg = alg
@@ -201,6 +202,7 @@ class Ctx:
         self.fuel = fuel
         self.lits: dict[int, Value] = {}
         self.rules: dict[int, tuple] = {}
+        self.free: dict[int, bool] = {}
         self.nodes = 0
         self.node_cap = getattr(strat, "max_depth", 1_000_000_000)
 
@@ -222,6 +224,24 @@ class Ctx:
                 v = self.alg.real_literal(Fraction(t.value))
             self.lits[id(t)] = v
         return v
+
+    def choose_free(self, t: Term) -> bool:
+        """Whether no choose occurs in t, i.e. t has at most one value."""
+        f = self.free.get(id(t))
+        if f is None:
+            f = _choose_free(t)
+            self.free[id(t)] = f
+        return f
+
+
+def _choose_free(t: Term) -> bool:
+    if isinstance(t, (Var, Lit)):
+        return True
+    if isinstance(t, App):
+        return all(_choose_free(a) for a in t.args)
+    if isinstance(t, Choose):
+        return False
+    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +353,63 @@ def _dovetail_choose(ctx: Ctx, t: Choose, b: dict):
 
 # ---------------------------------------------------------------------------
 # enumerate-strategy term evaluation
+#
+# Only choose can give a term more than one value. A choose-free term is
+# evaluated single-valued by _enum_single and wrapped in one outcome set at
+# the boundary; outcome sets are built per node only for applications that
+# contain a choose, and for choose itself.
+
+
+def _enum_single(ctx: Ctx, t: Term, b: dict, out: OutcomeSet):
+    """Value of the choose-free term t, or None with the failure recorded
+    in out's flags and diagnostics (out's values are left alone).
+
+    The outcome-set semantics applies a strict operation to every
+    combination of argument values, so every argument is evaluated (and
+    charged fuel) even after an earlier one failed. _det_term short-circuits
+    on the first failure and therefore cannot stand in for this."""
+    tt = type(t)
+    if tt is Var:
+        return b[t.name]
+    if tt is Lit:
+        return ctx.lit_value(t)
+    args = t.args
+    if t.sym.conditional:
+        g = _enum_single(ctx, args[0], b, out)
+        if g is None:
+            return None
+        return _enum_single(ctx, args[1] if g.b else args[2], b, out)
+    vals = []
+    for a in args:
+        vals.append(_enum_single(ctx, a, b, out))
+    if None in vals:
+        return None
+    fast, boxed = ctx.rule(t)
+    if fast is not None:
+        ctx.fuel.take()
+        return fast(*vals)
+    try:
+        r = boxed(tuple(vals), ctx.fuel)
+    except OutOfFuel:
+        r = FUEL_EXHAUSTED
+    if r.tag == "ok":
+        return r.value
+    if r.tag == "div":
+        out.proven_divergent = True
+    else:
+        out.truncated = True
+        out.note(f"{t.sym.name}: fuel exhausted")
+    return None
 
 
 def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
     out = OutcomeSet()
+    if ctx.choose_free(t):
+        v = _enum_single(ctx, t, b, out)
+        if v is not None:
+            out.values.append(v)
+        return out
     seen: set = set()
-    if isinstance(t, Var):
-        out.add(b[t.name], seen)
-        return out
-    if isinstance(t, Lit):
-        out.add(ctx.lit_value(t), seen)
-        return out
     if isinstance(t, App):
         if t.sym.conditional:
             g = _enum_term(ctx, t.args[0], b)
@@ -382,14 +448,23 @@ def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
                 out.note(f"{t.sym.name}: fuel exhausted")
         return out
     if isinstance(t, Choose):
+        body = t.body
+        single = ctx.choose_free(body)
+        g = OutcomeSet()
         b2 = dict(b)
         clean_witness = False
         any_flag = False
         for cand in range(ctx.strat.max_nat + 1):
             b2[t.var] = nat_value(cand)
-            g = _enum_term(ctx, t.body, b2)
-            has_tt = any(isinstance(v, BoolV) and v.b for v in g.values)
-            has_ff = any(isinstance(v, BoolV) and not v.b for v in g.values)
+            if single:
+                v = _enum_single(ctx, body, b2, g)
+                has_tt = isinstance(v, BoolV) and v.b
+                has_ff = isinstance(v, BoolV) and not v.b
+            else:
+                g = _enum_term(ctx, body, b2)
+                has_tt = any(isinstance(v, BoolV) and v.b for v in g.values)
+                has_ff = any(isinstance(v, BoolV) and not v.b
+                             for v in g.values)
             if has_tt:
                 out.add(nat_value(cand), seen)
                 if not has_ff and not g.maybe_divergent:
@@ -399,6 +474,7 @@ def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
                 out.note(f"choose candidate {cand}: "
                          + ("divergent guard" if g.proven_divergent
                             else "undecided guard"))
+                g = OutcomeSet()  # the next candidate's flags start clear
         if not clean_witness:
             # cannot refute "all candidates fail"; divergence stays possible
             out.truncated = True

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whilecc.algebra import (apply, get_algebra, rat_value, interval_value,
+                             interval_containment, INTERVAL_SLACK_BITS,
                              product_metric, AlgebraError,
                              BoolV, NatV, RealV, ArrV, TT, FF)
 from whilecc.codes import Fuel, ConstCode, sqrt_code, e_code, add_codes
@@ -158,6 +159,22 @@ def test_interval_algebra(IN):
     # boundary values pass with the documented slack
     interval_value(ConstCode(0))
     interval_value(ConstCode(1))
+
+
+def test_interval_containment_charges_caller_fuel():
+    # refining a non-constant code draws on the caller's budget, so a budget
+    # that covers the refinement rounds alone runs out
+    slack = Fraction(1, 1 << INTERVAL_SLACK_BITS)
+    probe = sqrt_code(Fraction(1, 9))  # a code for 1/3
+    rounds = next(n + 1 for n in range(64)
+                  if -slack <= probe.interval(n)[0]
+                  and probe.interval(n)[1] <= 1 + slack)
+    fuel = Fuel(1000)
+    assert interval_containment(sqrt_code(Fraction(1, 9)), fuel) == "yes"
+    assert 1000 - fuel.remaining > rounds
+    fuel = Fuel(rounds)
+    assert interval_containment(sqrt_code(Fraction(1, 9)), fuel) == "unknown"
+    assert fuel.dead
 
 
 def test_apply_argument_errors(RN):

@@ -1,0 +1,141 @@
+"""Golden equivalence for the Enumerate strategy.
+
+Each case runs a shipped program under `Enumerate` and compares, exactly,
+the outcome value keys (in order), both divergence flags, the diagnostics
+list (in order) and the fuel left over against `data/enum_golden.json`.
+The fixture was recorded from the per-node outcome-set evaluator; the
+single-valued evaluation of choose-free terms must reproduce it bit for bit.
+
+Regenerate (only when the semantics change on purpose) with
+
+    PYTHONPATH=src python tests/test_enum_golden.py --write
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from whilecc.algebra import get_algebra, rat_value, value_key
+from whilecc.codes import Fuel
+from whilecc.interp import Enumerate, eval_proc, nat_value
+from whilecc.lang import parse_program
+from whilecc.programs import load
+
+FIXTURE = Path(__file__).parent / "data" / "enum_golden.json"
+
+FUELS = (300, 3_000, 200_000)
+DEPTHS = (5, 10_000)
+
+# Failures outside any choose body: ties in a strict `and` (both arguments
+# are still evaluated), inverting an exact zero, and a choose nested in a
+# choose body.
+EDGES = """
+algebra RN
+func edges
+in x: real, y: real
+out z: real
+aux b: bool
+begin
+  b := (x < 0) and (y < 1);
+  z := (1 / (x - y)) + rat(choose j : (j < 3) andthen
+         ((dist(1 / x, y) < 4) andthen ((choose i : i = j) < 2)))
+end
+"""
+
+# (program, max_nat, inputs); a Fraction input is a real, an int a natural
+CASES = [
+    ("pivot3", 40, [(0, Fraction(3, 2), 0), (0, 0, 0),
+                    (1, -2, Fraction(1, 3))]),
+    ("scaled_sum", 40, [(0, 5), (0, 0), (2, Fraction(-3, 4))]),
+    ("choose_near", 300, [(Fraction(1, 3), 2), (Fraction(-5, 7), 4),
+                          (Fraction(2), 3)]),
+    ("sq1_approx", 8, [(3, Fraction(1, 2))]),
+    ("least_divisor", 40, [(15,), (7,), (0,)]),
+    ("isqrt_search", 40, [(10,), (0,)]),
+    ("root_bisect_fa", 600, [(0, Fraction(1, 3)), (1, Fraction(1, 3)),
+                             (1, Fraction(0))]),
+    ("edges", 6, [(Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)),
+                  (Fraction(1, 4), Fraction(1)), (Fraction(-1, 3), Fraction(1, 2)),
+                  (Fraction(0), Fraction(2))]),
+]
+
+REAL_ARGS = {"pivot3": (0, 1, 2), "scaled_sum": (0, 1), "choose_near": (0,),
+             "sq1_approx": (1,), "root_bisect_fa": (1,), "edges": (0, 1)}
+
+
+def _load(program: str):
+    if program == "edges":
+        return parse_program(EDGES).proc("edges"), get_algebra("RN")
+    return load(program)
+
+
+def _args(program: str, inputs: tuple) -> tuple:
+    reals = REAL_ARGS.get(program, ())
+    return tuple(rat_value(x) if i in reals else nat_value(x)
+                 for i, x in enumerate(inputs))
+
+
+def _run(program: str, max_nat: int, inputs: tuple, fuel: int,
+         depth: int) -> dict:
+    proc, alg = _load(program)
+    budget = Fuel(fuel)
+    res = eval_proc(proc, _args(program, inputs), alg,
+                    Enumerate(max_nat, depth), budget)
+    keys = [value_key(v) for v in res.values]
+    # non-constant codes dedup by object identity, which no fixture can hold
+    assert all(k[0] != "c" for k in keys)
+    return {
+        "program": program, "max_nat": max_nat,
+        "inputs": [str(x) for x in inputs], "fuel": fuel, "max_depth": depth,
+        "values": [repr(k) for k in keys],
+        "proven_divergent": res.proven_divergent,
+        "truncated": res.truncated,
+        "diagnostics": list(res.diagnostics),
+        "fuel_remaining": budget.remaining,
+    }
+
+
+def _grid():
+    for program, max_nat, inputs in CASES:
+        for args in inputs:
+            for fuel in FUELS:
+                for depth in DEPTHS:
+                    yield program, max_nat, args, fuel, depth
+
+
+def _case_id(case) -> str:
+    program, _, args, fuel, depth = case
+    return f"{program}-{'_'.join(map(str, args))}-f{fuel}-d{depth}"
+
+
+GRID = list(_grid())
+
+
+@pytest.fixture(scope="module")
+def golden() -> list[dict]:
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_covers_grid(golden):
+    # each case's record names its run, so only the count is left to check
+    assert len(golden) == len(GRID)
+
+
+@pytest.mark.parametrize("idx", range(len(GRID)),
+                         ids=[_case_id(c) for c in GRID])
+def test_enumerate_matches_golden(golden, idx):
+    assert _run(*GRID[idx]) == golden[idx]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_enum_golden.py --write")
+    FIXTURE.parent.mkdir(exist_ok=True)
+    rows = (json.dumps(_run(*c)) for c in GRID)
+    FIXTURE.write_text("[\n" + ",\n".join(rows) + "\n]\n")
+    print(f"wrote {len(GRID)} cases to {FIXTURE}")

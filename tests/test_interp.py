@@ -10,8 +10,8 @@ from whilecc.codes import Fuel, sqrt_code
 from whilecc.interp import (Enumerate, Oracle, Dovetail, State, eval_term,
                             eval_atomic, first, rest, comp_step,
                             comp_tree_stage, tree_is_prefix, eval_stmt,
-                            eval_proc, is_deterministic_on, choose_eliminate,
-                            ChooseEliminationError)
+                            eval_proc, initial_state, is_deterministic_on,
+                            choose_eliminate, ChooseEliminationError)
 from whilecc.lang import parse
 from whilecc.lang.ast import (Var, Lit, App, Choose, Skip, Div, Assign, Seq,
                               If, While)
@@ -81,6 +81,47 @@ def test_short_circuit_conditional_recovers():
     t = term("false andthen (x <> 0)", frame="x: real")
     out = eval_term(t, state(x=rat_value(0)), RN, Enumerate(4), Fuel(200))
     assert [v.b for v in out.values] == [False] and not out.maybe_divergent
+
+
+def test_strict_and_evaluates_every_argument():
+    # a tie in the first argument does not stop the second being compared
+    t = term("(x < 0) and (y < 1)", frame="x: real, y: real")
+    for y, notes in ((1, 2), (Fraction(1, 2), 1)):
+        fuel = Fuel(100)
+        out = eval_term(t, state(x=rat_value(0), y=rat_value(y)), RN,
+                        Enumerate(4), fuel)
+        assert out.values == [] and out.truncated and not out.proven_divergent
+        assert out.diagnostics == ["less_real: fuel exhausted"] * notes
+        assert fuel.remaining == 98  # both comparisons, no `and`
+    fuel = Fuel(100)  # the deterministic path stops at the first failure
+    eval_term(t, state(x=rat_value(0), y=rat_value(1)), RN, Dovetail(), fuel)
+    assert fuel.remaining == 99
+
+
+def test_inverting_zero_is_proven_divergent():
+    t = term("dist(1 / x, y) < 1", frame="x: real, y: real")
+    out = eval_term(t, state(x=rat_value(0), y=rat_value(0)), RN,
+                    Enumerate(4), Fuel(100))
+    assert out.values == [] and out.proven_divergent and not out.truncated
+    assert out.diagnostics == []
+    c = term("choose k : dist(1 / x, rat(k)) < 1", frame="x: real",
+             assign_to=("i", "nat"))
+    out = eval_term(c, state(x=rat_value(0)), RN, Enumerate(2), Fuel(100))
+    assert out.values == [] and out.truncated and not out.proven_divergent
+    assert out.diagnostics == [f"choose candidate {k}: divergent guard"
+                               for k in range(3)]
+
+
+def test_choose_in_choose_body_branches():
+    t = term("choose z : z = (choose w : (w = 1) or (w = 3))",
+             assign_to=("i", "nat"), algebra="N")
+    out = eval_term(t, state(), N, Enumerate(5), Fuel(1000))
+    # the inner choose is many-valued, so each witness guard is both tt and
+    # ff: no clean witness refutes divergence
+    assert [v.n for v in out.values] == [1, 3]
+    assert out.truncated and not out.proven_divergent
+    assert out.diagnostics == ["choose candidates 0..5 all rejected; "
+                               "rest unexplored"]
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +206,41 @@ def test_tree_choose_branches():
     t = comp_tree_stage(s, state(k=NatV(9)), 2, RN, Enumerate(5))
     leaf_vals = {leaf.state.get("k").n for leaf in t.leaves() if leaf.state}
     assert leaf_vals == {0, 1}
+
+
+def test_tree_enumerate_shape():
+    # choose with a tie among its candidates, then a loop whose body inverts
+    # an exact zero on one branch; rows are "depth i y flags" in preorder
+    p = parse("""algebra RN
+func t in x: real out i: nat aux y: real
+begin
+  i := choose k : (k < 3) and (x <> nat2real(k));
+  while i < 4 do
+    y := 1 / (x - nat2real(i));
+    i := succ(i)
+  od
+end""")
+
+    def rows(node, depth=0, acc=None):
+        acc = [] if acc is None else acc
+        b = node.state.bindings
+        flags = "".join(c for c, f in (("d", node.div_leaf),
+                                       ("t", node.truncated),
+                                       ("f", node.frontier)) if f)
+        acc.append(f"{depth} i={b['i'].n} y={b['y'].code.value} {flags}".rstrip())
+        for c in node.children:
+            rows(c, depth + 1, acc)
+        return acc
+
+    expected = ["0 i=0 y=0", "1 i=0 y=0", "2 i=0 y=0", "3 i=0 y=0",
+                "4 i=0 y=1", "5 i=1 y=1", "6 i=1 y=1 d",
+                "2 i=2 y=0", "3 i=2 y=0", "4 i=2 y=-1", "5 i=3 y=-1",
+                "6 i=3 y=-1", "7 i=3 y=-1/2", "8 i=4 y=-1/2", "9 i=4 y=-1/2 f"]
+    sigma = initial_state(p, RN, (rat_value(1),))
+    for budget, left in ((40, 0), (10_000, 9949)):
+        fuel = Fuel(budget)
+        t = comp_tree_stage(p.body, sigma, 9, RN, Enumerate(5), fuel)
+        assert rows(t) == expected and fuel.remaining == left
 
 
 def test_stage_prefix_monotone():
