@@ -487,49 +487,57 @@ def builtin_interval() -> PartialAlgebra:
     return PartialAlgebra("IN", sig, interp, metrics, total=False)
 
 
+def array_rules(elem: Sort, default: Callable[[Sort], Value]) -> dict:
+    """The starred-array operations at element sort elem. Reads past the end
+    and growth by Newlength use default(elem)."""
+    name = elem.name
+
+    def ap(arr, i):
+        return arr.items[i.n] if i.n < len(arr.items) else default(elem)
+
+    def update(arr, i, v):
+        if i.n >= len(arr.items):
+            return arr
+        return ArrV(arr.elem_sort, arr.items[:i.n] + (v,) + arr.items[i.n + 1:])
+
+    def newlength(arr, k):
+        items = arr.items
+        if k.n <= len(items):
+            return ArrV(arr.elem_sort, items[:k.n])
+        fill = tuple(default(elem) for _ in range(k.n - len(items)))
+        return ArrV(arr.elem_sort, items + fill)
+
+    return {
+        f"Null_{name}": _total(lambda: ArrV(elem, ())),
+        f"Lgth_{name}": _total(lambda arr: NatV(len(arr.items))),
+        f"Ap_{name}": _total(ap),
+        f"Update_{name}": _total(update),
+        f"Newlength_{name}": _total(newlength),
+    }
+
+
 def star_algebra(a: PartialAlgebra) -> PartialAlgebra:
     if not a.signature.n_standard:
         raise AlgebraError("starring requires an N-standard algebra")
     sig = star_signature(a.signature)
     interp = dict(a.interp)
     metrics = dict(a.metrics)
-    base_sorts = [s for s in a.signature.sorts.values() if s.kind != "array"]
-    for s in base_sorts:
+    defaults: dict[str, Value] = {}
+
+    def default_of(sort: Sort) -> Value:
+        # resolved lazily, so that the starred algebra object exists first
+        v = defaults.get(sort.name)
+        if v is None:
+            v = defaults[sort.name] = star.default_value(sort)
+        return v
+
+    for s in [s for s in a.signature.sorts.values() if s.kind != "array"]:
         sx = sig.sort(s.name + "*")
-        default = None
-
-        def mk_default(sort=s):
-            # resolved lazily so the starred algebra object exists first
-            return star._default_of(sort)
-
-        interp[f"Null_{s.name}"] = _total(lambda sort=s: ArrV(sort, ()))
-        interp[f"Lgth_{s.name}"] = _total(lambda arr: NatV(len(arr.items)))
-        interp[f"Ap_{s.name}"] = _total(
-            lambda arr, i, sort=s: arr.items[i.n] if i.n < len(arr.items)
-            else star._default_of(sort))
-        interp[f"Update_{s.name}"] = _total(
-            lambda arr, i, v: ArrV(arr.elem_sort,
-                                   arr.items[:i.n] + (v,) + arr.items[i.n + 1:])
-            if i.n < len(arr.items) else arr)
-        interp[f"Newlength_{s.name}"] = _total(
-            lambda arr, k, sort=s: ArrV(arr.elem_sort, arr.items[:k.n])
-            if k.n <= len(arr.items)
-            else ArrV(arr.elem_sort, arr.items + tuple(
-                star._default_of(sort) for _ in range(k.n - len(arr.items)))))
+        interp.update(array_rules(s, default_of))
         interp[f"if_{sx.name}"] = _if_rule()
         if s.name in metrics:
             metrics[sx.name] = _array_metric(metrics[s.name])
     star = PartialAlgebra(a.name + "*", sig, interp, metrics, total=a.total)
-    star._defaults_cache = {}
-
-    def _default_of(sort: Sort) -> Value:
-        v = star._defaults_cache.get(sort.name)
-        if v is None:
-            v = star.default_value(sort)
-            star._defaults_cache[sort.name] = v
-        return v
-
-    star._default_of = _default_of
     return star
 
 

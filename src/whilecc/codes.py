@@ -412,10 +412,6 @@ def neg_code(x: ECode) -> ECode:
     return NegCode(x)
 
 
-def sub_codes(x: ECode, y: ECode) -> ECode:
-    return add_codes(x, neg_code(y))
-
-
 def mul_codes(x: ECode, y: ECode) -> ECode:
     if x.is_const and y.is_const:
         return _const(rat_mul(x.value, y.value))

@@ -12,9 +12,12 @@ Strategies:
   * Enumerate explores every branch, with choose ranging over 0..max_nat.
   * Oracle answers the c-th choose with f(c) for a seed-derived f and
     diverges when the guard rejects it.
-  * Dovetail searches candidates fairly, giving candidates at stage k a
-    budget of k steps; a seed jitters the visiting order so independent runs
-    can find different witnesses.
+  * Dovetail searches candidates fairly: stage k takes one step, first
+    tries one new candidate and re-tries those due, each on a budget of
+    k + 1 steps; a candidate whose guard ran out of budget at stage k is due
+    again at stage max(2k, k + 1). A seed jitters the visiting order so
+    independent runs can find different witnesses. The adequacy approximant
+    (`tracking.adequacy_g`) searches its indices on the same schedule.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import (PartialAlgebra, Value, BoolV, NatV, Verdict,
-                      Converged, PROVEN_DIVERGENT, FUEL_EXHAUSTED,
+from .algebra import (PartialAlgebra, Value, BoolV, NatV, FUEL_EXHAUSTED,
                       value_key, AlgebraError)
 from .codes import Fuel, OutOfFuel
 from .lang.ast import (Term, Var, Lit, App, Choose, Stmt, Skip, Div, Assign,
@@ -38,6 +40,25 @@ _NATS = [NatV(i) for i in range(1 << 12)]
 
 def nat_value(i: int) -> NatV:
     return _NATS[i] if i < len(_NATS) else NatV(i)
+
+
+# The deterministic hot path avoids verdict boxing: evaluation returns either
+# a Value or one of the two sentinels below, which the outcome-set boundary
+# turns into flags. Dovetail.search reads them as an attempt's verdict.
+
+
+class _Sentinel:
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __repr__(self):
+        return self.name
+
+
+DIV = _Sentinel("DIV")
+FUEL_OUT = _Sentinel("FUEL_OUT")
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +103,7 @@ class Oracle:
 
 
 class Dovetail:
-    """Fair budgeted search; stage k gives each tried candidate k steps.
+    """Fair budgeted search; stage k gives each tried candidate k + 1 steps.
 
     A seed permutes the scan order: within each block of 2^13 consecutive
     candidates the visiting order follows a seeded odd stride (a bijection
@@ -116,6 +137,27 @@ class Dovetail:
         block = stage >> self.BLOCK_BITS
         pos = stage & mask
         return (block << self.BLOCK_BITS) | ((pos * self._stride(block)) & mask)
+
+    def search(self, fuel: Fuel, attempt: Callable[[int, int], object]):
+        """The first result of attempt(candidate, stage), or None once fuel
+        runs out. Each stage takes one step of fuel and tries the candidate
+        visit(stage) and then those due again. attempt returns a result,
+        FUEL_OUT (undecided on its budget at stage k: due again at stage
+        max(2k, k + 1)) or DIV (refuted for good)."""
+        stage = 0
+        retry: list[tuple[int, int]] = []  # (due stage, candidate)
+        while fuel.take():
+            batch = [self.visit(stage)]
+            while retry and retry[0][0] <= stage:
+                batch.append(heapq.heappop(retry)[1])
+            for cand in batch:
+                r = attempt(cand, stage)
+                if r is FUEL_OUT:
+                    heapq.heappush(retry, (max(stage * 2, stage + 1), cand))
+                elif r is not DIV:
+                    return r
+            stage += 1
+        return None
 
     def fresh(self):
         return Dovetail(self.seed)
@@ -246,23 +288,6 @@ def _choose_free(t: Term) -> bool:
 
 # ---------------------------------------------------------------------------
 # deterministic-strategy term evaluation (Oracle / Dovetail)
-#
-# The hot path avoids verdict boxing: evaluation returns either a Value or
-# one of the two sentinels below; the API boundary re-boxes.
-
-
-class _Sentinel:
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-DIV = _Sentinel("DIV")
-FUEL_OUT = _Sentinel("FUEL_OUT")
 
 
 def _det_term(ctx: Ctx, t: Term, b: dict):
@@ -302,14 +327,6 @@ def _det_term(ctx: Ctx, t: Term, b: dict):
     raise TypeError(f"not a term: {t!r}")
 
 
-def _box(res) -> Verdict:
-    if res is DIV:
-        return PROVEN_DIVERGENT
-    if res is FUEL_OUT:
-        return FUEL_EXHAUSTED
-    return Converged(res)
-
-
 def _oracle_choose(ctx: Ctx, t: Choose, b: dict):
     cand = ctx.strat.next_candidate()
     b2 = dict(b)
@@ -323,32 +340,22 @@ def _oracle_choose(ctx: Ctx, t: Choose, b: dict):
 
 
 def _dovetail_choose(ctx: Ctx, t: Choose, b: dict):
-    strat: Dovetail = ctx.strat
+    fuel = ctx.fuel
     b2 = dict(b)
-    stage = 0
-    retry: list[tuple[int, int]] = []  # fuel-exhausted candidates, backoff
-    while True:
-        if not ctx.fuel.take():
-            return FUEL_OUT
-        batch = [strat.visit(stage)]
-        while retry and retry[0][0] <= stage:
-            batch.append(heapq.heappop(retry)[1])
-        for cand in batch:
-            sub = ctx.fuel.spawn(stage + 1)
-            saved, ctx.fuel = ctx.fuel, sub
-            b2[t.var] = nat_value(cand)
-            try:
-                g = _det_term(ctx, t.body, b2)
-            finally:
-                ctx.fuel = saved
-            if g is FUEL_OUT:
-                heapq.heappush(retry, (max(stage * 2, stage + 1), cand))
-            elif g is DIV:
-                pass  # refuted for good
-            elif g.b:
-                return nat_value(cand)
-            # a ff guard is refuted for good
-        stage += 1
+
+    def attempt(cand: int, stage: int):
+        ctx.fuel = fuel.spawn(stage + 1)
+        b2[t.var] = nat_value(cand)
+        try:
+            g = _det_term(ctx, t.body, b2)
+        finally:
+            ctx.fuel = fuel
+        if g is FUEL_OUT or g is DIV:
+            return g
+        return nat_value(cand) if g.b else DIV  # a ff guard is refuted
+
+    r = ctx.strat.search(fuel, attempt)
+    return FUEL_OUT if r is None else r
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,6 @@ class Signature:
         self.symbols[sym.name] = sym
         return sym
 
-    def equality_sorts(self) -> set[str]:
-        return {name[3:] for name in self.symbols if name.startswith("eq_")}
-
     def copy(self) -> "Signature":
         return Signature(dict(self.sorts), dict(self.symbols), dict(self.defaults),
                          self.standard, self.n_standard, self.starred)

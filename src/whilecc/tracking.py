@@ -21,11 +21,12 @@ from typing import Callable, Optional
 
 from .algebra import (PartialAlgebra, Value, BoolV, NatV, RealV, ArrV,
                       Verdict, Converged, PROVEN_DIVERGENT, FUEL_EXHAUSTED,
-                      TT, FF, compare_codes, rat_value, AlgebraError)
+                      TT, FF, InterpRule, compare_codes, rat_value,
+                      array_rules, _total, _if_rule, AlgebraError)
 from .codes import (Fuel, ECode, ConstCode, CodeRegistry, CodeProducerError,
                     add_codes, neg_code, mul_codes, abs_diff_code, inv_code,
                     prog_rat_decode)
-from .interp import Dovetail, eval_proc, nat_value
+from .interp import DIV, FUEL_OUT, Dovetail, eval_proc, nat_value
 from .lang.ast import Procedure
 from .reals import Enumeration, diagonal_code, ecode_eval
 from .report import Report
@@ -85,7 +86,7 @@ def builtin_certs(base: PartialAlgebra, registry: CodeRegistry) -> EffectivityCe
     interval algebras (starred or not). Codes travel as nat values holding
     registry indices; bool and nat are tracked identically."""
     sig = base.signature
-    trackers: dict[str, TrackingFn] = {}
+    trackers: dict[str, InterpRule] = {}
 
     def code_of(v: NatV) -> ECode:
         return registry.code(v.n)
@@ -93,27 +94,18 @@ def builtin_certs(base: PartialAlgebra, registry: CodeRegistry) -> EffectivityCe
     def mint(c: ECode) -> NatV:
         return NatV(registry.mint(c))
 
-    def total(fn):
-        def rule(args, fuel):
-            fuel.take()
-            return Converged(fn(*args))
-        rule.fast_fn = fn
-        return TrackingFn(rule)
-
-    identity_sorts = {"bool", "nat"}
     for name, sym in sig.symbols.items():
-        res = sym.result_sort.kind
         if name in ("true", "false", "and", "or", "not", "zero_nat", "succ",
                     "eq_nat", "less_nat", "pair", "fst", "snd"):
-            trackers[name] = TrackingFn(base.interp[name])
+            trackers[name] = base.interp[name]
         elif sym.conditional:
-            trackers[name] = total(lambda b, x, y: x if b.b else y)
+            trackers[name] = _if_rule()
     if "zero_real" in sig.symbols:
-        trackers["zero_real"] = total(lambda: NatV(0))  # index 0 is const 0
-        trackers["one_real"] = total(lambda: mint(ConstCode(1)))
-        trackers["add"] = total(lambda a, b: mint(add_codes(code_of(a), code_of(b))))
-        trackers["mul"] = total(lambda a, b: mint(mul_codes(code_of(a), code_of(b))))
-        trackers["neg"] = total(lambda a: mint(neg_code(code_of(a))))
+        trackers["zero_real"] = _total(lambda: NatV(0))  # index 0 is const 0
+        trackers["one_real"] = _total(lambda: mint(ConstCode(1)))
+        trackers["add"] = _total(lambda a, b: mint(add_codes(code_of(a), code_of(b))))
+        trackers["mul"] = _total(lambda a, b: mint(mul_codes(code_of(a), code_of(b))))
+        trackers["neg"] = _total(lambda a: mint(neg_code(code_of(a))))
 
         def inv_rule(args, fuel):
             c, status = inv_code(code_of(args[0]), fuel)
@@ -123,45 +115,26 @@ def builtin_certs(base: PartialAlgebra, registry: CodeRegistry) -> EffectivityCe
                 return FUEL_EXHAUSTED
             return Converged(mint(c))
 
-        trackers["inv"] = TrackingFn(inv_rule)
-        trackers["eq_real"] = TrackingFn(
-            lambda args, fuel: compare_codes(code_of(args[0]), code_of(args[1]),
-                                             fuel, "eq"))
-        trackers["less_real"] = TrackingFn(
-            lambda args, fuel: compare_codes(code_of(args[0]), code_of(args[1]),
-                                             fuel, "less"))
+        trackers["inv"] = inv_rule
+        trackers["eq_real"] = lambda args, fuel: compare_codes(
+            code_of(args[0]), code_of(args[1]), fuel, "eq")
+        trackers["less_real"] = lambda args, fuel: compare_codes(
+            code_of(args[0]), code_of(args[1]), fuel, "less")
     if "nat2real" in sig.symbols:
-        trackers["nat2real"] = total(lambda a: mint(ConstCode(a.n)))
-        trackers["rat"] = total(lambda a: mint(ConstCode(prog_rat_decode(a.n))))
-        trackers["dist"] = total(
+        trackers["nat2real"] = _total(lambda a: mint(ConstCode(a.n)))
+        trackers["rat"] = _total(lambda a: mint(ConstCode(prog_rat_decode(a.n))))
+        trackers["dist"] = _total(
             lambda a, b: mint(abs_diff_code(code_of(a), code_of(b))))
     if "i_I" in sig.symbols:
-        trackers["zero_interval"] = total(lambda: NatV(0))
-        trackers["i_I"] = total(lambda a: a)
-    for s in list(sig.sorts.values()):
-        if s.kind != "array":
-            continue
-        base_name = s.elem.name
-        if f"Null_{base_name}" not in sig.symbols:
-            continue
-        trackers[f"Null_{base_name}"] = total(lambda elem=s.elem: ArrV(elem, ()))
-        trackers[f"Lgth_{base_name}"] = total(lambda arr: NatV(len(arr.items)))
-        trackers[f"Ap_{base_name}"] = total(
-            lambda arr, i, elem=s.elem: arr.items[i.n] if i.n < len(arr.items)
-            else _code_default(elem))
-        trackers[f"Update_{base_name}"] = total(
-            lambda arr, i, v: ArrV(arr.elem_sort,
-                                   arr.items[:i.n] + (v,) + arr.items[i.n + 1:])
-            if i.n < len(arr.items) else arr)
-        trackers[f"Newlength_{base_name}"] = total(
-            lambda arr, k, elem=s.elem: ArrV(arr.elem_sort, arr.items[:k.n])
-            if k.n <= len(arr.items)
-            else ArrV(arr.elem_sort, arr.items + tuple(
-                _code_default(elem) for _ in range(k.n - len(arr.items)))))
+        trackers["zero_interval"] = _total(lambda: NatV(0))
+        trackers["i_I"] = _total(lambda a: a)
+    for s in sig.sorts.values():
+        if s.kind == "array" and f"Null_{s.elem.name}" in sig.symbols:
+            trackers.update(array_rules(s.elem, _code_default))
     missing = [n for n in sig.symbols if n not in trackers]
     if missing:
         raise AlgebraError(f"no tracking functions for {missing}")
-    return EffectivityCert(trackers)
+    return EffectivityCert({n: TrackingFn(r) for n, r in trackers.items()})
 
 
 def _code_default(elem: Sort) -> Value:
@@ -254,8 +227,8 @@ def check_tracking(F: Callable[[tuple, Fuel], Verdict], f, samples,
                 continue
             abstract_out = FV.value
             tracked_out = decode_out(fv.value)
-            rep.add(_square_agrees(abstract_out, tracked_out), name, sample,
-                    "square commutes (equality unrefuted at 2^-20)")
+            rep.add(_values_equal_unrefuted(abstract_out, tracked_out),
+                    name, sample, "square commutes (equality unrefuted at 2^-20)")
         else:
             if strict and fv.tag == "ok":
                 rep.add(False, name, sample,
@@ -265,18 +238,6 @@ def check_tracking(F: Callable[[tuple, Fuel], Verdict], f, samples,
                 rep.add(True, name, sample,
                         f"both sides non-convergent ({FV.tag}/{fv.tag})")
     return rep
-
-
-def _square_agrees(abstract_out: Value, tracked_out: Value) -> bool:
-    return _values_equal_unrefuted(abstract_out, tracked_out)
-
-
-def make_square_decoder(registry: CodeRegistry):
-    """decode(position, index) for rational-code samples: every component is
-    the code at that registry index."""
-    def decode(_pos: int, k: int) -> Value:
-        return RealV(registry.code(k))
-    return decode
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +250,14 @@ class LiftError(CodeProducerError):
 
 def soundness_lift(P: Procedure, code_alg: PartialAlgebra,
                    registry: CodeRegistry, args: tuple,
-                   fuel_per_level: int = 500_000,
-                   strat=None, register: bool = True):
+                   fuel_per_level: int = 500_000, strat=None):
     """Assemble the diagonal code from per-precision tracked runs of an
     approximating procedure P: nat x u -> s.
 
     Level m runs P on the code algebra at precision m; the diagonal shifted
     by two is a fast Cauchy code for the approximated value at the decoded
-    input. A diverging level run aborts with that level's index.
+    input. A diverging level run aborts with that level's index. The code
+    is registered.
     """
     strat = strat or Dovetail()
     cache: dict[int, ECode] = {}
@@ -317,15 +278,14 @@ def soundness_lift(P: Procedure, code_alg: PartialAlgebra,
         return c
 
     code = diagonal_code(levels)
-    if register:
-        registry.mint(code)
+    registry.mint(code)
     return code
 
 
 def a0_square_check(P: Procedure, abstract_alg: PartialAlgebra,
                     code_alg: PartialAlgebra, registry: CodeRegistry,
                     inputs: list, fuel_steps: int = 300_000,
-                    exact: bool = True, name: str = "A0-square") -> Report:
+                    name: str = "A0-square") -> Report:
     """Run P both on values and on codes and compare the decoded outputs.
 
     With rational inputs and field operations both sides are exact, so the
@@ -350,15 +310,8 @@ def a0_square_check(P: Procedure, abstract_alg: PartialAlgebra,
         cvs = cv if isinstance(cv, tuple) else (cv,)
         decoded = tuple(decode_code_value(c, s, registry)
                         for c, s in zip(cvs, out_sorts))
-        ok = True
-        for a, d in zip(avs, decoded):
-            if exact and isinstance(a, RealV) and a.code.is_const \
-                    and isinstance(d, RealV) and d.code.is_const:
-                ok &= a.code.value == d.code.value
-            else:
-                ok &= _values_equal_unrefuted(a, d)
-        rep.add(ok, name, sample, "decoded code run equals value run"
-                + (" exactly" if exact else " (unrefuted)"))
+        ok = all(_values_equal_unrefuted(a, d) for a, d in zip(avs, decoded))
+        rep.add(ok, name, sample, "decoded code run equals value run exactly")
     return rep
 
 
@@ -405,27 +358,39 @@ def _dist_below(x: Value, center: Value, bound: Fraction, prec: int,
     return None
 
 
+def _scan_cover(cover, alpha: Enumeration, fuel: Fuel, probe):
+    """Stage loop over cover balls: each stage takes one step of fuel and
+    calls probe(i, center, radius, stage) on balls 0..stage (at most
+    cover_size_hint of them). The first non-None probe result, or None once
+    fuel runs out."""
+    stage = 0
+    while fuel.take():
+        for i in range(min(stage + 1, cover.cover_size_hint)):
+            k_i, l_i = cover.cover(i)
+            r = probe(i, alpha.decode("real", k_i), _radius(l_i), stage)
+            if r is not None:
+                return r
+        stage += 1
+    return None
+
+
 def adequacy_mc(F_cover: LUCModulus, alpha: Enumeration, x: Value, n: int,
-                strat=None, fuel: Optional[Fuel] = None) -> Verdict:
+                fuel: Optional[Fuel] = None) -> Verdict:
     """Modulus of continuity at x: find a cover ball containing x, a gap
     exponent d0 with d(x, center) + 2^-d0 < 2^-l, and return
     max(d0, LU(i, n)). Diverges (fuel) off the covered domain."""
     fuel = fuel if fuel is not None else Fuel(200_000)
-    stage = 0
-    while fuel.take():
-        for i in range(min(stage + 1, F_cover.cover_size_hint)):
-            k_i, l_i = F_cover.cover(i)
-            center = alpha.decode("real", k_i)
-            radius = _radius(l_i)
-            hit = _dist_below(x, center, radius, stage, fuel)
-            if hit:
-                for d0 in range(1, stage + 2):
-                    gap = _dist_below(x, center, radius - Fraction(1, 1 << d0),
-                                      stage + d0, fuel)
-                    if gap:
-                        return Converged(nat_value(max(d0, F_cover.lu(i, n))))
-        stage += 1
-    return FUEL_EXHAUSTED
+
+    def probe(i, center, radius, stage):
+        if not _dist_below(x, center, radius, stage, fuel):
+            return None
+        for d0 in range(1, stage + 2):
+            if _dist_below(x, center, radius - Fraction(1, 1 << d0),
+                           stage + d0, fuel):
+                return Converged(nat_value(max(d0, F_cover.lu(i, n))))
+        return None
+
+    return _scan_cover(F_cover, alpha, fuel, probe) or FUEL_EXHAUSTED
 
 
 def adequacy_g(f: TrackingFn, F_cover: LUCModulus, alpha: Enumeration,
@@ -433,57 +398,48 @@ def adequacy_g(f: TrackingFn, F_cover: LUCModulus, alpha: Enumeration,
                strat=None, fuel: Optional[Fuel] = None) -> Verdict:
     """The approximant G_n(x): within 2^-n of F(x) for x in the domain.
 
-    Steps: modulus M at precision n+1; dovetailed search for an index k with
-    d(alpha(k), x) < 2^-M and f defined on the constant code of alpha(k);
-    then return alpha({f(e_con[k])}(n+1))."""
-    import heapq
-
+    Steps: modulus M at precision n+1; Dovetail search (strat, or an
+    unseeded Dovetail) for an index k with d(alpha(k), x) < 2^-M and f
+    defined on the constant code of alpha(k); then return
+    alpha({f(e_con[k])}(n+1)). An index whose nearness or f-run is undecided
+    on its stage budget is tried again; one refuted or proven divergent is
+    not."""
     fuel = fuel if fuel is not None else Fuel(500_000)
-    mc = adequacy_mc(F_cover, alpha, x, n + 1, strat, fuel)
+    mc = adequacy_mc(F_cover, alpha, x, n + 1, fuel)
     if mc.tag != "ok":
         return mc
     M = mc.value.n
     eps = Fraction(1, 1 << M)
-    visit = strat.visit if isinstance(strat, Dovetail) else (lambda s: s)
-    stage = 0
-    retry: list[tuple[int, int]] = []
-    while fuel.take():
-        batch = [visit(stage)]
-        while retry and retry[0][0] <= stage:
-            batch.append(heapq.heappop(retry)[1])
-        for k in batch:
-            near = _dist_below(x, alpha.decode("real", k), eps,
-                               max(M + 2, stage), fuel)
-            if near is None:
-                heapq.heappush(retry, (max(stage * 2, stage + 1), k))
-                continue
-            if not near:
-                continue
-            e_con = registry.mint(ConstCode(alpha.decode("real", k).code.value))
-            run = f((NatV(e_con),), fuel.spawn(stage + 1))
-            if run.tag == "ok":
-                e_prime = registry.code(run.value.n)
-                y = ecode_eval(e_prime, n + 1, fuel)
-                return Converged(rat_value(y))
-            heapq.heappush(retry, (max(stage * 2, stage + 1), k))
-        stage += 1
-    return FUEL_EXHAUSTED
+    dovetail = strat if isinstance(strat, Dovetail) else Dovetail()
+
+    def attempt(k: int, stage: int):
+        a_k = alpha.decode("real", k)
+        near = _dist_below(x, a_k, eps, max(M + 2, stage), fuel)
+        if near is None:
+            return FUEL_OUT
+        if not near:
+            return DIV
+        e_con = registry.mint(ConstCode(a_k.code.value))
+        run = f((NatV(e_con),), fuel.spawn(stage + 1))
+        if run.tag == "ok":
+            y = ecode_eval(registry.code(run.value.n), n + 1, fuel)
+            return Converged(rat_value(y))
+        return DIV if run.tag == "div" else FUEL_OUT
+
+    return dovetail.search(fuel, attempt) or FUEL_EXHAUSTED
 
 
 def effective_open_membership(cover: EffOpenCover, e: ECode,
                               alpha: Enumeration, fuel: Fuel) -> Verdict:
     """Semi-decide membership of the coded point in the cover union."""
-    stage = 0
-    while fuel.take():
-        for i in range(min(stage + 1, cover.cover_size_hint)):
-            k_i, l_i = cover.cover(i)
-            center = alpha.decode("real", k_i)
-            hit = _dist_below(RealV(e), center, _radius(l_i),
-                              stage, fuel)
-            if hit:
-                return Converged(TT)
-        stage += 1
-    return FUEL_EXHAUSTED
+    point = RealV(e)
+
+    def probe(i, center, radius, stage):
+        if _dist_below(point, center, radius, stage, fuel):
+            return Converged(TT)
+        return None
+
+    return _scan_cover(cover, alpha, fuel, probe) or FUEL_EXHAUSTED
 
 
 def strictify_tracking(f: TrackingFn, cover: EffOpenCover,

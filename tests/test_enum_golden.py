@@ -1,10 +1,13 @@
-"""Golden equivalence for the Enumerate strategy.
+"""Golden equivalence for the choice strategies.
 
-Each case runs a shipped program under `Enumerate` and compares, exactly,
+Each case runs a shipped program under one strategy and compares, exactly,
 the outcome value keys (in order), both divergence flags, the diagnostics
 list (in order) and the fuel left over against `data/enum_golden.json`.
-The fixture was recorded from the per-node outcome-set evaluator; the
-single-valued evaluation of choose-free terms must reproduce it bit for bit.
+The strategy axis is `Enumerate(max_nat, max_depth)`, whose cases were
+recorded from the per-node outcome-set evaluator (the single-valued
+evaluation of choose-free terms must reproduce them bit for bit), then
+`Dovetail(seed)` and `Oracle(seed)`, which pin the choose search and the
+deterministic evaluator.
 
 Regenerate (only when the semantics change on purpose) with
 
@@ -22,14 +25,15 @@ import pytest
 
 from whilecc.algebra import get_algebra, rat_value, value_key
 from whilecc.codes import Fuel
-from whilecc.interp import Enumerate, eval_proc, nat_value
+from whilecc.interp import Dovetail, Enumerate, Oracle, eval_proc, nat_value
 from whilecc.lang import parse_program
-from whilecc.programs import load
+from whilecc.programs import load, real_array
 
 FIXTURE = Path(__file__).parent / "data" / "enum_golden.json"
 
 FUELS = (300, 3_000, 200_000)
 DEPTHS = (5, 10_000)
+SEEDS = (0, 1, 2)
 
 # Failures outside any choose body: ties in a strict `and` (both arguments
 # are still evaluated), inverting an exact zero, and a choose nested in a
@@ -47,7 +51,9 @@ begin
 end
 """
 
-# (program, max_nat, inputs); a Fraction input is a real, an int a natural
+# (program, max_nat, inputs); a Fraction input is a real, an int a natural,
+# a list a real array. Programs with max_nat None run only under Dovetail
+# and Oracle.
 CASES = [
     ("pivot3", 40, [(0, Fraction(3, 2), 0), (0, 0, 0),
                     (1, -2, Fraction(1, 3))]),
@@ -62,10 +68,16 @@ CASES = [
     ("edges", 6, [(Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)),
                   (Fraction(1, 4), Fraction(1)), (Fraction(-1, 3), Fraction(1, 2)),
                   (Fraction(0), Fraction(2))]),
+    ("root_bisect", None, [(3, [-2, 0, 1]), (2, [0, -1, 0, 1]),
+                           (3, [0, 0, 1])]),
+    ("horner", None, [([Fraction(1, 3), -1, 2], Fraction(3, 2)), ([], 0)]),
+    ("log2_search", None, [(10,), (0,)]),
+    ("exp_approx", None, [(3, Fraction(1, 2)), (1, Fraction(0))]),
 ]
 
 REAL_ARGS = {"pivot3": (0, 1, 2), "scaled_sum": (0, 1), "choose_near": (0,),
-             "sq1_approx": (1,), "root_bisect_fa": (1,), "edges": (0, 1)}
+             "sq1_approx": (1,), "root_bisect_fa": (1,), "edges": (0, 1),
+             "horner": (1,), "exp_approx": (1,)}
 
 
 def _load(program: str):
@@ -76,22 +88,27 @@ def _load(program: str):
 
 def _args(program: str, inputs: tuple) -> tuple:
     reals = REAL_ARGS.get(program, ())
-    return tuple(rat_value(x) if i in reals else nat_value(x)
+    return tuple(real_array(x) if isinstance(x, list)
+                 else rat_value(x) if i in reals else nat_value(x)
                  for i, x in enumerate(inputs))
 
 
-def _run(program: str, max_nat: int, inputs: tuple, fuel: int,
-         depth: int) -> dict:
+def _run(program: str, strat, inputs: tuple, fuel: int) -> dict:
     proc, alg = _load(program)
     budget = Fuel(fuel)
-    res = eval_proc(proc, _args(program, inputs), alg,
-                    Enumerate(max_nat, depth), budget)
+    res = eval_proc(proc, _args(program, inputs), alg, strat, budget)
     keys = [value_key(v) for v in res.values]
     # non-constant codes dedup by object identity, which no fixture can hold
     assert all(k[0] != "c" for k in keys)
+    ins = [str(x) for x in inputs]
+    if isinstance(strat, Enumerate):
+        head = {"program": program, "max_nat": strat.max_nat, "inputs": ins,
+                "fuel": fuel, "max_depth": strat.max_depth}
+    else:
+        head = {"program": program, "strategy": repr(strat), "inputs": ins,
+                "fuel": fuel}
     return {
-        "program": program, "max_nat": max_nat,
-        "inputs": [str(x) for x in inputs], "fuel": fuel, "max_depth": depth,
+        **head,
         "values": [repr(k) for k in keys],
         "proven_divergent": res.proven_divergent,
         "truncated": res.truncated,
@@ -100,20 +117,34 @@ def _run(program: str, max_nat: int, inputs: tuple, fuel: int,
     }
 
 
-def _grid():
+def _grid(enumerate_axis: bool):
     for program, max_nat, inputs in CASES:
+        if enumerate_axis and max_nat is None:
+            continue
         for args in inputs:
             for fuel in FUELS:
-                for depth in DEPTHS:
-                    yield program, max_nat, args, fuel, depth
+                if enumerate_axis:
+                    strats = [Enumerate(max_nat, d) for d in DEPTHS]
+                else:
+                    strats = [S(seed) for S in (Dovetail, Oracle)
+                              for seed in SEEDS]
+                for strat in strats:
+                    yield program, strat, args, fuel
 
 
 def _case_id(case) -> str:
-    program, _, args, fuel, depth = case
-    return f"{program}-{'_'.join(map(str, args))}-f{fuel}-d{depth}"
+    program, strat, args, fuel = case
+    if isinstance(strat, Enumerate):
+        tail = f"d{strat.max_depth}"
+    else:
+        tail = f"{type(strat).__name__.lower()}{strat.seed}"
+    args = "_".join(str(x).replace(" ", "") for x in args)
+    return f"{program}-{args}-f{fuel}-{tail}"
 
 
-GRID = list(_grid())
+ENUM_GRID = list(_grid(True))
+DET_GRID = list(_grid(False))
+GRID = ENUM_GRID + DET_GRID
 
 
 @pytest.fixture(scope="module")
@@ -126,9 +157,15 @@ def test_fixture_covers_grid(golden):
     assert len(golden) == len(GRID)
 
 
-@pytest.mark.parametrize("idx", range(len(GRID)),
-                         ids=[_case_id(c) for c in GRID])
+@pytest.mark.parametrize("idx", range(len(ENUM_GRID)),
+                         ids=[_case_id(c) for c in ENUM_GRID])
 def test_enumerate_matches_golden(golden, idx):
+    assert _run(*GRID[idx]) == golden[idx]
+
+
+@pytest.mark.parametrize("idx", range(len(ENUM_GRID), len(GRID)),
+                         ids=[_case_id(c) for c in DET_GRID])
+def test_dovetail_oracle_match_golden(golden, idx):
     assert _run(*GRID[idx]) == golden[idx]
 
 

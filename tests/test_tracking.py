@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from whilecc.algebra import (get_algebra, rat_value, NatV, RealV,
-                             Converged, PROVEN_DIVERGENT, FUEL_EXHAUSTED)
+from whilecc.algebra import (get_algebra, rat_value, value_key, NatV, RealV,
+                             ArrV, TT, FF, Converged, PROVEN_DIVERGENT,
+                             FUEL_EXHAUSTED)
 from whilecc.codes import (Fuel, CodeRegistry, ConstCode, sqrt_code,
                            mul_codes, add_codes, inv_code, rat_encode)
 from whilecc.interp import Dovetail, eval_proc
 from whilecc.lang import parse
 from whilecc.programs import load
 from whilecc.programs.oracles import exp_enclosure, sqrt_enclosure
-from whilecc.reals import alpha_rat, ecode_eval
-from whilecc.tracking import (TrackingFn, code_algebra,
+from whilecc.reals import (Enumeration, SortEnumeration, alpha_rat,
+                           ecode_eval)
+from whilecc.tracking import (TrackingFn, code_algebra, decode_code_value,
                               encode_input, check_tracking,
                               soundness_lift, a0_square_check, LiftError,
                               LUCModulus, EffOpenCover, adequacy_mc,
@@ -51,6 +53,40 @@ def test_code_algebra_doubling(rn_codes):
     code = reg.code(out.values[0].n)
     for n in (1, 5, 9):
         assert abs(ecode_eval(code, n) - Fraction(2, 3)) < Fraction(1, 1 << (n - 1))
+
+
+ARRAY_SAMPLES = {
+    "bool": (TT, FF, TT),
+    "nat": (NatV(3), NatV(0), NatV(7)),
+    "real": (rat_value(Fraction(1, 2)), rat_value(-3), rat_value(Fraction(2, 7))),
+    "interval": (rat_value(Fraction(1, 3)), rat_value(1), rat_value(0)),
+}
+
+
+@pytest.mark.parametrize("name", ["RN*", "IN*"])
+def test_code_algebra_array_trackers_match_star_algebra(name, registry):
+    star = get_algebra(name)
+    calg = code_algebra(star, registry)
+    sig = star.signature
+    elem_sorts = [s for s in sig.sorts.values() if s.kind != "array"]
+    assert {s.kind for s in elem_sorts} >= {"bool", "nat", "real"}
+    for s in elem_sorts:
+        items = ARRAY_SAMPLES[s.kind]
+        arr, v = ArrV(s, items), items[1]
+        cases = [("Null", ()), ("Lgth", (arr,)), ("Lgth", (ArrV(s, ()),))]
+        cases += [("Ap", (arr, NatV(i))) for i in (0, 2, 3, 9)]
+        cases += [("Update", (arr, NatV(i), v)) for i in (0, 2, 3, 9)]
+        cases += [("Newlength", (arr, NatV(k))) for k in (0, 2, 3, 6)]
+        for op, args in cases:
+            sym = sig.symbol(f"{op}_{s.name}")
+            want = star.apply(sym, args, Fuel(100))
+            coded = tuple(encode_input(a, t, registry)
+                          for a, t in zip(args, sym.arg_sorts))
+            got = calg.apply(sym, coded, Fuel(100))
+            assert want.tag == got.tag == "ok", (name, sym.name)
+            decoded = decode_code_value(got.value, sym.result_sort, registry)
+            assert value_key(decoded) == value_key(want.value), \
+                (name, sym.name, args)
 
 
 def test_a0_square_on_five_small_programs(rn_codes):
@@ -274,6 +310,28 @@ def test_adequacy_g_outside_domain_exhausts(square_setup):
     out = adequacy_g(TrackingFn(inv_track), inv_cover, alpha, reg,
                      rat_value(0), 3, Dovetail(), fuel=Fuel(4000))
     assert out.tag == "fuel"
+
+
+def test_adequacy_g_never_retries_a_divergent_index(registry):
+    # alpha(k) = 2^-30/(k+1): distinct rationals all within 2^-M of x = 0,
+    # so the constant code f receives names the index it came from
+    def decode(k):
+        return rat_value(Fraction(1, (k + 1) << 30))
+
+    alpha = Enumeration({"real": SortEnumeration(member=lambda k: True,
+                                                 decode=decode)})
+    cover = LUCModulus(cover=lambda i: (0, 0), lu=lambda i, n: n + 4,
+                       cover_size_hint=1)
+    seen = []
+
+    def divergent(args, fuel):
+        seen.append(registry.code(args[0].n).value)
+        return PROVEN_DIVERGENT
+
+    out = adequacy_g(TrackingFn(divergent), cover, alpha, registry,
+                     rat_value(0), 3, Dovetail(), fuel=Fuel(20_000))
+    assert out.tag == "fuel"
+    assert seen and len(seen) == len(set(seen))
 
 
 # ---------------------------------------------------------------------------
