@@ -199,14 +199,16 @@ def cmd_run(ns) -> int:
     if res.truncated:
         flag_bits.append("truncated")
     lines.append("flags " + (",".join(flag_bits) if flag_bits else "none"))
+    lines += [f"diag {msg}" for msg in res.diagnostics]
     lines.append(f"stats outcomes={len(res.values)} fuel_used={used} "
                  f"fuel_budget={ns.fuel}")
     exit_code = 0 if (res.values and not res.maybe_divergent) else 2
     if ns.format == "json-lines":
         for v in res.values:
             print(json.dumps({"value": render_value(v, digits)}, sort_keys=True))
-        print(json.dumps({"flags": flag_bits, "outcomes": len(res.values),
-                          "fuel_used": used, "exit": exit_code}, sort_keys=True))
+        print(json.dumps({"flags": flag_bits, "diagnostics": res.diagnostics,
+                          "outcomes": len(res.values), "fuel_used": used,
+                          "exit": exit_code}, sort_keys=True))
     else:
         print("\n".join(lines))
         print(f"exit {exit_code}")

@@ -8,6 +8,15 @@ or an operation whose divergence condition is decidable) and a truncation
 flag (fuel, candidate bounds, node caps). `maybe_divergent` is their union;
 diagnostics say which happened.
 
+Terms have one evaluator: a run compiles each term once into a closure
+(`_compile`) with its rules, nat literals and choose handler fixed; a real
+literal is minted on first evaluation, so a code algebra's registry grows in
+evaluation order. The strategy fixes how a strict operation treats a failed
+argument. Oracle and Dovetail stop at the first one. Enumerate evaluates
+every argument, since its operation applies to every combination of argument
+values, records each failure in the outcome set, and leaves a term that
+contains a choose to the set-valued `_enum_term`.
+
 Strategies:
   * Enumerate explores every branch, with choose ranging over 0..max_nat.
   * Oracle answers the c-th choose with f(c) for a seed-derived f and
@@ -235,103 +244,141 @@ class OutcomeSet:
 
 
 class Ctx:
-    __slots__ = ("alg", "strat", "fuel", "lits", "rules", "free", "nodes",
+    """One run's evaluation context. `closures` maps each term node, by
+    identity, to its closure (see `_compile`), built on first use."""
+
+    __slots__ = ("alg", "strat", "fuel", "enum", "closures", "nodes",
                  "node_cap")
 
     def __init__(self, alg: PartialAlgebra, strat, fuel: Fuel):
         self.alg = alg
         self.strat = strat
         self.fuel = fuel
-        self.lits: dict[int, Value] = {}
-        self.rules: dict[int, tuple] = {}
-        self.free: dict[int, bool] = {}
+        self.enum = isinstance(strat, Enumerate)
+        self.closures: dict[int, Optional[Callable]] = {}
         self.nodes = 0
         self.node_cap = getattr(strat, "max_depth", 1_000_000_000)
 
-    def rule(self, t: App) -> tuple:
-        """(fast_fn or None, boxed rule) for the symbol at this node."""
-        r = self.rules.get(id(t))
-        if r is None:
-            boxed = self.alg.rule(t.sym)
-            r = (getattr(boxed, "fast_fn", None), boxed)
-            self.rules[id(t)] = r
-        return r
-
-    def lit_value(self, t: Lit) -> Value:
-        v = self.lits.get(id(t))
-        if v is None:
-            if t.sort.kind == "nat":
-                v = nat_value(t.value)
-            else:
-                v = self.alg.real_literal(Fraction(t.value))
-            self.lits[id(t)] = v
-        return v
-
-    def choose_free(self, t: Term) -> bool:
-        """Whether no choose occurs in t, i.e. t has at most one value."""
-        f = self.free.get(id(t))
-        if f is None:
-            f = _choose_free(t)
-            self.free[id(t)] = f
-        return f
-
-
-def _choose_free(t: Term) -> bool:
-    if isinstance(t, (Var, Lit)):
-        return True
-    if isinstance(t, App):
-        return all(_choose_free(a) for a in t.args)
-    if isinstance(t, Choose):
-        return False
-    raise TypeError(f"not a term: {t!r}")
+    def compiled(self, t: Term) -> Optional[Callable]:
+        try:
+            return self.closures[id(t)]
+        except KeyError:
+            f = self.closures[id(t)] = _compile(self, t)
+            return f
 
 
 # ---------------------------------------------------------------------------
-# deterministic-strategy term evaluation (Oracle / Dovetail)
+# term compilation
+#
+# A closure f(b, fuel, out) returns the term's Value under the bindings b,
+# or DIV or FUEL_OUT. Fuel is an argument, so a dovetailed guard runs on its
+# stage budget. Under Enumerate, out is the caller's outcome set and collects
+# the failure flags and notes; Oracle and Dovetail pass None.
+# Closures hold no reference to the Ctx whose map holds them: that cycle
+# would keep every run's closures alive until a full collection.
 
 
-def _det_term(ctx: Ctx, t: Term, b: dict):
+def _compile(ctx: Ctx, t: Term) -> Optional[Callable]:
     tt = type(t)
     if tt is Var:
-        return b[t.name]
-    if tt is App:
-        if t.sym.conditional:
-            g = _det_term(ctx, t.args[0], b)
+        name = t.name
+        return lambda b, fuel, out: b[name]
+    if tt is Lit:
+        if t.sort.kind == "nat":
+            nat = nat_value(t.value)
+            return lambda b, fuel, out: nat
+        alg, q, v = ctx.alg, Fraction(t.value), None
+
+        def real_lit(b, fuel, out):
+            nonlocal v
+            if v is None:
+                v = alg.real_literal(q)
+            return v
+
+        return real_lit
+    if tt is Choose:
+        if ctx.enum:
+            return None
+        strat, var, body = ctx.strat, t.var, ctx.compiled(t.body)
+        if isinstance(strat, Oracle):
+            return lambda b, fuel, out: _oracle_choose(strat, var, body, b, fuel)
+        # looked up at call time, so a wrapper set on the module sees it
+        return lambda b, fuel, out: _dovetail_choose(strat, var, body, b, fuel)
+    if tt is not App:
+        raise TypeError(f"not a term: {t!r}")
+    fs = [ctx.compiled(a) for a in t.args]
+    if any(f is None for f in fs):
+        return None
+    if t.sym.conditional:
+        guard, then, els = fs
+
+        def cond(b, fuel, out):
+            g = guard(b, fuel, out)
             if g is DIV or g is FUEL_OUT:
                 return g
-            branch = t.args[1] if g.b else t.args[2]
-            return _det_term(ctx, branch, b)
+            return (then if g.b else els)(b, fuel, out)
+
+        return cond
+    return _strict(ctx.alg.rule(t.sym), fs, ctx.enum, t.sym.name)
+
+
+def _strict(rule, fs: list, enum: bool, name: str) -> Callable:
+    def args(b, fuel, out):
+        """The argument values, or the sentinel of a failed argument."""
         vals = []
-        for a in t.args:
-            r = _det_term(ctx, a, b)
-            if r is DIV or r is FUEL_OUT:
-                return r
-            vals.append(r)
-        fast, boxed = ctx.rule(t)
-        if fast is not None:
-            ctx.fuel.take()
+        failed = None
+        for f in fs:
+            v = f(b, fuel, out)
+            if v is DIV or v is FUEL_OUT:
+                if not enum:
+                    return v
+                failed = v
+            vals.append(v)
+        return vals if failed is None else failed
+
+    fast = getattr(rule, "fast_fn", None)
+    if fast is not None:
+        def app(b, fuel, out):
+            vals = args(b, fuel, out)
+            if vals is DIV or vals is FUEL_OUT:
+                return vals
+            fuel.take()
             return fast(*vals)
-        try:
-            v = boxed(tuple(vals), ctx.fuel)
-        except OutOfFuel:
-            return FUEL_OUT
-        if v.tag == "ok":
-            return v.value
-        return DIV if v.tag == "div" else FUEL_OUT
-    if tt is Lit:
-        return ctx.lit_value(t)
-    if tt is Choose:
-        if isinstance(ctx.strat, Oracle):
-            return _oracle_choose(ctx, t, b)
-        return _dovetail_choose(ctx, t, b)
-    raise TypeError(f"not a term: {t!r}")
+
+        return app
+
+    def app(b, fuel, out):
+        vals = args(b, fuel, out)
+        if vals is DIV or vals is FUEL_OUT:
+            return vals
+        return _apply(rule, vals, fuel, out, name)
+
+    return app
 
 
-def _oracle_choose(ctx: Ctx, t: Choose, b: dict):
-    cand = ctx.strat.next_candidate()
+def _apply(rule, vals, fuel: Fuel, out: Optional[OutcomeSet], name: str):
+    """A boxed rule's value, or DIV or FUEL_OUT, recorded in out if given."""
+    try:
+        r = rule(tuple(vals), fuel)
+    except OutOfFuel:
+        r = FUEL_EXHAUSTED
+    if r.tag == "ok":
+        return r.value
+    if r.tag == "div":
+        if out is not None:
+            out.proven_divergent = True
+        return DIV
+    if out is not None:
+        out.truncated = True
+        out.note(f"{name}: fuel exhausted")
+    return FUEL_OUT
+
+
+def _oracle_choose(strat, var: str, body, b: dict, fuel: Fuel):
+    cand = strat.next_candidate()
     b2 = dict(b)
-    b2[t.var] = nat_value(cand)
-    g = _det_term(ctx, t.body, b2)
+    b2[var] = nat_value(cand)
+    g = body(b2, fuel, None)
     if g is FUEL_OUT:
         return FUEL_OUT
     if g is DIV or not g.b:
@@ -339,81 +386,35 @@ def _oracle_choose(ctx: Ctx, t: Choose, b: dict):
     return nat_value(cand)
 
 
-def _dovetail_choose(ctx: Ctx, t: Choose, b: dict):
-    fuel = ctx.fuel
+def _dovetail_choose(strat, var: str, body, b: dict, fuel: Fuel):
     b2 = dict(b)
 
     def attempt(cand: int, stage: int):
-        ctx.fuel = fuel.spawn(stage + 1)
-        b2[t.var] = nat_value(cand)
-        try:
-            g = _det_term(ctx, t.body, b2)
-        finally:
-            ctx.fuel = fuel
+        b2[var] = nat_value(cand)
+        g = body(b2, fuel.spawn(stage + 1), None)
         if g is FUEL_OUT or g is DIV:
             return g
         return nat_value(cand) if g.b else DIV  # a ff guard is refuted
 
-    r = ctx.strat.search(fuel, attempt)
+    r = strat.search(fuel, attempt)
     return FUEL_OUT if r is None else r
 
 
 # ---------------------------------------------------------------------------
 # enumerate-strategy term evaluation
 #
-# Only choose can give a term more than one value. A choose-free term is
-# evaluated single-valued by _enum_single and wrapped in one outcome set at
-# the boundary; outcome sets are built per node only for applications that
-# contain a choose, and for choose itself.
-
-
-def _enum_single(ctx: Ctx, t: Term, b: dict, out: OutcomeSet):
-    """Value of the choose-free term t, or None with the failure recorded
-    in out's flags and diagnostics (out's values are left alone).
-
-    The outcome-set semantics applies a strict operation to every
-    combination of argument values, so every argument is evaluated (and
-    charged fuel) even after an earlier one failed. _det_term short-circuits
-    on the first failure and therefore cannot stand in for this."""
-    tt = type(t)
-    if tt is Var:
-        return b[t.name]
-    if tt is Lit:
-        return ctx.lit_value(t)
-    args = t.args
-    if t.sym.conditional:
-        g = _enum_single(ctx, args[0], b, out)
-        if g is None:
-            return None
-        return _enum_single(ctx, args[1] if g.b else args[2], b, out)
-    vals = []
-    for a in args:
-        vals.append(_enum_single(ctx, a, b, out))
-    if None in vals:
-        return None
-    fast, boxed = ctx.rule(t)
-    if fast is not None:
-        ctx.fuel.take()
-        return fast(*vals)
-    try:
-        r = boxed(tuple(vals), ctx.fuel)
-    except OutOfFuel:
-        r = FUEL_EXHAUSTED
-    if r.tag == "ok":
-        return r.value
-    if r.tag == "div":
-        out.proven_divergent = True
-    else:
-        out.truncated = True
-        out.note(f"{t.sym.name}: fuel exhausted")
-    return None
+# Only choose can give a term more than one value. A choose-free term runs
+# its compiled closure and is wrapped in one outcome set at the boundary;
+# outcome sets are built per node only for applications that contain a
+# choose, and for choose itself.
 
 
 def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
     out = OutcomeSet()
-    if ctx.choose_free(t):
-        v = _enum_single(ctx, t, b, out)
-        if v is not None:
+    f = ctx.compiled(t)
+    if f is not None:
+        v = f(b, ctx.fuel, out)
+        if v is not DIV and v is not FUEL_OUT:
             out.values.append(v)
         return out
     seen: set = set()
@@ -440,31 +441,23 @@ def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
                 out.truncated = True
                 out.note("application combination cap hit")
                 combos = combos[:ctx.node_cap]
-        _, rule = ctx.rule(t)
+        rule = ctx.alg.rule(t.sym)
         for combo in combos:
-            try:
-                r = rule(combo, ctx.fuel)
-            except OutOfFuel:
-                r = FUEL_EXHAUSTED
-            if r.tag == "ok":
-                out.add(r.value, seen)
-            elif r.tag == "div":
-                out.proven_divergent = True
-            else:
-                out.truncated = True
-                out.note(f"{t.sym.name}: fuel exhausted")
+            v = _apply(rule, combo, ctx.fuel, out, t.sym.name)
+            if v is not DIV and v is not FUEL_OUT:
+                out.add(v, seen)
         return out
     if isinstance(t, Choose):
         body = t.body
-        single = ctx.choose_free(body)
+        single = ctx.compiled(body)
         g = OutcomeSet()
         b2 = dict(b)
         clean_witness = False
         any_flag = False
         for cand in range(ctx.strat.max_nat + 1):
             b2[t.var] = nat_value(cand)
-            if single:
-                v = _enum_single(ctx, body, b2, g)
+            if single is not None:
+                v = single(b2, ctx.fuel, g)
                 has_tt = isinstance(v, BoolV) and v.b
                 has_ff = isinstance(v, BoolV) and not v.b
             else:
@@ -499,10 +492,10 @@ def eval_term(t: Term, sigma: State, alg: PartialAlgebra, strat,
 
 
 def _term_outcomes(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
-    if isinstance(ctx.strat, Enumerate):
+    if ctx.enum:
         return _enum_term(ctx, t, b)
     out = OutcomeSet()
-    r = _det_term(ctx, t, b)
+    r = ctx.compiled(t)(b, ctx.fuel, None)
     if r is DIV:
         out.proven_divergent = True
     elif r is FUEL_OUT:
@@ -520,7 +513,7 @@ def _term_outcomes(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
 def _assign_outcomes(ctx: Ctx, s: Assign, sigma: State) -> OutcomeSet:
     out = OutcomeSet()
     seen: set = set()
-    if isinstance(ctx.strat, Enumerate):
+    if ctx.enum:
         tuples = [()]
         for t in s.rhs:
             vs = _enum_term(ctx, t, sigma.bindings)
@@ -531,7 +524,7 @@ def _assign_outcomes(ctx: Ctx, s: Assign, sigma: State) -> OutcomeSet:
         return out
     vals = []
     for t in s.rhs:
-        r = _det_term(ctx, t, sigma.bindings)
+        r = ctx.compiled(t)(sigma.bindings, ctx.fuel, None)
         if r is DIV:
             out.proven_divergent = True
             return out

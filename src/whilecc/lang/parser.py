@@ -814,7 +814,9 @@ def pretty_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Lit):
-        return str(t.value)
+        # a fraction is parenthesized: `x * 1/2` re-parses as (x * 1) / 2
+        text = str(t.value)
+        return f"({text})" if "/" in text else text
     if isinstance(t, Choose):
         # parenthesized: a bare choose body would swallow an enclosing infix
         return f"(choose {t.var} : {pretty_term(t.body)})"

@@ -375,11 +375,10 @@ def _scan_cover(cover, alpha: Enumeration, fuel: Fuel, probe):
 
 
 def adequacy_mc(F_cover: LUCModulus, alpha: Enumeration, x: Value, n: int,
-                fuel: Optional[Fuel] = None) -> Verdict:
+                fuel: Fuel) -> Verdict:
     """Modulus of continuity at x: find a cover ball containing x, a gap
     exponent d0 with d(x, center) + 2^-d0 < 2^-l, and return
     max(d0, LU(i, n)). Diverges (fuel) off the covered domain."""
-    fuel = fuel if fuel is not None else Fuel(200_000)
 
     def probe(i, center, radius, stage):
         if not _dist_below(x, center, radius, stage, fuel):
@@ -395,7 +394,7 @@ def adequacy_mc(F_cover: LUCModulus, alpha: Enumeration, x: Value, n: int,
 
 def adequacy_g(f: TrackingFn, F_cover: LUCModulus, alpha: Enumeration,
                registry: CodeRegistry, x: Value, n: int,
-               strat=None, fuel: Optional[Fuel] = None) -> Verdict:
+               strat=None, *, fuel: Fuel) -> Verdict:
     """The approximant G_n(x): within 2^-n of F(x) for x in the domain.
 
     Steps: modulus M at precision n+1; Dovetail search (strat, or an
@@ -403,14 +402,14 @@ def adequacy_g(f: TrackingFn, F_cover: LUCModulus, alpha: Enumeration,
     defined on the constant code of alpha(k); then return
     alpha({f(e_con[k])}(n+1)). An index whose nearness or f-run is undecided
     on its stage budget is tried again; one refuted or proven divergent is
-    not."""
-    fuel = fuel if fuel is not None else Fuel(500_000)
+    not. A rational's constant code is minted once per call."""
     mc = adequacy_mc(F_cover, alpha, x, n + 1, fuel)
     if mc.tag != "ok":
         return mc
     M = mc.value.n
     eps = Fraction(1, 1 << M)
     dovetail = strat if isinstance(strat, Dovetail) else Dovetail()
+    e_cons: dict[Fraction, int] = {}
 
     def attempt(k: int, stage: int):
         a_k = alpha.decode("real", k)
@@ -419,8 +418,10 @@ def adequacy_g(f: TrackingFn, F_cover: LUCModulus, alpha: Enumeration,
             return FUEL_OUT
         if not near:
             return DIV
-        e_con = registry.mint(ConstCode(a_k.code.value))
-        run = f((NatV(e_con),), fuel.spawn(stage + 1))
+        q = a_k.code.value
+        if q not in e_cons:
+            e_cons[q] = registry.mint(ConstCode(q))
+        run = f((NatV(e_cons[q]),), fuel.spawn(stage + 1))
         if run.tag == "ok":
             y = ecode_eval(registry.code(run.value.n), n + 1, fuel)
             return Converged(rat_value(y))

@@ -72,6 +72,20 @@ def test_json_lines_format(capsys):
     assert lines[-1]["exit"] == 0
 
 
+def test_run_prints_diagnostics_in_order(capsys):
+    args = ("run", "--program", "pivot3", "--input", "0,0,0",
+            "--strategy", "enumerate:8:10000")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 2
+    lines = out.splitlines()
+    notes = [f"diag choose candidate {k}: undecided guard" for k in (1, 2, 3)]
+    assert lines[lines.index("flags truncated") + 1:][:3] == notes
+    assert run_cli(capsys, *args)[1] == out
+    code, out, _ = run_cli(capsys, *args, "--format", "json-lines")
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary["diagnostics"] == [n[len("diag "):] for n in notes]
+
+
 def test_reproducibility_byte_identical(capsys):
     args = ("run", "--program", "root_bisect_fa", "--n", "3",
             "--input", "0", "--strategy", "dovetail:7", "--fuel", "2000000")

@@ -162,6 +162,14 @@ def test_rational_literal_folding():
     assert p.body.s2.rhs[0] == Lit(Fraction(1, 2), p.var_sorts["b"])
 
 
+def test_fraction_literal_operand_round_trips():
+    # printed bare, `x * 1/2` would re-parse as (x * 1) / 2
+    prog = rt("algebra RN\nfunc f in x: real out b: real\n"
+              "begin b := x * (1/2) - x / (3/4) end")
+    rhs = prog.proc().body.s2.rhs[0]
+    assert rhs.args[0].args[1] == Lit(Fraction(1, 2), rhs.sort)
+
+
 def test_comparison_sugar_resolution():
     p = parse("algebra RN\nfunc f in a: real out b: bool begin b := a <> 0 end")
     t = p.body.s2.rhs[0]

@@ -258,7 +258,8 @@ def square_setup(registry):
 
 def test_adequacy_mc_formula_case(square_setup):
     alpha, reg, cover, _ = square_setup
-    out = adequacy_mc(cover, alpha, rat_value(Fraction(1, 2)), 4)
+    out = adequacy_mc(cover, alpha, rat_value(Fraction(1, 2)), 4,
+                      fuel=Fuel(200_000))
     assert out.tag == "ok"
     assert out.value.n >= 8  # max(d0, lu(i, 4)) with lu = n + 4
 
@@ -273,7 +274,8 @@ def test_adequacy_g_square(square_setup):
     alpha, reg, cover, sq = square_setup
     for xq in (Fraction(0), Fraction(1, 3), Fraction(-7, 8), Fraction(3, 2)):
         for n in (2, 6, 10):
-            out = adequacy_g(sq, cover, alpha, reg, rat_value(xq), n, Dovetail())
+            out = adequacy_g(sq, cover, alpha, reg, rat_value(xq), n, Dovetail(),
+                             fuel=Fuel(500_000))
             assert out.tag == "ok", (xq, n)
             y = out.value.code.value
             assert abs(y - xq * xq) < Fraction(1, 1 << n), (xq, n, y)
@@ -287,7 +289,7 @@ def test_adequacy_g_identity_tracking(square_setup):
         return Converged(args[0])
 
     out = adequacy_g(TrackingFn(ident), cover, alpha, reg,
-                     rat_value(Fraction(5, 8)), 8, Dovetail())
+                     rat_value(Fraction(5, 8)), 8, Dovetail(), fuel=Fuel(500_000))
     assert out.tag == "ok"
     assert abs(out.value.code.value - Fraction(5, 8)) < Fraction(1, 256)
 
@@ -332,6 +334,24 @@ def test_adequacy_g_never_retries_a_divergent_index(registry):
                      rat_value(0), 3, Dovetail(), fuel=Fuel(20_000))
     assert out.tag == "fuel"
     assert seen and len(seen) == len(set(seen))
+
+
+def test_adequacy_g_mints_one_code_per_rational(square_setup):
+    # retried indices, and indices naming the same rational, share one
+    # constant code: the registry grows by the distinct rationals tried
+    alpha, reg, cover, _ = square_setup
+    tried = []
+
+    def undecided(args, fuel):
+        tried.append(reg.code(args[0].n).value)
+        return FUEL_EXHAUSTED
+
+    before = len(reg)
+    out = adequacy_g(TrackingFn(undecided), cover, alpha, reg, rat_value(0), 3,
+                     Dovetail(), fuel=Fuel(20_000))
+    assert out.tag == "fuel"
+    assert len(tried) > len(set(tried))
+    assert len(reg) - before <= len(set(tried))
 
 
 # ---------------------------------------------------------------------------
