@@ -249,6 +249,7 @@ def cmd_sweep(ns) -> int:
                 "values": [render_value(v, n + 2) for v in res.values],
                 "flags": {"proven_divergent": res.proven_divergent,
                           "truncated": res.truncated},
+                "diagnostics": res.diagnostics,
                 "fuel_used": used,
             })
     cells.sort(key=lambda c: (c["n"], c["seed"]))
@@ -266,6 +267,8 @@ def cmd_sweep(ns) -> int:
             print(f"n={cell['n']} seed={cell['seed']} "
                   f"values={cell['values']} flags={flags or 'none'} "
                   f"fuel_used={cell['fuel_used']}")
+            for msg in cell["diagnostics"]:
+                print(f"diag {msg}")
         print(f"distinct values: {doc['distinct_count']}")
         for k, v in doc["distinct_values"].items():
             print(f"  {k}: {v}")

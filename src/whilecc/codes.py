@@ -6,8 +6,13 @@ within 2^-n of the limit (and within 2^-n of every later entry, exactly):
     |value_at(k) - value_at(n)| < 2^-n   for all k > n.
 
 Constant codes carry an exact rational and all arithmetic between constants
-stays exact; derived codes (sum, product, inverse, ...) re-query their
-children at shifted precisions chosen so the fast Cauchy bound is preserved.
+stays exact. A sum of two constants whose denominators nest (one divides
+the other) is stored unreduced, as a numerator over the larger denominator,
+and reduced once, the first time its `value` is read. So the stored
+denominator is a multiple of the reduced one, and a chain of such sums never
+stores a denominator larger than the largest one among its operands. Derived
+codes (sum, product, inverse, ...) re-query their children at shifted
+precisions chosen so the fast Cauchy bound is preserved.
 The module also hosts the Cantor pairing utilities and the rational codecs
 used by enumerations, plus the append-only code registry.
 """
@@ -280,6 +285,24 @@ class ConstCode(ECode):
         return f"ConstCode({self.value})"
 
 
+class _SumConst(ConstCode):
+    """A sum of constants over nested denominators. Like a Fraction it has a
+    `numerator` and a `denominator`, but not in lowest terms until `value`
+    is first read, which reduces them and caches the Fraction."""
+
+    __slots__ = ("numerator", "denominator", "_value")
+
+    @property
+    def value(self) -> Fraction:
+        v = self._value
+        if v is None:
+            g = gcd(self.numerator, self.denominator)
+            self.numerator //= g
+            self.denominator //= g
+            v = self._value = _coprime(self.numerator, self.denominator)
+        return v
+
+
 class RuleCode(ECode):
     """Code backed by an arbitrary rule n -> rational (builtin sequences)."""
 
@@ -402,8 +425,23 @@ def _const(value: Fraction) -> ConstCode:
 
 def add_codes(x: ECode, y: ECode) -> ECode:
     if x.is_const and y.is_const:
+        a = x if type(x) is _SumConst else x.value
+        b = y if type(y) is _SumConst else y.value
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+        # nested denominators: add over the larger one, reduce on first read
+        if db % da == 0:
+            return _sum_const(na * (db // da) + nb, db)
+        if da % db == 0:
+            return _sum_const(nb * (da // db) + na, da)
         return _const(rat_add(x.value, y.value))
     return SumCode(x, y)
+
+
+def _sum_const(num: int, den: int) -> _SumConst:
+    c = _SumConst.__new__(_SumConst)
+    ECode.__init__(c)
+    c.numerator, c.denominator, c._value = num, den, None
+    return c
 
 
 def neg_code(x: ECode) -> ECode:

@@ -189,11 +189,6 @@ class State:
     def get(self, name: str) -> Value:
         return self.bindings[name]
 
-    def set(self, name: str, v: Value) -> "State":
-        b = dict(self.bindings)
-        b[name] = v
-        return State(b)
-
     def set_many(self, names, vals) -> "State":
         b = dict(self.bindings)
         for n, v in zip(names, vals):

@@ -146,6 +146,25 @@ def test_sweep_monotone_deviation_in_n(capsys):
         assert dev < Fraction(1, 1 << cell["n"])
 
 
+def test_sweep_prints_diagnostics_under_each_cell(capsys):
+    # fuel 300 completes the n=2 stage and runs out inside the n=3 one
+    args = ("sweep", "--program", "exp_approx", "--input", "1",
+            "--ns", "2..3", "--seeds", "0", "--fuel", "300")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("n=2 seed=0 ") and "flags=none" in lines[0]
+    assert lines[1].startswith("n=3 seed=0 ") and "truncated" in lines[1]
+    assert lines[2] == "diag statement evaluation: fuel exhausted"
+    assert lines[3].startswith("distinct values:")
+    assert run_cli(capsys, *args)[1] == out
+    code, out, _ = run_cli(capsys, *args, "--format", "json-lines")
+    cells = [json.loads(l) for l in out.strip().splitlines()][:-1]
+    assert [c["diagnostics"] for c in cells] == [
+        [], ["statement evaluation: fuel exhausted"]]
+    assert run_cli(capsys, *args, "--format", "json-lines")[1] == out
+
+
 def test_parse_literal_forms():
     assert parse_literal("3/4") == Fraction(3, 4)
     assert parse_literal("3.5") == Fraction(7, 2)

@@ -8,7 +8,8 @@ printed with `pretty_program`, and the tests check that
   * parsing the printed text gives the same procedure back;
   * a converged Dovetail(seed) or Oracle(seed) value lies in the Enumerate
     outcome set, whenever that set is not truncated;
-  * more fuel never removes an Enumerate value.
+  * more fuel never removes an Enumerate value;
+  * the stage-n computation tree is a prefix of the stage-(n+1) tree.
 
 Draws are derandomized, so every run checks the same programs.
 """
@@ -21,7 +22,9 @@ from hypothesis import given, settings, strategies as st
 
 from whilecc.algebra import get_algebra, rat_value, value_key
 from whilecc.codes import Fuel
-from whilecc.interp import Dovetail, Enumerate, Oracle, eval_proc, nat_value
+from whilecc.interp import (Dovetail, Enumerate, Oracle, comp_tree_stage,
+                            eval_proc, initial_state, nat_value,
+                            tree_is_prefix)
 from whilecc.lang import parse_program
 from whilecc.lang.ast import (App, Assign, Choose, If, Lit, Procedure,
                               Program, Var, While, normalize_seq, seq_all)
@@ -227,3 +230,21 @@ def test_more_fuel_keeps_every_enumerate_value(case):
             for fuel in FUELS]
     for low, high in zip(sets, sets[1:]):
         assert low <= high, pretty_program(prog)
+
+
+@_settings(100)
+@given(programs())
+def test_stage_tree_is_a_prefix_of_the_next_stage(case):
+    prog, proc, args = case
+    alg = get_algebra(proc.algebra_name)
+    sigma = initial_state(proc, alg, args)
+    trees = []
+    for n in range(9):
+        # ample fuel and nodes: a cut at stage n+1 could land where stage n
+        # went on, and the property is about the semantics, not the budget
+        fuel = Fuel(100_000)
+        trees.append(comp_tree_stage(proc.body, sigma, n, alg,
+                                     Enumerate(MAX_NAT, 2_000), fuel))
+        assert not fuel.dead
+    for n, (a, b) in enumerate(zip(trees, trees[1:])):
+        assert tree_is_prefix(a, b), (n, pretty_program(prog))
