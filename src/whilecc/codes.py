@@ -69,17 +69,9 @@ def rat_inv(a: Fraction) -> Fraction:
     return _coprime(d, n) if n > 0 else _coprime(-d, -n)
 
 
-_ZERO = Fraction(0)
-
-
-def rat_abs_diff(a: Fraction, b: Fraction) -> Fraction:
-    """Exact |a-b| without a full normalization. Ordering comparisons on the
-    result are exact (they cross-multiply); equality tests against anything
-    but 0 should not assume a canonical representation."""
-    num = abs(a.numerator * b.denominator - b.numerator * a.denominator)
-    if num == 0:
-        return _ZERO
-    return _coprime(num, a.denominator * b.denominator)
+def rat_dist(a: Fraction, b: Fraction) -> Fraction:
+    """Exact |a - b| in lowest terms, with Henrici-sized gcds."""
+    return abs(rat_add(a, -b))
 
 
 class CodeProducerError(Exception):
@@ -234,7 +226,8 @@ def prog_rat_encode(q) -> int:
 
 
 class ECode:
-    """A fast Cauchy representative of a real number."""
+    """A fast Cauchy representative of a real number. `approx` memoises
+    its levels in `_cache`; constant codes, which override it, have none."""
 
     __slots__ = ("_cache",)
 
@@ -268,11 +261,7 @@ class ConstCode(ECode):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        super().__init__()
         self.value = Fraction(value)
-
-    def _compute(self, n, fuel):
-        return self.value
 
     def approx(self, n, fuel=None):
         return self.value
@@ -418,7 +407,6 @@ class DiagonalCode(ECode):
 
 def _const(value: Fraction) -> ConstCode:
     c = ConstCode.__new__(ConstCode)
-    ECode.__init__(c)
     c.value = value
     return c
 
@@ -439,7 +427,6 @@ def add_codes(x: ECode, y: ECode) -> ECode:
 
 def _sum_const(num: int, den: int) -> _SumConst:
     c = _SumConst.__new__(_SumConst)
-    ECode.__init__(c)
     c.numerator, c.denominator, c._value = num, den, None
     return c
 

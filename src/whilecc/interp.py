@@ -15,7 +15,17 @@ evaluation order. The strategy fixes how a strict operation treats a failed
 argument. Oracle and Dovetail stop at the first one. Enumerate evaluates
 every argument, since its operation applies to every combination of argument
 values, records each failure in the outcome set, and leaves a term that
-contains a choose to the set-valued `_enum_term`.
+contains a choose to the set-valued `_enum_term`. Applications of one and
+two arguments, and unboxed constants, get closures of their own that build
+no argument list.
+
+Statements are compiled too: a run turns a body once into a flat list of
+nodes (`_compile_stmt`), each an assignment, `skip`, `div` or the guard test
+of an `if` or `while`, with its successors resolved past `Seq` and the ends
+of branches and loop bodies. Oracle and Dovetail walk the nodes on one
+mutable bindings dict and build a State only for the final one; Enumerate
+walks them depth first over (node, State) work items. `eval_atomic`, `rest`
+and the computation trees keep the First/Rest reading of statements.
 
 Strategies:
   * Enumerate explores every branch, with choose ranging over 0..max_nat.
@@ -318,8 +328,88 @@ def _compile(ctx: Ctx, t: Term) -> Optional[Callable]:
 
 
 def _strict(rule, fs: list, enum: bool, name: str) -> Callable:
-    def args(b, fuel, out):
-        """The argument values, or the sentinel of a failed argument."""
+    """The closure of a strict application. Oracle and Dovetail stop at the
+    first failed argument; Enumerate evaluates every argument and returns
+    the last failure. One- and two-argument applications, nearly all of
+    them, get closures of their own that build no list, and so do unboxed
+    constants such as the `false` of every `andthen`."""
+    fast = getattr(rule, "fast_fn", None)
+    if not fs and fast is not None:
+        def fast0(b, fuel, out):
+            fuel.take()
+            return fast()
+
+        return fast0
+    if len(fs) == 1:
+        f0, = fs
+        if fast is not None:
+            def fast1(b, fuel, out):
+                v = f0(b, fuel, out)
+                if v is DIV or v is FUEL_OUT:
+                    return v
+                fuel.take()
+                return fast(v)
+
+            return fast1
+
+        def boxed1(b, fuel, out):
+            v = f0(b, fuel, out)
+            if v is DIV or v is FUEL_OUT:
+                return v
+            return _apply(rule, (v,), fuel, out, name)
+
+        return boxed1
+    if len(fs) == 2:
+        f0, f1 = fs
+        if enum:
+            if fast is not None:
+                def fast2_all(b, fuel, out):
+                    v = f0(b, fuel, out)
+                    w = f1(b, fuel, out)
+                    if w is DIV or w is FUEL_OUT:
+                        return w
+                    if v is DIV or v is FUEL_OUT:
+                        return v
+                    fuel.take()
+                    return fast(v, w)
+
+                return fast2_all
+
+            def boxed2_all(b, fuel, out):
+                v = f0(b, fuel, out)
+                w = f1(b, fuel, out)
+                if w is DIV or w is FUEL_OUT:
+                    return w
+                if v is DIV or v is FUEL_OUT:
+                    return v
+                return _apply(rule, (v, w), fuel, out, name)
+
+            return boxed2_all
+        if fast is not None:
+            def fast2(b, fuel, out):
+                v = f0(b, fuel, out)
+                if v is DIV or v is FUEL_OUT:
+                    return v
+                w = f1(b, fuel, out)
+                if w is DIV or w is FUEL_OUT:
+                    return w
+                fuel.take()
+                return fast(v, w)
+
+            return fast2
+
+        def boxed2(b, fuel, out):
+            v = f0(b, fuel, out)
+            if v is DIV or v is FUEL_OUT:
+                return v
+            w = f1(b, fuel, out)
+            if w is DIV or w is FUEL_OUT:
+                return w
+            return _apply(rule, (v, w), fuel, out, name)
+
+        return boxed2
+
+    def app(b, fuel, out):
         vals = []
         failed = None
         for f in fs:
@@ -329,32 +419,20 @@ def _strict(rule, fs: list, enum: bool, name: str) -> Callable:
                     return v
                 failed = v
             vals.append(v)
-        return vals if failed is None else failed
-
-    fast = getattr(rule, "fast_fn", None)
-    if fast is not None:
-        def app(b, fuel, out):
-            vals = args(b, fuel, out)
-            if vals is DIV or vals is FUEL_OUT:
-                return vals
+        if failed is not None:
+            return failed
+        if fast is not None:
             fuel.take()
             return fast(*vals)
-
-        return app
-
-    def app(b, fuel, out):
-        vals = args(b, fuel, out)
-        if vals is DIV or vals is FUEL_OUT:
-            return vals
-        return _apply(rule, vals, fuel, out, name)
+        return _apply(rule, tuple(vals), fuel, out, name)
 
     return app
 
 
-def _apply(rule, vals, fuel: Fuel, out: Optional[OutcomeSet], name: str):
+def _apply(rule, args: tuple, fuel: Fuel, out: Optional[OutcomeSet], name: str):
     """A boxed rule's value, or DIV or FUEL_OUT, recorded in out if given."""
     try:
-        r = rule(tuple(vals), fuel)
+        r = rule(args, fuel)
     except OutOfFuel:
         r = FUEL_EXHAUSTED
     if r.tag == "ok":
@@ -507,25 +585,15 @@ def _term_outcomes(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
 
 def _assign_outcomes(ctx: Ctx, s: Assign, sigma: State) -> OutcomeSet:
     out = OutcomeSet()
-    seen: set = set()
     if ctx.enum:
-        tuples = [()]
-        for t in s.rhs:
-            vs = _enum_term(ctx, t, sigma.bindings)
-            out.merge_flags(vs)
-            tuples = [c + (v,) for c in tuples for v in vs.values]
-        for combo in tuples:
-            out.add(sigma.set_many(s.lhs, combo), seen)
+        fs = [ctx.compiled(t) for t in s.rhs]
+        out.values = _enum_assign(ctx, s.lhs, s.rhs, fs, sigma, out)
         return out
     vals = []
     for t in s.rhs:
         r = ctx.compiled(t)(sigma.bindings, ctx.fuel, None)
-        if r is DIV:
-            out.proven_divergent = True
-            return out
-        if r is FUEL_OUT:
-            out.truncated = True
-            return out
+        if r is DIV or r is FUEL_OUT:
+            return _failed(out, r)
         vals.append(r)
     out.values.append(sigma.set_many(s.lhs, vals))
     return out
@@ -672,58 +740,159 @@ def tree_is_prefix(a: CompTree, b: CompTree) -> bool:
 # statement and procedure semantics
 
 
-def _decompose(s: Stmt, stack: tuple) -> tuple[Stmt, tuple]:
-    while isinstance(s, Seq):
-        stack = (s.s2,) + stack
-        s = s.s1
-    return s, stack
+# A body is compiled once per run into a list of nodes (`_compile_stmt`).
+# Each node is an atomic statement or the guard test of an `if` or `while`;
+# its successors are list indices resolved past `Seq` and past the end of
+# each branch and loop body, so moving from node to node costs no step, and
+# END ends the run. Fuel is taken once per node visited.
+
+_ASSIGN1, _ASSIGN, _GUARD, _SKIP, _DIV = range(5)
+END = -1
 
 
-def _eval_stmt_det(ctx: Ctx, s: Stmt, sigma: State) -> OutcomeSet:
-    cur, stack = _decompose(s, ())
-    b = sigma
+class _Node:
+    """One node of a compiled body. An assignment `lhs := rhs` keeps the
+    closures `fs` of its rhs terms, and when it assigns one variable, that
+    `name` and the closure `f`. A guard keeps its term as `rhs[0]` and its
+    closure as `f`, and goes to `next` when the guard holds and to `alt`
+    when it does not; `next` is also an atomic node's successor."""
+
+    __slots__ = ("kind", "lhs", "rhs", "fs", "name", "f", "next", "alt")
+
+    def __init__(self, kind: int, lhs: tuple = (), rhs: tuple = (),
+                 fs: tuple = ()):
+        self.kind, self.lhs, self.rhs, self.fs = kind, lhs, rhs, fs
+        self.name = lhs[0] if len(lhs) == 1 else None
+        self.f = fs[0] if len(fs) == 1 else None
+        self.next = self.alt = END
+
+
+def _compile_stmt(ctx: Ctx, nodes: list, s: Stmt, k: int) -> int:
+    """Append the nodes of s, run before the node k, and return the entry
+    of s. A Seq chain is walked without recursion, so a long one cannot
+    exhaust the stack."""
+    parts, todo = [], [s]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, Seq):
+            todo += (s.s2, s.s1)
+        else:
+            parts.append(s)
+    for s in reversed(parts):
+        i = len(nodes)
+        if isinstance(s, Assign):
+            fs = tuple(ctx.compiled(t) for t in s.rhs)
+            node = _Node(_ASSIGN1 if len(s.lhs) == 1 else _ASSIGN,
+                         s.lhs, s.rhs, fs)
+        elif isinstance(s, Skip):
+            node = _Node(_SKIP)
+        elif isinstance(s, Div):
+            node = _Node(_DIV)
+        elif isinstance(s, (If, While)):
+            node = _Node(_GUARD, rhs=(s.b,), fs=(ctx.compiled(s.b),))
+        else:
+            raise TypeError(f"not a statement: {s!r}")
+        nodes.append(node)
+        if isinstance(s, If):
+            node.next = _compile_stmt(ctx, nodes, s.then, k)
+            node.alt = _compile_stmt(ctx, nodes, s.els, k)
+        elif isinstance(s, While):
+            node.next, node.alt = _compile_stmt(ctx, nodes, s.body, i), k
+        elif not isinstance(s, Div):
+            node.next = k
+        k = i
+    return k
+
+
+def _failed(out: OutcomeSet, v) -> OutcomeSet:
+    if v is DIV:
+        out.proven_divergent = True
+    else:
+        out.truncated = True
+    return out
+
+
+def _eval_stmt_det(ctx: Ctx, nodes: list, i: int, sigma: State) -> OutcomeSet:
+    """Oracle and Dovetail: one path, run on one bindings dict."""
+    b = dict(sigma.bindings)
+    fuel = ctx.fuel
+    take = fuel.take
     out = OutcomeSet()
     while True:
-        if not ctx.fuel.take():
+        if not take():
             out.truncated = True
             out.note("statement evaluation: fuel exhausted")
             return out
-        if is_atomic(cur):
-            res = _atomic_outcomes(ctx, cur, b)
-            out.merge_flags(res)
-            if not res.values:
-                return out
-            b = res.values[0]
-            if not stack:
-                out.values.append(b)
-                return out
-            cur, stack = _decompose(stack[0], stack[1:])
-            continue
-        guards = _term_outcomes(ctx, cur.b, b.bindings)
-        if not guards.values:
-            out.merge_flags(guards)
+        node = nodes[i]
+        kind = node.kind
+        if kind == _ASSIGN1:
+            v = node.f(b, fuel, None)
+            if v is DIV or v is FUEL_OUT:
+                return _failed(out, v)
+            b[node.name] = v
+            i = node.next
+        elif kind == _GUARD:
+            v = node.f(b, fuel, None)
+            if v is DIV or v is FUEL_OUT:
+                if v is FUEL_OUT:
+                    out.note("term evaluation: fuel exhausted")
+                return _failed(out, v)
+            i = node.next if v.b else node.alt
+        elif kind == _ASSIGN:
+            vals = []
+            for f in node.fs:
+                v = f(b, fuel, None)
+                if v is DIV or v is FUEL_OUT:
+                    return _failed(out, v)
+                vals.append(v)
+            b.update(zip(node.lhs, vals))
+            i = node.next
+        elif kind == _SKIP:
+            i = node.next
+        else:
+            out.proven_divergent = True
             return out
-        taken = guards.values[0].b
-        if isinstance(cur, If):
-            nxt = cur.then if taken else cur.els
-            cur, stack = _decompose(nxt, stack)
-        else:  # While
-            if taken:
-                loop = cur
-                cur, stack = _decompose(cur.body, (loop,) + stack)
-            else:
-                if not stack:
-                    out.values.append(b)
-                    return out
-                cur, stack = _decompose(stack[0], stack[1:])
+        if i == END:
+            out.values.append(State(b))
+            return out
 
 
-def _eval_stmt_enum(ctx: Ctx, s: Stmt, sigma: State) -> OutcomeSet:
+def _enum_values(ctx: Ctx, t: Term, f, b: dict, out: OutcomeSet):
+    """The values of t, whose closure is f (None when t contains a choose),
+    under Enumerate; failures are recorded in out."""
+    if f is not None:
+        v = f(b, ctx.fuel, out)
+        return () if v is DIV or v is FUEL_OUT else (v,)
+    vs = _enum_term(ctx, t, b)
+    out.merge_flags(vs)
+    return vs.values
+
+
+def _enum_assign(ctx: Ctx, lhs: tuple, rhs: tuple, fs, sigma: State,
+                 out: OutcomeSet) -> list:
+    """The distinct states an assignment reaches under Enumerate. Every rhs
+    is evaluated; failures are recorded in out."""
+    combos = [()]
+    for t, f in zip(rhs, fs):
+        vals = _enum_values(ctx, t, f, sigma.bindings, out)
+        combos = [c + (v,) for c in combos for v in vals]
+    if len(combos) == 1:  # nothing to deduplicate
+        return [sigma.set_many(lhs, combos[0])]
+    states = OutcomeSet()
+    seen: set = set()
+    for combo in combos:
+        states.add(sigma.set_many(lhs, combo), seen)
+    return states.values
+
+
+def _eval_stmt_enum(ctx: Ctx, nodes: list, entry: int, sigma: State) -> OutcomeSet:
+    """Enumerate: a depth-first walk over (node, State) work items."""
     out = OutcomeSet()
     seen: set = set()
-    work = [(_decompose(s, ())) + (sigma,)]
+    fuel = ctx.fuel
+    work = [(entry, sigma)]
     while work:
-        if ctx.fuel.dead:
+        if fuel.dead:
             out.truncated = True
             out.note("statement evaluation: fuel exhausted with frontier pending")
             return out
@@ -732,44 +901,48 @@ def _eval_stmt_enum(ctx: Ctx, s: Stmt, sigma: State) -> OutcomeSet:
             out.truncated = True
             out.note("node budget exhausted with frontier pending")
             return out
-        cur, stack, b = work.pop()
-        if not ctx.fuel.take():
+        i, st = work.pop()
+        if not fuel.take():
             out.truncated = True
             out.note("statement evaluation: fuel exhausted with frontier pending")
             return out
-        if is_atomic(cur):
-            res = _atomic_outcomes(ctx, cur, b)
-            out.merge_flags(res)
-            for bp in res.values:
-                if stack:
-                    work.append(_decompose(stack[0], stack[1:]) + (bp,))
+        node = nodes[i]
+        kind = node.kind
+        if kind == _GUARD:
+            branches = []
+            for v in _enum_values(ctx, node.rhs[0], node.f, st.bindings, out):
+                j = node.next if v.b else node.alt
+                if j == END:
+                    out.add(st, seen)
                 else:
-                    out.add(bp, seen)
+                    branches.append(j)
+            for j in reversed(branches):
+                work.append((j, st))
             continue
-        guards = _term_outcomes(ctx, cur.b, b.bindings)
-        out.merge_flags(guards)
-        branches = []
-        for v in guards.values:
-            if isinstance(cur, If):
-                branches.append(_decompose(cur.then if v.b else cur.els, stack))
+        if kind == _SKIP:
+            states = (st,)
+        elif kind == _DIV:
+            out.proven_divergent = True
+            continue
+        else:
+            states = _enum_assign(ctx, node.lhs, node.rhs, node.fs, st, out)
+        j = node.next
+        for sp in states:
+            if j == END:
+                out.add(sp, seen)
             else:
-                if v.b:
-                    branches.append(_decompose(cur.body, (cur,) + stack))
-                elif stack:
-                    branches.append(_decompose(stack[0], stack[1:]))
-                else:
-                    out.add(b, seen)
-        for br in reversed(branches):
-            work.append(br + (b,))
+                work.append((j, sp))
     return out
 
 
 def eval_stmt(s: Stmt, sigma: State, alg: PartialAlgebra, strat,
               fuel: Fuel) -> OutcomeSet:
     ctx = Ctx(alg, strat, fuel)
-    if isinstance(strat, Enumerate):
-        return _eval_stmt_enum(ctx, s, sigma)
-    return _eval_stmt_det(ctx, s, sigma)
+    nodes: list[_Node] = []
+    entry = _compile_stmt(ctx, nodes, s, END)
+    if ctx.enum:
+        return _eval_stmt_enum(ctx, nodes, entry, sigma)
+    return _eval_stmt_det(ctx, nodes, entry, sigma)
 
 
 def initial_state(p: Procedure, alg: PartialAlgebra, args,
@@ -833,42 +1006,56 @@ class ChooseEliminationError(Exception):
 
 def choose_eliminate(p: Procedure, alg: PartialAlgebra) -> Procedure:
     """Rewrite every choose into a least-witness while search (Prop 3.4.1
-    style); sound for deterministic procedures over total algebras."""
+    style); sound for deterministic procedures over total algebras. A search
+    in a branch of a conditional term runs only when that branch is taken,
+    and a search in a choose guard runs again for every candidate."""
     if not alg.total:
         raise ChooseEliminationError(
             f"algebra {alg.name} is not total; choose elimination needs "
             "convergent guard evaluation")
+    from .signature import NAT
     sig = alg.signature
     counter = [0]
     new_aux: list = []
     taken = set(p.var_sorts)
 
-    def fresh() -> str:
+    def fresh(sort) -> Var:
         while True:
             name = f"ch_elim_{counter[0]}"
             counter[0] += 1
             if name not in taken:
                 taken.add(name)
-                from .signature import NAT
-                new_aux.append((name, NAT))
-                return name
+                new_aux.append((name, sort))
+                return Var(name, sort)
 
     def strip_term(t: Term, pre: list) -> Term:
+        """t without choose; the searches it needs are appended to pre."""
         if isinstance(t, (Var, Lit)):
             return t
         if isinstance(t, App):
+            if t.sym.conditional and any(_has_choose(a) for a in t.args[1:]):
+                guard = strip_term(t.args[0], pre)
+                v = fresh(t.sort)
+                branches = []
+                for a in t.args[1:]:
+                    branch_pre: list = []
+                    val = strip_term(a, branch_pre)
+                    branches.append(_seq_with_pre(branch_pre,
+                                                  Assign((v.name,), (val,))))
+                pre.append(If(guard, *branches))
+                return v
             return App(t.sym, tuple(strip_term(a, pre) for a in t.args))
         if isinstance(t, Choose):
-            body = strip_term(t.body, pre)
-            z = fresh()
-            from .signature import NAT
-            zv = Var(z, NAT)
-            guard = App(sig.symbol("not"), (subst_term(body, {t.var: zv}),))
-            pre.append(Assign((z,), (Lit(0, NAT),)))
-            pre.append(While(guard, Assign((z,), (App(sig.symbol("succ"), (zv,)),))))
-            out = Var(z, NAT)
-            out.sort = NAT
-            return out
+            z = fresh(NAT)
+            # substitute first, so a search in the guard sees the candidate
+            guard_pre: list = []
+            body = strip_term(subst_term(t.body, {t.var: z}), guard_pre)
+            step = Assign((z.name,), (App(sig.symbol("succ"), (z,)),))
+            pre.append(Assign((z.name,), (Lit(0, NAT),)))
+            pre.extend(guard_pre)
+            pre.append(While(App(sig.symbol("not"), (body,)),
+                             _seq_as_stmt([step] + guard_pre)))
+            return z
         raise TypeError(f"not a term: {t!r}")
 
     def strip_stmt(s: Stmt) -> Stmt:
@@ -899,6 +1086,11 @@ def choose_eliminate(p: Procedure, alg: PartialAlgebra) -> Procedure:
     body = strip_stmt(p.body)
     return Procedure(p.name + "_elim", p.algebra_name, p.in_vars, p.out_vars,
                      tuple(p.aux_vars) + tuple(new_aux), body)
+
+
+def _has_choose(t: Term) -> bool:
+    return isinstance(t, Choose) or (
+        isinstance(t, App) and any(_has_choose(a) for a in t.args))
 
 
 def _seq_as_stmt(stmts: list) -> Stmt:

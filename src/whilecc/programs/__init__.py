@@ -100,11 +100,11 @@ class ApproxReport:
 
 def _certified_deviation(v: Value, enclosure: tuple[Fraction, Fraction]) -> Fraction:
     """Upper bound on |v - F| for a rational output and an oracle enclosure."""
-    from ..codes import rat_abs_diff
+    from ..codes import rat_dist
     if not isinstance(v, RealV) or not v.code.is_const:
         raise StdlibError("deviation check expects exact rational outputs")
     lo, hi = enclosure
-    return max(rat_abs_diff(v.code.value, lo), rat_abs_diff(v.code.value, hi))
+    return max(rat_dist(v.code.value, lo), rat_dist(v.code.value, hi))
 
 
 def check_single_approx(P: Procedure, alg: PartialAlgebra,

@@ -15,6 +15,7 @@ checked as "not refuted at precision 2^-20".
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -158,19 +159,20 @@ def code_algebra(base: PartialAlgebra, registry: CodeRegistry,
     metrics = {"bool": base.metrics.get("bool"), "nat": base.metrics.get("nat")}
     metrics = {k: v for k, v in metrics.items() if v is not None}
 
-    def accepts_code(sort: Sort, v: Value) -> bool:
-        if sort.kind == "bool":
-            return isinstance(v, BoolV)
-        if sort.kind in ("nat", "real", "interval"):
-            return isinstance(v, NatV)
-        if sort.kind == "array":
-            return isinstance(v, ArrV) and all(accepts_code(sort.elem, x)
-                                               for x in v.items)
-        return False
-
     return PartialAlgebra("codes(" + base.name + ")", base.signature, interp,
-                          metrics, total=False, carrier_check=accepts_code,
+                          metrics, total=False, carrier_check=_accepts_code,
                           real_literal=lambda q: NatV(registry.mint(ConstCode(q))))
+
+
+def _accepts_code(sort: Sort, v: Value) -> bool:
+    if sort.kind == "bool":
+        return isinstance(v, BoolV)
+    if sort.kind in ("nat", "real", "interval"):
+        return isinstance(v, NatV)
+    if sort.kind == "array":
+        return isinstance(v, ArrV) and all(_accepts_code(sort.elem, x)
+                                           for x in v.items)
+    return False
 
 
 def decode_code_value(v: Value, sort: Sort, registry: CodeRegistry) -> Value:
@@ -248,24 +250,46 @@ class LiftError(CodeProducerError):
     pass
 
 
+class LiftedCode(ECode):
+    """The code `soundness_lift` returns: its registered diagonal code, held
+    together with the code algebra and registry the level runs need."""
+
+    __slots__ = ("diagonal", "code_alg", "registry")
+
+    def __init__(self, diagonal: ECode, code_alg: PartialAlgebra,
+                 registry: CodeRegistry):
+        self.diagonal, self.code_alg, self.registry = diagonal, code_alg, registry
+
+    def approx(self, n: int, fuel: Optional[Fuel] = None) -> Fraction:
+        return self.diagonal.approx(n, fuel)
+
+
 def soundness_lift(P: Procedure, code_alg: PartialAlgebra,
                    registry: CodeRegistry, args: tuple,
-                   fuel_per_level: int = 500_000, strat=None):
+                   fuel_per_level: int = 500_000, strat=None) -> LiftedCode:
     """Assemble the diagonal code from per-precision tracked runs of an
     approximating procedure P: nat x u -> s.
 
     Level m runs P on the code algebra at precision m; the diagonal shifted
     by two is a fast Cauchy code for the approximated value at the decoded
-    input. A diverging level run aborts with that level's index. The code
-    is registered.
+    input. A diverging level run aborts with that level's index. The
+    diagonal code is registered. It refers to the code algebra and the
+    registry only weakly: both refer to the registry, which refers to the
+    code, and that cycle would leave each lift to the cyclic garbage
+    collector. The returned code holds all three.
     """
     strat = strat or Dovetail()
     cache: dict[int, ECode] = {}
+    alg_ref, reg_ref = weakref.ref(code_alg), weakref.ref(registry)
 
     def levels(m: int) -> ECode:
         c = cache.get(m)
         if c is None:
-            res = eval_proc(P, (nat_value(m),) + tuple(args), code_alg,
+            alg, reg = alg_ref(), reg_ref()
+            if alg is None or reg is None:
+                raise LiftError(f"level {m}: the lift's code algebra or "
+                                "registry was freed", level=m)
+            res = eval_proc(P, (nat_value(m),) + tuple(args), alg,
                             strat, Fuel(fuel_per_level))
             if not res.values:
                 raise LiftError(
@@ -273,13 +297,13 @@ def soundness_lift(P: Procedure, code_alg: PartialAlgebra,
                     f"({'divergent' if res.proven_divergent else 'fuel'})",
                     level=m)
             out = res.values[0]
-            c = registry.code(out.n)
+            c = reg.code(out.n)
             cache[m] = c
         return c
 
     code = diagonal_code(levels)
     registry.mint(code)
-    return code
+    return LiftedCode(code, code_alg, registry)
 
 
 def a0_square_check(P: Procedure, abstract_alg: PartialAlgebra,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from whilecc.algebra import (get_algebra, rat_value, interval_value, NatV,
                              RealV, apply, Converged)
 from whilecc.codes import (Fuel, ConstCode, CodeRegistry, SumCode, sqrt_code,
-                           mul_codes, rat_encode, rat_abs_diff,
+                           mul_codes, rat_encode, rat_dist,
                            check_fast_cauchy_prefix)
 from whilecc.interp import (Dovetail, Enumerate, Oracle, eval_proc, nat_value,
                             choose_eliminate, comp_tree_stage, tree_is_prefix,
@@ -51,7 +51,7 @@ def test_criterion_1_exp_approximation():
             ok &= bool(res.values) and not res.maybe_divergent
             v = res.values[0].code.value
             ok &= v == sums[2 ** (n + 1)]  # exact rational identity
-            dev = max(rat_abs_diff(v, lo), rat_abs_diff(v, hi))
+            dev = max(rat_dist(v, lo), rat_dist(v, hi))
             ok &= dev < Fraction(1, 1 << n)
     criterion("criterion-1 exp-approximation", ok, 5.0, time.time() - t0,
               "exact stage sums; within 2^-n of the 64-digit e^x oracle")

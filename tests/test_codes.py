@@ -125,8 +125,9 @@ def test_const_arithmetic_exact(a, b):
 @given(st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6))
 @settings(max_examples=200, derandomize=True)
 def test_fast_rational_helpers_agree_with_operators(a, b):
-    from whilecc.codes import rat_add, rat_mul, rat_inv
+    from whilecc.codes import rat_add, rat_mul, rat_inv, rat_dist
     assert rat_add(a, b) == a + b
+    assert rat_dist(a, b) == abs(a - b)  # Fraction equality is canonical
     assert rat_mul(a, b) == a * b
     if a != 0:
         assert rat_inv(a) == 1 / a
@@ -209,6 +210,29 @@ def test_const_chains_read_canonical_values(chain):
         pool.append((c, r, stored))
     for c, r, stored in pool:
         _check_canonical(c, r, stored)
+
+
+def test_certified_deviation_is_in_lowest_terms():
+    # |1/2 - 1/4| reads as 1/4 itself, which an unreduced 2/8 does not equal
+    from whilecc.programs import _certified_deviation
+    dev = _certified_deviation(rat_value(HALF), (Fraction(1, 4), Fraction(1, 4)))
+    assert (dev.numerator, dev.denominator) == (1, 4)
+
+
+def test_constant_codes_allocate_no_approx_cache():
+    reg = CodeRegistry()
+    quarter = ConstCode(Fraction(1, 4))
+    consts = (ConstCode(HALF), add_codes(ConstCode(HALF), quarter),
+              mul_codes(quarter, quarter), neg_code(quarter), reg.parse_code("const:-7/3"))
+    assert isinstance(consts[1], codes._SumConst)
+    for c in consts:
+        assert not hasattr(c, "_cache")
+        assert c.approx(5) == c.value
+        assert c.interval(2) == (c.value - quarter.value, c.value + quarter.value)
+        assert reg.parse_code(reg.format_code(c)).value == c.value
+    memo = SumCode(ConstCode(HALF), e_code())
+    memo.approx(3)
+    assert 3 in memo._cache
 
 
 def test_exp_approx_sums_skip_full_size_gcds(monkeypatch):

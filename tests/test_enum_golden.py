@@ -7,7 +7,9 @@ The strategy axis is `Enumerate(max_nat, max_depth)`, whose cases were
 recorded from the per-node outcome-set evaluator (the single-valued
 evaluation of choose-free terms must reproduce them bit for bit), then
 `Dovetail(seed)` and `Oracle(seed)`, which pin the choose search and the
-deterministic evaluator.
+deterministic evaluator. A last axis runs one small program at every fuel
+budget up to the least one that completes, which pins the exact step at
+which each statement loop runs out of fuel.
 
 Regenerate (only when the semantics change on purpose) with
 
@@ -51,6 +53,39 @@ begin
 end
 """
 
+# An `if` ends the outer `while` body and the procedure; the inner `while`
+# swaps; the choose gives Enumerate two branches per round; only some of
+# its paths reach the `div`.
+FUEL_EDGES = """
+algebra N
+func fuel_edges
+in n: nat
+out r: nat
+aux a: nat, b: nat, i: nat, j: nat
+begin
+  a := 0;
+  b := 1;
+  i := 0;
+  while i < n do
+    j := 0;
+    while j < i do j := succ(j); a, b := b, a od;
+    i := succ(i);
+    if (choose z : z < 8) < 2 then skip else b := succ(b) fi
+  od;
+  if a = b then div else skip fi;
+  if a < b then r := a else r := b fi
+end
+"""
+
+# (strategy, least budget at which more fuel changes nothing but the fuel
+# left over), for fuel_edges on input 2
+BOUNDARIES = (
+    (lambda: Dovetail(0), 41),
+    (lambda: Oracle(0), 41),
+    (lambda: Enumerate(8, 5), 7),
+    (lambda: Enumerate(8, 10_000), 127),
+)
+
 # (program, max_nat, inputs); a Fraction input is a real, an int a natural,
 # a list a real array. Programs with max_nat None run only under Dovetail
 # and Oracle.
@@ -83,6 +118,8 @@ REAL_ARGS = {"pivot3": (0, 1, 2), "scaled_sum": (0, 1), "choose_near": (0,),
 def _load(program: str):
     if program == "edges":
         return parse_program(EDGES).proc("edges"), get_algebra("RN")
+    if program == "fuel_edges":
+        return parse_program(FUEL_EDGES).proc("fuel_edges"), get_algebra("N")
     return load(program)
 
 
@@ -132,6 +169,12 @@ def _grid(enumerate_axis: bool):
                     yield program, strat, args, fuel
 
 
+def _boundary_grid():
+    for make, last in BOUNDARIES:
+        for fuel in range(last + 1):
+            yield "fuel_edges", make(), (2,), fuel
+
+
 def _case_id(case) -> str:
     program, strat, args, fuel = case
     if isinstance(strat, Enumerate):
@@ -144,7 +187,8 @@ def _case_id(case) -> str:
 
 ENUM_GRID = list(_grid(True))
 DET_GRID = list(_grid(False))
-GRID = ENUM_GRID + DET_GRID
+BOUNDARY_GRID = list(_boundary_grid())
+GRID = ENUM_GRID + DET_GRID + BOUNDARY_GRID
 
 
 @pytest.fixture(scope="module")
@@ -163,10 +207,28 @@ def test_enumerate_matches_golden(golden, idx):
     assert _run(*GRID[idx]) == golden[idx]
 
 
-@pytest.mark.parametrize("idx", range(len(ENUM_GRID), len(GRID)),
+@pytest.mark.parametrize("idx", range(len(ENUM_GRID), len(ENUM_GRID) + len(DET_GRID)),
                          ids=[_case_id(c) for c in DET_GRID])
 def test_dovetail_oracle_match_golden(golden, idx):
     assert _run(*GRID[idx]) == golden[idx]
+
+
+@pytest.mark.parametrize("idx", range(len(GRID) - len(BOUNDARY_GRID), len(GRID)),
+                         ids=[_case_id(c) for c in BOUNDARY_GRID])
+def test_fuel_boundary_matches_golden(golden, idx):
+    assert _run(*GRID[idx]) == golden[idx]
+
+
+@pytest.mark.parametrize("make, last", BOUNDARIES,
+                         ids=[repr(make()) for make, _ in BOUNDARIES])
+def test_fuel_boundary_is_the_least_budget_that_completes(make, last):
+    def outcome(fuel):
+        res = _run("fuel_edges", make(), (2,), fuel)
+        del res["fuel"], res["fuel_remaining"]
+        return res
+
+    ample = outcome(100_000)
+    assert outcome(last) == ample and outcome(last - 1) != ample
 
 
 if __name__ == "__main__":

@@ -2,14 +2,17 @@
 
 Hypothesis draws small well-sorted procedures over N and RN: bounded `for`
 loops, `if`, strict and short-circuit booleans, `choose` whose witnesses lie
-below the Enumerate bound, and now and then `inv` of 0. Each procedure is
-printed with `pretty_program`, and the tests check that
+below the Enumerate bound, and now and then `inv` of 0 or a `div` branch.
+Each procedure is printed with `pretty_program`, and the tests check that
 
   * parsing the printed text gives the same procedure back;
   * a converged Dovetail(seed) or Oracle(seed) value lies in the Enumerate
     outcome set, whenever that set is not truncated;
   * more fuel never removes an Enumerate value;
-  * the stage-n computation tree is a prefix of the stage-(n+1) tree.
+  * the stage-n computation tree is a prefix of the stage-(n+1) tree;
+  * over N, where every guard converges, a procedure that Enumerate shows
+    deterministic gives the same value after choose elimination as under
+    Dovetail.
 
 Draws are derandomized, so every run checks the same programs.
 """
@@ -22,11 +25,11 @@ from hypothesis import given, settings, strategies as st
 
 from whilecc.algebra import get_algebra, rat_value, value_key
 from whilecc.codes import Fuel
-from whilecc.interp import (Dovetail, Enumerate, Oracle, comp_tree_stage,
-                            eval_proc, initial_state, nat_value,
-                            tree_is_prefix)
+from whilecc.interp import (Dovetail, Enumerate, Oracle, choose_eliminate,
+                            comp_tree_stage, eval_proc, initial_state,
+                            nat_value, tree_is_prefix)
 from whilecc.lang import parse_program
-from whilecc.lang.ast import (App, Assign, Choose, If, Lit, Procedure,
+from whilecc.lang.ast import (App, Assign, Choose, Div, If, Lit, Procedure,
                               Program, Var, While, normalize_seq, seq_all)
 from whilecc.lang.parser import auto_init, pretty_program
 
@@ -141,8 +144,10 @@ class _Gen:
         kinds = ["assign", "assign"] + (["if", "for"] if depth else [])
         kind = self.pick(kinds)
         if kind == "if":
-            return If(self.term("bool", 2), self.block(depth - 1, loops),
-                      self.block(depth - 1, loops))
+            # a `div` only in a branch, so some runs still converge
+            els = (Div() if self.draw(st.integers(0, 3)) == 0
+                   else self.block(depth - 1, loops))
+            return If(self.term("bool", 2), self.block(depth - 1, loops), els)
         if kind == "for":
             # the parser's desugaring of `for i := lo to hi do S od`
             nat = self.sort("nat")
@@ -167,9 +172,9 @@ class _Gen:
 
 
 @st.composite
-def programs(draw):
-    """(program, procedure, inputs) over N or RN."""
-    alg_name = draw(st.sampled_from(["N", "RN"]))
+def programs(draw, algebras=("N", "RN")):
+    """(program, procedure, inputs) over one of the algebras."""
+    alg_name = draw(st.sampled_from(algebras))
     sig = get_algebra(alg_name).signature
     gen = _Gen(draw, sig)
     nat, boolean = sig.sort("nat"), sig.sort("bool")
@@ -248,3 +253,22 @@ def test_stage_tree_is_a_prefix_of_the_next_stage(case):
         assert not fuel.dead
     for n, (a, b) in enumerate(zip(trees, trees[1:])):
         assert tree_is_prefix(a, b), (n, pretty_program(prog))
+
+
+@_settings(80)
+@given(programs(("N",)), st.integers(0, 3))
+def test_choose_elimination_agrees_with_dovetail_when_deterministic(case, seed):
+    prog, proc, args = case
+    alg = get_algebra("N")
+    enum = _enum(proc, args, FUELS[-1])
+    if len(enum.values) != 1 or enum.maybe_divergent:
+        return  # not shown deterministic
+    elim = eval_proc(choose_eliminate(proc, alg), args, alg, Dovetail(seed),
+                     Fuel(FUELS[-1]))
+    keys = [value_key(v) for v in enum.values]
+    assert not elim.maybe_divergent, pretty_program(prog)
+    assert [value_key(v) for v in elim.values] == keys, pretty_program(prog)
+    # a seeded search may visit the only witness late, past the budget
+    run = eval_proc(proc, args, alg, Dovetail(seed), Fuel(FUELS[-1]))
+    if not run.maybe_divergent:
+        assert [value_key(v) for v in run.values] == keys, pretty_program(prog)

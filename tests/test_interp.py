@@ -280,6 +280,47 @@ def test_eval_stmt_guard_converges_tt():
     assert not out.maybe_divergent
 
 
+def test_deterministic_run_builds_no_state_or_outcome_set_per_step(monkeypatch):
+    # a clock-free check of the one-dict statement loop: exp_approx at n = 3
+    # takes over a hundred steps, yet the run builds the initial and final
+    # State and the loop's and eval_proc's OutcomeSet, no more
+    import whilecc.interp as interp
+    from whilecc.algebra import interval_value
+    from whilecc.codes import ConstCode
+    from whilecc.programs.oracles import exp_partial_sum
+
+    built = {"State": 0, "OutcomeSet": 0}
+
+    def counting(cls):
+        class Counting(cls):
+            def __init__(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                super().__init__(*args, **kwargs)
+        return Counting
+
+    monkeypatch.setattr(interp, "State", counting(State))
+    monkeypatch.setattr(interp, "OutcomeSet", counting(interp.OutcomeSet))
+    p, alg = load("exp_approx")
+    x = Fraction(1, 2)
+    fuel = Fuel(100_000)
+    out = eval_proc(p, (NatV(3), interval_value(ConstCode(x))), alg,
+                    Dovetail(0), fuel)
+    assert 100_000 - fuel.remaining > 100
+    assert built["State"] <= 2 and built["OutcomeSet"] <= 2
+    assert out.values[0].code.value == exp_partial_sum(x, 16)
+
+
+def test_long_statement_chain_runs_without_deep_recursion():
+    x = Var("x", NAT)
+    inc = Assign(("x",), (App(N.signature.symbol("succ"), (x,)),))
+    body = Skip()
+    for _ in range(5_000):
+        body = Seq(inc, body)
+    for strat in (Dovetail(), Enumerate(4)):
+        out = eval_stmt(body, state(x=NatV(0)), N, strat, Fuel(100_000))
+        assert [s.get("x").n for s in out.values] == [5_000]
+
+
 def test_eval_proc_identity_and_arity():
     p = parse("algebra RN\nfunc f in a: real out b: real begin b := a end")
     out = eval_proc(p, (rat_value(Fraction(5, 3)),), RN, Dovetail(), Fuel(100))
@@ -422,6 +463,22 @@ end"""
         a = eval_proc(p, (NatV(n0),), alg, Dovetail(), Fuel(100_000))
         b = eval_proc(elim, (NatV(n0),), alg, Dovetail(), Fuel(100_000))
         assert [v.n for v in a.values] == [v.n for v in b.values], n0
+
+
+@pytest.mark.parametrize("rhs", [
+    # a search in an untaken branch must not run: for n = 0 it has no witness
+    "if n = 0 then 7 else (choose z : (z < 4) andthen (z < n)) fi",
+    # a search in a choose guard sees each candidate of the outer search
+    "choose z : (z < 4) andthen ((choose y : (y < 4) andthen (y = z)) = 2)",
+])
+def test_choose_eliminate_keeps_searches_where_they_run(rhs):
+    p = parse(f"algebra N\nfunc f in n: nat out r: nat begin r := {rhs} end")
+    elim = choose_eliminate(p, N)
+    for n in (0, 1):
+        a = eval_proc(p, (NatV(n),), N, Dovetail(), Fuel(3_000))
+        b = eval_proc(elim, (NatV(n),), N, Dovetail(), Fuel(3_000))
+        assert not a.maybe_divergent and not b.maybe_divergent, n
+        assert [v.n for v in a.values] == [v.n for v in b.values], n
 
 
 def test_deterministic_programs_agree_with_elimination_spot():

@@ -1,5 +1,7 @@
 """Tracking functions, the code algebra, and the two desk constructions."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -233,6 +235,44 @@ def test_exp_lift_desk_check(rn_codes):
         v = ecode_eval(lifted, n)
         tol = Fraction(2, 1 << n)  # eq-(13)-style bound 2^-n+1
         assert lo - tol < v < hi + tol, (n, v)
+
+
+def _const_lift(rn):
+    reg = CodeRegistry()
+    calg = code_algebra(rn, reg)
+    p = parse("algebra RN\nfunc c in n: nat, x: real out y: real "
+              "begin y := x + 5/8 end")
+    lifted = soundness_lift(p, calg, reg, (NatV(reg.mint(ConstCode(1))),))
+    return lifted, calg, reg
+
+
+def test_lifted_code_outlives_its_registry_and_code_algebra(RN):
+    lifted, calg, reg = _const_lift(RN)
+    reg_ref = weakref.ref(reg)
+    del calg, reg
+    assert reg_ref() is not None  # the lifted code still holds it
+    assert ecode_eval(lifted, 6) == Fraction(13, 8)
+
+
+def test_registered_diagonal_alone_reports_its_freed_code_algebra(RN):
+    lifted, calg, reg = _const_lift(RN)
+    diagonal = reg.code(len(reg) - 1)
+    del lifted, calg
+    with pytest.raises(LiftError, match="freed"):
+        ecode_eval(diagonal, 3)
+
+
+def test_a_dropped_lift_is_freed_without_the_cyclic_collector(RN):
+    gc.collect()
+    gc.disable()
+    try:
+        lifted, calg, reg = _const_lift(RN)
+        assert ecode_eval(lifted, 4) == Fraction(13, 8)
+        refs = [weakref.ref(calg), weakref.ref(reg)]
+        del lifted, calg, reg
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
