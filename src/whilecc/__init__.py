@@ -2,7 +2,7 @@
 while-language with countable choice over metric partial algebras."""
 
 from .algebra import (PartialAlgebra, Value, BoolV, NatV, RealV, ArrV,
-                      Verdict, Converged, PROVEN_DIVERGENT, FUEL_EXHAUSTED,
+                      Failure, DIV, FUEL_OUT,
                       builtin_B, builtin_N, builtin_R, builtin_R_N,
                       builtin_interval, star_algebra, get_algebra, apply,
                       product_metric, rat_value, interval_value)

@@ -1,17 +1,21 @@
 """Carriers, fuel-bounded basic operations, and the built-in algebras.
 
-Verdicts make partiality observable in finite time: an operation either
-converges, is proven divergent (its divergence condition is decidable, e.g.
-inverting an exact 0), or exhausts its budget while still undecided.
-Constant-time total operations (booleans, naturals, real ring operations)
-charge fuel but never fail; fuel gates the genuinely semidecidable work
-(interval refinement for comparisons, inverse witness searches).
+Every basic operation is a rule `rule(fuel, *values)` that charges its own
+fuel and makes partiality observable in finite time: it returns a Value when
+it converges, DIV when it is proven divergent (its divergence condition is
+decidable, e.g. inverting an exact 0), or FUEL_OUT when it exhausts its
+budget while still undecided; it does not raise OutOfFuel. Constant-time
+total operations (booleans,
+naturals, real ring operations) take one step and never fail; fuel gates the
+genuinely semidecidable work (interval refinement for comparisons, inverse
+witness searches).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
 from .codes import (Fuel, ECode, ConstCode, OutOfFuel, add_codes, neg_code,
@@ -19,38 +23,22 @@ from .codes import (Fuel, ECode, ConstCode, OutOfFuel, add_codes, neg_code,
                     pair, unpair)
 from .signature import (Signature, Sort, FuncSymbol, ClosedTerm, ProductType,
                         make_signature, standardise, n_standardise,
-                        star_signature, default_term, REAL, INTERVAL)
+                        star_signature, default_term, REAL, INTERVAL, NAT)
 
 
 class AlgebraError(Exception):
     """Ill-typed application: a programming error, not divergence."""
 
 
-# ---------------------------------------------------------------------------
-# verdicts
+class Failure(Enum):
+    """The two outcomes of a rule other than a value, valued by the words
+    reports use for them."""
+
+    DIV = "div"        # proven divergent
+    FUEL_OUT = "fuel"  # undecided when the budget ran out
 
 
-@dataclass(frozen=True)
-class Verdict:
-    tag: str  # "ok" | "div" | "fuel"
-    value: object = None
-
-    @property
-    def converged(self) -> bool:
-        return self.tag == "ok"
-
-    def __repr__(self):
-        if self.tag == "ok":
-            return f"Converged({self.value!r})"
-        return "ProvenDivergent" if self.tag == "div" else "FuelExhausted"
-
-
-def Converged(v) -> Verdict:
-    return Verdict("ok", v)
-
-
-PROVEN_DIVERGENT = Verdict("div")
-FUEL_EXHAUSTED = Verdict("fuel")
+DIV, FUEL_OUT = Failure.DIV, Failure.FUEL_OUT
 
 
 # ---------------------------------------------------------------------------
@@ -152,30 +140,28 @@ def check_value(sort: Sort, v: Value) -> bool:
 # comparisons by interval refinement
 
 
-def compare_codes(x: ECode, y: ECode, fuel: Fuel, op: str) -> Verdict:
+def compare_codes(x: ECode, y: ECode, fuel: Fuel, op: str):
     """op "less": tt if x<y, ff if x>y, undecided forever if x=y.
-    op "eq": ff if x!=y, undecided forever if x=y."""
+    op "eq": ff if x!=y, undecided forever if x=y. Undecided is FUEL_OUT."""
     if x.is_const and y.is_const:
         fuel.take()
         a, b = x.value, y.value
         if a == b:
-            return FUEL_EXHAUSTED  # equality holds; the operation diverges
-        if op == "eq":
-            return Converged(FF)
-        return Converged(TT if a < b else FF)
+            return FUEL_OUT  # equality holds; the operation diverges
+        return TT if op == "less" and a < b else FF
     n = 0
     while fuel.take():
         try:
             xlo, xhi = x.interval(n, fuel)
             ylo, yhi = y.interval(n, fuel)
         except OutOfFuel:
-            return FUEL_EXHAUSTED
+            return FUEL_OUT
         if xhi < ylo:
-            return Converged(TT if op == "less" else FF)
+            return TT if op == "less" else FF
         if yhi < xlo:
-            return Converged(FF)
+            return FF
         n += 1
-    return FUEL_EXHAUSTED
+    return FUEL_OUT
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +169,7 @@ def compare_codes(x: ECode, y: ECode, fuel: Fuel, op: str) -> Verdict:
 
 
 MetricRule = Callable[[Value, Value, int], Fraction]
-InterpRule = Callable[[tuple, Fuel], Verdict]
+InterpRule = Callable[..., "Value | Failure"]  # rule(fuel, *values)
 
 
 class PartialAlgebra:
@@ -206,22 +192,15 @@ class PartialAlgebra:
         if missing:
             raise AlgebraError(f"algebra {name} lacks rules for {missing}")
 
-    def apply(self, f, args, fuel: Fuel) -> Verdict:
+    def apply(self, f, args, fuel: Fuel):
+        """The rule of f on sort-checked args: a Value, DIV or FUEL_OUT."""
         sym = self.signature.symbol(f) if isinstance(f, str) else f
         if len(args) != sym.arity:
             raise AlgebraError(f"{sym.name}: arity {sym.arity}, got {len(args)}")
         for s, v in zip(sym.arg_sorts, args):
             if not self.accepts(s, v):
                 raise AlgebraError(f"{sym.name}: argument of sort {s.name} got {v!r}")
-        try:
-            return self.interp[sym.name](tuple(args), fuel)
-        except OutOfFuel:
-            return FUEL_EXHAUSTED
-
-    def rule(self, sym) -> InterpRule:
-        """The raw interpretation, for callers whose arguments are already
-        statically sort-checked (the term evaluator)."""
-        return self.interp[sym.name]
+        return self.interp[sym.name](fuel, *args)
 
     def metric(self, sort: Sort, v1: Value, v2: Value, n: int) -> Fraction:
         try:
@@ -232,22 +211,21 @@ class PartialAlgebra:
 
     def default_value(self, sort: Sort) -> Value:
         v = apply_closed(self, default_term(self.signature, sort), Fuel(1000))
-        if not v.converged:
+        if v is DIV or v is FUEL_OUT:
             raise AlgebraError(f"default term for {sort.name} did not converge")
-        return v.value
+        return v
 
 
-def apply(a: PartialAlgebra, f, args, fuel: Fuel) -> Verdict:
-    return a.apply(f, args, fuel)
+apply = PartialAlgebra.apply  # apply(algebra, f, args, fuel)
 
 
-def apply_closed(a: PartialAlgebra, t: ClosedTerm, fuel: Fuel) -> Verdict:
+def apply_closed(a: PartialAlgebra, t: ClosedTerm, fuel: Fuel):
     vals = []
     for arg in t.args:
         v = apply_closed(a, arg, fuel)
-        if not v.converged:
+        if v is DIV or v is FUEL_OUT:
             return v
-        vals.append(v.value)
+        vals.append(v)
     return a.apply(t.sym, tuple(vals), fuel)
 
 
@@ -292,52 +270,69 @@ def _array_metric(elem_rule: MetricRule) -> MetricRule:
 # built-in algebras
 
 
-def _total(fn):
-    """Rule for a constant-time total operation: charges fuel, never fails.
-    The unboxed callable is attached for the term evaluator's fast path."""
-    def rule(args, fuel):
+# A total rule takes its one step itself and then builds its value.
+
+
+def _if(fuel, b, x, y):
+    fuel.take()
+    return x if b.b else y
+
+
+def _bool_rules() -> dict:
+    def true(fuel):
         fuel.take()
-        return Converged(fn(*args))
-    rule.fast_fn = fn
-    return rule
+        return TT
+
+    def false(fuel):
+        fuel.take()
+        return FF
+
+    def and_(fuel, a, b):
+        fuel.take()
+        return BoolV(a.b and b.b)
+
+    def or_(fuel, a, b):
+        fuel.take()
+        return BoolV(a.b or b.b)
+
+    def not_(fuel, a):
+        fuel.take()
+        return BoolV(not a.b)
+
+    return {"true": true, "false": false, "and": and_, "or": or_,
+            "not": not_, "if_bool": _if}
 
 
-def _bool_rules():
-    return {
-        "true": _total(lambda: TT),
-        "false": _total(lambda: FF),
-        "and": _total(lambda a, b: BoolV(a.b and b.b)),
-        "or": _total(lambda a, b: BoolV(a.b or b.b)),
-        "not": _total(lambda a: BoolV(not a.b)),
-    }
+def _nat_rules() -> dict:
+    def zero_nat(fuel):
+        fuel.take()
+        return NatV(0)
 
+    def succ(fuel, a):
+        fuel.take()
+        return NatV(a.n + 1)
 
-def _if_rule():
-    return _total(lambda b, x, y: x if b.b else y)
+    def eq_nat(fuel, a, b):
+        fuel.take()
+        return BoolV(a.n == b.n)
 
+    def less_nat(fuel, a, b):
+        fuel.take()
+        return BoolV(a.n < b.n)
 
-def _nat_rules():
-    return {
-        "zero_nat": _total(lambda: NatV(0)),
-        "succ": _total(lambda a: NatV(a.n + 1)),
-        "eq_nat": _total(lambda a, b: BoolV(a.n == b.n)),
-        "less_nat": _total(lambda a, b: BoolV(a.n < b.n)),
-        "if_nat": _if_rule(),
-    }
+    return {"zero_nat": zero_nat, "succ": succ, "eq_nat": eq_nat,
+            "less_nat": less_nat, "if_nat": _if}
 
 
 def builtin_B() -> PartialAlgebra:
     sig = standardise(make_signature())
-    interp = _bool_rules()
-    interp["if_bool"] = _if_rule()
-    return PartialAlgebra("B", sig, interp, {"bool": _discrete_metric}, total=True)
+    return PartialAlgebra("B", sig, _bool_rules(), {"bool": _discrete_metric},
+                          total=True)
 
 
 def builtin_N() -> PartialAlgebra:
     sig = n_standardise(standardise(make_signature()))
-    interp = _bool_rules()
-    interp["if_bool"] = _if_rule()
-    interp.update(_nat_rules())
+    interp = {**_bool_rules(), **_nat_rules()}
     metrics = {"bool": _discrete_metric, "nat": _discrete_metric}
     return PartialAlgebra("N", sig, interp, metrics, total=True)
 
@@ -353,37 +348,51 @@ def _real_base_signature() -> Signature:
     return sig
 
 
-def _inv_rule(args, fuel):
-    (x,) = args
-    code, status = inv_code(x.code, fuel)
-    if status == "zero":
-        return PROVEN_DIVERGENT
-    if status == "fuel":
-        return FUEL_EXHAUSTED
-    return Converged(RealV(code))
+def _real_rules() -> dict:
+    def zero_real(fuel):
+        fuel.take()
+        return rat_value(0)
 
+    def one_real(fuel):
+        fuel.take()
+        return rat_value(1)
 
-def _real_rules():
-    return {
-        "zero_real": _total(lambda: rat_value(0)),
-        "one_real": _total(lambda: rat_value(1)),
-        "add": _total(lambda a, b: RealV(add_codes(a.code, b.code))),
-        "mul": _total(lambda a, b: RealV(mul_codes(a.code, b.code))),
-        "neg": _total(lambda a: RealV(neg_code(a.code))),
-        "inv": _inv_rule,
-        "if_real": _if_rule(),
-        "eq_real": lambda args, fuel: compare_codes(args[0].code, args[1].code, fuel, "eq"),
-        "less_real": lambda args, fuel: compare_codes(args[0].code, args[1].code, fuel, "less"),
-    }
+    def add(fuel, a, b):
+        fuel.take()
+        return RealV(add_codes(a.code, b.code))
+
+    def mul(fuel, a, b):
+        fuel.take()
+        return RealV(mul_codes(a.code, b.code))
+
+    def neg(fuel, a):
+        fuel.take()
+        return RealV(neg_code(a.code))
+
+    def inv(fuel, a):
+        code, status = inv_code(a.code, fuel)
+        if status == "zero":
+            return DIV
+        if status == "fuel":
+            return FUEL_OUT
+        return RealV(code)
+
+    def eq_real(fuel, a, b):
+        return compare_codes(a.code, b.code, fuel, "eq")
+
+    def less_real(fuel, a, b):
+        return compare_codes(a.code, b.code, fuel, "less")
+
+    return {"zero_real": zero_real, "one_real": one_real, "add": add,
+            "mul": mul, "neg": neg, "inv": inv, "if_real": _if,
+            "eq_real": eq_real, "less_real": less_real}
 
 
 def builtin_R() -> PartialAlgebra:
     """The standard partial real algebra: the field with partial eq/less."""
     sig = standardise(_real_base_signature(),
                       eq_sorts={"real": "partial"}, order_sorts={"real": "partial"})
-    interp = _bool_rules()
-    interp["if_bool"] = _if_rule()
-    interp.update(_real_rules())
+    interp = {**_bool_rules(), **_real_rules()}
     metrics = {"bool": _discrete_metric, "real": _real_metric}
     return PartialAlgebra("R", sig, interp, metrics, total=False)
 
@@ -395,43 +404,43 @@ def builtin_R_N() -> PartialAlgebra:
     sig = n_standardise(standardise(_real_base_signature(),
                                     eq_sorts={"real": "partial"},
                                     order_sorts={"real": "partial"}))
-    from .signature import NAT, BOOL  # noqa: F401
     sig.add_symbol(FuncSymbol("nat2real", (NAT,), REAL))
     sig.add_symbol(FuncSymbol("rat", (NAT,), REAL))
     sig.add_symbol(FuncSymbol("dist", (REAL, REAL), REAL))
     sig.add_symbol(FuncSymbol("pair", (NAT, NAT), NAT))
     sig.add_symbol(FuncSymbol("fst", (NAT,), NAT))
     sig.add_symbol(FuncSymbol("snd", (NAT,), NAT))
-    interp = _bool_rules()
-    interp["if_bool"] = _if_rule()
-    interp.update(_nat_rules())
-    interp.update(_real_rules())
+    interp = {**_bool_rules(), **_nat_rules(), **_real_rules()}
     # decode caches: these symbols are hammered by dovetailed searches
-    rat_cache: dict[int, RealV] = {}
-    unpair_cache: dict[int, tuple] = {}
+    rat_of = cache(lambda n: rat_value(prog_rat_decode(n)))
+    unpair_of = cache(unpair)
 
-    def _rat(a):
-        v = rat_cache.get(a.n)
-        if v is None:
-            v = rat_value(prog_rat_decode(a.n))
-            rat_cache[a.n] = v
-        return v
+    def rat(fuel, a):
+        fuel.take()
+        return rat_of(a.n)
 
-    def _unpair(n):
-        v = unpair_cache.get(n)
-        if v is None:
-            v = unpair(n)
-            unpair_cache[n] = v
-        return v
+    def fst(fuel, a):
+        fuel.take()
+        return NatV(unpair_of(a.n)[0])
 
-    interp.update({
-        "nat2real": _total(lambda a: rat_value(a.n)),
-        "rat": _total(_rat),
-        "dist": _total(lambda a, b: RealV(abs_diff_code(a.code, b.code))),
-        "pair": _total(lambda a, b: NatV(pair(a.n, b.n))),
-        "fst": _total(lambda a: NatV(_unpair(a.n)[0])),
-        "snd": _total(lambda a: NatV(_unpair(a.n)[1])),
-    })
+    def snd(fuel, a):
+        fuel.take()
+        return NatV(unpair_of(a.n)[1])
+
+    def nat2real(fuel, a):
+        fuel.take()
+        return rat_value(a.n)
+
+    def dist(fuel, a, b):
+        fuel.take()
+        return RealV(abs_diff_code(a.code, b.code))
+
+    def pair_(fuel, a, b):
+        fuel.take()
+        return NatV(pair(a.n, b.n))
+
+    interp.update({"nat2real": nat2real, "rat": rat, "dist": dist,
+                   "pair": pair_, "fst": fst, "snd": snd})
     metrics = {"bool": _discrete_metric, "nat": _discrete_metric, "real": _real_metric}
     return PartialAlgebra("RN", sig, interp, metrics, total=False)
 
@@ -476,12 +485,14 @@ def builtin_interval() -> PartialAlgebra:
     sig.add_symbol(FuncSymbol("i_I", (INTERVAL,), REAL))
     sig.add_symbol(FuncSymbol("if_interval", (Sort("bool", "bool"), INTERVAL, INTERVAL),
                               INTERVAL, conditional=True))
+
+    def i_I(fuel, a):
+        fuel.take()
+        return RealV(a.code)
+
     interp = dict(base.interp)
-    interp.update({
-        "zero_interval": _total(lambda: rat_value(0)),
-        "i_I": _total(lambda a: RealV(a.code)),
-        "if_interval": _if_rule(),
-    })
+    interp.update({"zero_interval": base.interp["zero_real"], "i_I": i_I,
+                   "if_interval": _if})
     metrics = dict(base.metrics)
     metrics["interval"] = _real_metric
     return PartialAlgebra("IN", sig, interp, metrics, total=False)
@@ -492,28 +503,34 @@ def array_rules(elem: Sort, default: Callable[[Sort], Value]) -> dict:
     and growth by Newlength use default(elem)."""
     name = elem.name
 
-    def ap(arr, i):
+    def null(fuel):
+        fuel.take()
+        return ArrV(elem, ())
+
+    def lgth(fuel, arr):
+        fuel.take()
+        return NatV(len(arr.items))
+
+    def ap(fuel, arr, i):
+        fuel.take()
         return arr.items[i.n] if i.n < len(arr.items) else default(elem)
 
-    def update(arr, i, v):
+    def update(fuel, arr, i, v):
+        fuel.take()
         if i.n >= len(arr.items):
             return arr
         return ArrV(arr.elem_sort, arr.items[:i.n] + (v,) + arr.items[i.n + 1:])
 
-    def newlength(arr, k):
+    def newlength(fuel, arr, k):
+        fuel.take()
         items = arr.items
         if k.n <= len(items):
             return ArrV(arr.elem_sort, items[:k.n])
         fill = tuple(default(elem) for _ in range(k.n - len(items)))
         return ArrV(arr.elem_sort, items + fill)
 
-    return {
-        f"Null_{name}": _total(lambda: ArrV(elem, ())),
-        f"Lgth_{name}": _total(lambda arr: NatV(len(arr.items))),
-        f"Ap_{name}": _total(ap),
-        f"Update_{name}": _total(update),
-        f"Newlength_{name}": _total(newlength),
-    }
+    return {f"Null_{name}": null, f"Lgth_{name}": lgth, f"Ap_{name}": ap,
+            f"Update_{name}": update, f"Newlength_{name}": newlength}
 
 
 def star_algebra(a: PartialAlgebra) -> PartialAlgebra:
@@ -534,7 +551,7 @@ def star_algebra(a: PartialAlgebra) -> PartialAlgebra:
     for s in [s for s in a.signature.sorts.values() if s.kind != "array"]:
         sx = sig.sort(s.name + "*")
         interp.update(array_rules(s, default_of))
-        interp[f"if_{sx.name}"] = _if_rule()
+        interp[f"if_{sx.name}"] = _if
         if s.name in metrics:
             metrics[sx.name] = _array_metric(metrics[s.name])
     star = PartialAlgebra(a.name + "*", sig, interp, metrics, total=a.total)

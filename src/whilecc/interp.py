@@ -15,9 +15,10 @@ evaluation order. The strategy fixes how a strict operation treats a failed
 argument. Oracle and Dovetail stop at the first one. Enumerate evaluates
 every argument, since its operation applies to every combination of argument
 values, records each failure in the outcome set, and leaves a term that
-contains a choose to the set-valued `_enum_term`. Applications of one and
-two arguments, and unboxed constants, get closures of their own that build
-no argument list.
+contains a choose to the set-valued `_enum_term`. Every rule is called as
+`rule(fuel, *values)` and returns a Value, DIV or FUEL_OUT (see `algebra`);
+applications of no, one and two arguments get closures of their own that
+build no argument list.
 
 Statements are compiled too: a run turns a body once into a flat list of
 nodes (`_compile_stmt`), each an assignment, `skip`, `div` or the guard test
@@ -47,11 +48,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import (PartialAlgebra, Value, BoolV, NatV, FUEL_EXHAUSTED,
+from .algebra import (PartialAlgebra, Value, BoolV, NatV, DIV, FUEL_OUT,
                       value_key, AlgebraError)
-from .codes import Fuel, OutOfFuel
+from .codes import Fuel
 from .lang.ast import (Term, Var, Lit, App, Choose, Stmt, Skip, Div, Assign,
                        Seq, If, While, Procedure, is_atomic, subst_term)
+from .signature import NAT
 
 
 _NATS = [NatV(i) for i in range(1 << 12)]
@@ -59,25 +61,6 @@ _NATS = [NatV(i) for i in range(1 << 12)]
 
 def nat_value(i: int) -> NatV:
     return _NATS[i] if i < len(_NATS) else NatV(i)
-
-
-# The deterministic hot path avoids verdict boxing: evaluation returns either
-# a Value or one of the two sentinels below, which the outcome-set boundary
-# turns into flags. Dovetail.search reads them as an attempt's verdict.
-
-
-class _Sentinel:
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-DIV = _Sentinel("DIV")
-FUEL_OUT = _Sentinel("FUEL_OUT")
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +141,8 @@ class Dovetail:
         return (block << self.BLOCK_BITS) | ((pos * self._stride(block)) & mask)
 
     def search(self, fuel: Fuel, attempt: Callable[[int, int], object]):
-        """The first result of attempt(candidate, stage), or None once fuel
-        runs out. Each stage takes one step of fuel and tries the candidate
+        """The first result of attempt(candidate, stage), or FUEL_OUT once
+        fuel runs out. Each stage takes one step of fuel and tries the candidate
         visit(stage) and then those due again. attempt returns a result,
         FUEL_OUT (undecided on its budget at stage k: due again at stage
         max(2k, k + 1)) or DIV (refuted for good)."""
@@ -176,7 +159,7 @@ class Dovetail:
                 elif r is not DIV:
                     return r
             stage += 1
-        return None
+        return FUEL_OUT
 
     def fresh(self):
         return Dovetail(self.seed)
@@ -324,127 +307,110 @@ def _compile(ctx: Ctx, t: Term) -> Optional[Callable]:
             return (then if g.b else els)(b, fuel, out)
 
         return cond
-    return _strict(ctx.alg.rule(t.sym), fs, ctx.enum, t.sym.name)
+    return _strict(ctx.alg.interp[t.sym.name], fs, ctx.enum, t.sym.name)
 
 
 def _strict(rule, fs: list, enum: bool, name: str) -> Callable:
-    """The closure of a strict application. Oracle and Dovetail stop at the
-    first failed argument; Enumerate evaluates every argument and returns
-    the last failure. One- and two-argument applications, nearly all of
-    them, get closures of their own that build no list, and so do unboxed
-    constants such as the `false` of every `andthen`."""
-    fast = getattr(rule, "fast_fn", None)
-    if not fs and fast is not None:
-        def fast0(b, fuel, out):
-            fuel.take()
-            return fast()
-
-        return fast0
+    """The closure of a strict application: rule(fuel, *values). Oracle and
+    Dovetail stop at the first failed argument and return the rule's result
+    as it is. Enumerate (`_strict_all`) evaluates every argument, returns the
+    last failure, and records a failed result of the rule in out. Arities
+    0, 1 and 2, nearly all applications, get closures that build no list."""
+    if enum:
+        return _strict_all(rule, fs, name)
+    if not fs:
+        return lambda b, fuel, out: rule(fuel)
     if len(fs) == 1:
         f0, = fs
-        if fast is not None:
-            def fast1(b, fuel, out):
-                v = f0(b, fuel, out)
-                if v is DIV or v is FUEL_OUT:
-                    return v
-                fuel.take()
-                return fast(v)
 
-            return fast1
-
-        def boxed1(b, fuel, out):
+        def app1(b, fuel, out):
             v = f0(b, fuel, out)
             if v is DIV or v is FUEL_OUT:
                 return v
-            return _apply(rule, (v,), fuel, out, name)
+            return rule(fuel, v)
 
-        return boxed1
+        return app1
     if len(fs) == 2:
         f0, f1 = fs
-        if enum:
-            if fast is not None:
-                def fast2_all(b, fuel, out):
-                    v = f0(b, fuel, out)
-                    w = f1(b, fuel, out)
-                    if w is DIV or w is FUEL_OUT:
-                        return w
-                    if v is DIV or v is FUEL_OUT:
-                        return v
-                    fuel.take()
-                    return fast(v, w)
 
-                return fast2_all
-
-            def boxed2_all(b, fuel, out):
-                v = f0(b, fuel, out)
-                w = f1(b, fuel, out)
-                if w is DIV or w is FUEL_OUT:
-                    return w
-                if v is DIV or v is FUEL_OUT:
-                    return v
-                return _apply(rule, (v, w), fuel, out, name)
-
-            return boxed2_all
-        if fast is not None:
-            def fast2(b, fuel, out):
-                v = f0(b, fuel, out)
-                if v is DIV or v is FUEL_OUT:
-                    return v
-                w = f1(b, fuel, out)
-                if w is DIV or w is FUEL_OUT:
-                    return w
-                fuel.take()
-                return fast(v, w)
-
-            return fast2
-
-        def boxed2(b, fuel, out):
+        def app2(b, fuel, out):
             v = f0(b, fuel, out)
             if v is DIV or v is FUEL_OUT:
                 return v
             w = f1(b, fuel, out)
             if w is DIV or w is FUEL_OUT:
                 return w
-            return _apply(rule, (v, w), fuel, out, name)
+            return rule(fuel, v, w)
 
-        return boxed2
+        return app2
 
     def app(b, fuel, out):
         vals = []
-        failed = None
         for f in fs:
             v = f(b, fuel, out)
             if v is DIV or v is FUEL_OUT:
-                if not enum:
-                    return v
-                failed = v
+                return v
             vals.append(v)
-        if failed is not None:
-            return failed
-        if fast is not None:
-            fuel.take()
-            return fast(*vals)
-        return _apply(rule, tuple(vals), fuel, out, name)
+        return rule(fuel, *vals)
 
     return app
 
 
-def _apply(rule, args: tuple, fuel: Fuel, out: Optional[OutcomeSet], name: str):
-    """A boxed rule's value, or DIV or FUEL_OUT, recorded in out if given."""
-    try:
-        r = rule(args, fuel)
-    except OutOfFuel:
-        r = FUEL_EXHAUSTED
-    if r.tag == "ok":
-        return r.value
-    if r.tag == "div":
-        if out is not None:
-            out.proven_divergent = True
-        return DIV
-    if out is not None:
+def _strict_all(rule, fs: list, name: str) -> Callable:
+    """Enumerate's closure of a strict application (see `_strict`)."""
+    if not fs:
+        def all0(b, fuel, out):
+            r = rule(fuel)
+            return _failed(out, r, name) if r is DIV or r is FUEL_OUT else r
+
+        return all0
+    if len(fs) == 1:
+        f0, = fs
+
+        def all1(b, fuel, out):
+            v = f0(b, fuel, out)
+            if v is DIV or v is FUEL_OUT:
+                return v
+            r = rule(fuel, v)
+            return _failed(out, r, name) if r is DIV or r is FUEL_OUT else r
+
+        return all1
+    if len(fs) == 2:
+        f0, f1 = fs
+
+        def all2(b, fuel, out):
+            v = f0(b, fuel, out)
+            w = f1(b, fuel, out)
+            if w is DIV or w is FUEL_OUT:
+                return w
+            if v is DIV or v is FUEL_OUT:
+                return v
+            r = rule(fuel, v, w)
+            return _failed(out, r, name) if r is DIV or r is FUEL_OUT else r
+
+        return all2
+
+    def all_n(b, fuel, out):
+        vals = [f(b, fuel, out) for f in fs]
+        for v in reversed(vals):
+            if v is DIV or v is FUEL_OUT:
+                return v
+        r = rule(fuel, *vals)
+        return _failed(out, r, name) if r is DIV or r is FUEL_OUT else r
+
+    return all_n
+
+
+def _failed(out: OutcomeSet, r, name: Optional[str] = None):
+    """Record in out that r, DIV or FUEL_OUT, ended an evaluation, and note
+    "{name}: fuel exhausted" for FUEL_OUT when name is given; return r."""
+    if r is DIV:
+        out.proven_divergent = True
+    else:
         out.truncated = True
-        out.note(f"{name}: fuel exhausted")
-    return FUEL_OUT
+        if name is not None:
+            out.note(f"{name}: fuel exhausted")
+    return r
 
 
 def _oracle_choose(strat, var: str, body, b: dict, fuel: Fuel):
@@ -469,8 +435,7 @@ def _dovetail_choose(strat, var: str, body, b: dict, fuel: Fuel):
             return g
         return nat_value(cand) if g.b else DIV  # a ff guard is refuted
 
-    r = strat.search(fuel, attempt)
-    return FUEL_OUT if r is None else r
+    return strat.search(fuel, attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +479,12 @@ def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
                 out.truncated = True
                 out.note("application combination cap hit")
                 combos = combos[:ctx.node_cap]
-        rule = ctx.alg.rule(t.sym)
+        rule = ctx.alg.interp[t.sym.name]
         for combo in combos:
-            v = _apply(rule, combo, ctx.fuel, out, t.sym.name)
-            if v is not DIV and v is not FUEL_OUT:
+            v = rule(ctx.fuel, *combo)
+            if v is DIV or v is FUEL_OUT:
+                _failed(out, v, t.sym.name)
+            else:
                 out.add(v, seen)
         return out
     if isinstance(t, Choose):
@@ -569,11 +536,8 @@ def _term_outcomes(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
         return _enum_term(ctx, t, b)
     out = OutcomeSet()
     r = ctx.compiled(t)(b, ctx.fuel, None)
-    if r is DIV:
-        out.proven_divergent = True
-    elif r is FUEL_OUT:
-        out.truncated = True
-        out.note("term evaluation: fuel exhausted")
+    if r is DIV or r is FUEL_OUT:
+        _failed(out, r, "term evaluation")
     else:
         out.values.append(r)
     return out
@@ -593,7 +557,8 @@ def _assign_outcomes(ctx: Ctx, s: Assign, sigma: State) -> OutcomeSet:
     for t in s.rhs:
         r = ctx.compiled(t)(sigma.bindings, ctx.fuel, None)
         if r is DIV or r is FUEL_OUT:
-            return _failed(out, r)
+            _failed(out, r)
+            return out
         vals.append(r)
     out.values.append(sigma.set_many(s.lhs, vals))
     return out
@@ -804,14 +769,6 @@ def _compile_stmt(ctx: Ctx, nodes: list, s: Stmt, k: int) -> int:
     return k
 
 
-def _failed(out: OutcomeSet, v) -> OutcomeSet:
-    if v is DIV:
-        out.proven_divergent = True
-    else:
-        out.truncated = True
-    return out
-
-
 def _eval_stmt_det(ctx: Ctx, nodes: list, i: int, sigma: State) -> OutcomeSet:
     """Oracle and Dovetail: one path, run on one bindings dict."""
     b = dict(sigma.bindings)
@@ -828,22 +785,23 @@ def _eval_stmt_det(ctx: Ctx, nodes: list, i: int, sigma: State) -> OutcomeSet:
         if kind == _ASSIGN1:
             v = node.f(b, fuel, None)
             if v is DIV or v is FUEL_OUT:
-                return _failed(out, v)
+                _failed(out, v)
+                return out
             b[node.name] = v
             i = node.next
         elif kind == _GUARD:
             v = node.f(b, fuel, None)
             if v is DIV or v is FUEL_OUT:
-                if v is FUEL_OUT:
-                    out.note("term evaluation: fuel exhausted")
-                return _failed(out, v)
+                _failed(out, v, "term evaluation")
+                return out
             i = node.next if v.b else node.alt
         elif kind == _ASSIGN:
             vals = []
             for f in node.fs:
                 v = f(b, fuel, None)
                 if v is DIV or v is FUEL_OUT:
-                    return _failed(out, v)
+                    _failed(out, v)
+                    return out
                 vals.append(v)
             b.update(zip(node.lhs, vals))
             i = node.next
@@ -1008,12 +966,16 @@ def choose_eliminate(p: Procedure, alg: PartialAlgebra) -> Procedure:
     """Rewrite every choose into a least-witness while search (Prop 3.4.1
     style); sound for deterministic procedures over total algebras. A search
     in a branch of a conditional term runs only when that branch is taken,
-    and a search in a choose guard runs again for every candidate."""
+    and a search in a choose guard runs again for every candidate.
+
+    Precondition: a search nested in a choose guard must have a witness for
+    every candidate that the outer least-witness search reaches. Where one
+    has none, the rewritten procedure diverges at that candidate (it never
+    answers wrongly), while Enumerate and Dovetail go on to a later one."""
     if not alg.total:
         raise ChooseEliminationError(
             f"algebra {alg.name} is not total; choose elimination needs "
             "convergent guard evaluation")
-    from .signature import NAT
     sig = alg.signature
     counter = [0]
     new_aux: list = []

@@ -17,8 +17,8 @@ from typing import Callable, Optional
 from .codes import (Fuel, ECode, ConstCode, DiagonalCode, CodeRegistry,
                     FastCauchyError, check_fast_cauchy_prefix,
                     pair, unpair, rat_decode, rat_encode)
-from .algebra import (PartialAlgebra, Value, NatV, RealV, TT, FF,
-                      rat_value)
+from .algebra import (PartialAlgebra, Value, NatV, RealV, TT, FF, DIV,
+                      FUEL_OUT, rat_value)
 from .signature import Signature, ClosedTerm
 
 
@@ -244,12 +244,12 @@ class CanonicalEnumeration(Enumeration):
             if v is None:
                 return None
             vals.append(v)
-        verdict = self.algebra.apply(t.sym, tuple(vals), Fuel(self.fuel_per_eval))
-        if verdict.tag == "div":
+        v = self.algebra.apply(t.sym, tuple(vals), Fuel(self.fuel_per_eval))
+        if v is DIV:
             return None  # excluded from the index domain
-        if verdict.tag == "fuel":
+        if v is FUEL_OUT:
             raise EnumPending(f"evaluation of {t!r} pending at the session budget")
-        return verdict.value
+        return v
 
     def _decode(self, sort: str, k: int) -> Value:
         v = self._eval(sort, k)

@@ -16,18 +16,17 @@ checked as "not refuted at precision 2^-20".
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import (PartialAlgebra, Value, BoolV, NatV, RealV, ArrV,
-                      Verdict, Converged, PROVEN_DIVERGENT, FUEL_EXHAUSTED,
-                      TT, FF, InterpRule, compare_codes, rat_value,
-                      array_rules, _total, _if_rule, AlgebraError)
+from .algebra import (PartialAlgebra, Value, BoolV, NatV, RealV, ArrV, DIV,
+                      FUEL_OUT, Failure, TT, FF, InterpRule, compare_codes,
+                      rat_value, array_rules, AlgebraError)
 from .codes import (Fuel, ECode, ConstCode, CodeRegistry, CodeProducerError,
                     add_codes, neg_code, mul_codes, abs_diff_code, inv_code,
                     prog_rat_decode)
-from .interp import DIV, FUEL_OUT, Dovetail, eval_proc, nat_value
+from .interp import Dovetail, eval_proc, nat_value
 from .lang.ast import Procedure
 from .reals import Enumeration, diagonal_code, ecode_eval
 from .report import Report
@@ -39,21 +38,21 @@ EQUALITY_CHECK_BITS = 20
 
 @dataclass
 class TrackingFn:
-    """A rule on code tuples, with its declared index domain noted."""
+    """A rule fn(fuel, *codes) on code naturals, with its declared index
+    domain noted."""
 
-    fn: Callable[[tuple, Fuel], Verdict]
+    fn: InterpRule
     domain_note: str = "all registered codes"
 
-    def __call__(self, args: tuple, fuel: Fuel) -> Verdict:
-        return self.fn(args, fuel)
+    def __call__(self, fuel: Fuel, *args):
+        return self.fn(fuel, *args)
 
 
 @dataclass
 class EffectivityCert:
-    """Tracking functions for every basic symbol, with check reports."""
+    """Tracking functions for every basic symbol."""
 
     trackers: dict[str, TrackingFn]
-    reports: dict[str, Report] = field(default_factory=dict)
 
     def covers(self, signature) -> list[str]:
         return [name for name in signature.symbols if name not in self.trackers]
@@ -87,7 +86,6 @@ def builtin_certs(base: PartialAlgebra, registry: CodeRegistry) -> EffectivityCe
     interval algebras (starred or not). Codes travel as nat values holding
     registry indices; bool and nat are tracked identically."""
     sig = base.signature
-    trackers: dict[str, InterpRule] = {}
 
     def code_of(v: NatV) -> ECode:
         return registry.code(v.n)
@@ -95,47 +93,72 @@ def builtin_certs(base: PartialAlgebra, registry: CodeRegistry) -> EffectivityCe
     def mint(c: ECode) -> NatV:
         return NatV(registry.mint(c))
 
+    def zero_real(fuel):
+        fuel.take()
+        return NatV(0)  # index 0 is const 0
+
+    def one_real(fuel):
+        fuel.take()
+        return mint(ConstCode(1))
+
+    def add(fuel, a, b):
+        fuel.take()
+        return mint(add_codes(code_of(a), code_of(b)))
+
+    def mul(fuel, a, b):
+        fuel.take()
+        return mint(mul_codes(code_of(a), code_of(b)))
+
+    def neg(fuel, a):
+        fuel.take()
+        return mint(neg_code(code_of(a)))
+
+    def inv(fuel, a):
+        c, status = inv_code(code_of(a), fuel)
+        if status == "zero":
+            return DIV
+        if status == "fuel":
+            return FUEL_OUT
+        return mint(c)
+
+    def eq_real(fuel, a, b):
+        return compare_codes(code_of(a), code_of(b), fuel, "eq")
+
+    def less_real(fuel, a, b):
+        return compare_codes(code_of(a), code_of(b), fuel, "less")
+
+    def nat2real(fuel, a):
+        fuel.take()
+        return mint(ConstCode(a.n))
+
+    def rat(fuel, a):
+        fuel.take()
+        return mint(ConstCode(prog_rat_decode(a.n)))
+
+    def dist(fuel, a, b):
+        fuel.take()
+        return mint(abs_diff_code(code_of(a), code_of(b)))
+
+    def i_I(fuel, a):
+        fuel.take()
+        return a
+
+    trackers = {"zero_real": zero_real, "one_real": one_real, "add": add,
+                "mul": mul, "neg": neg, "inv": inv, "eq_real": eq_real,
+                "less_real": less_real, "nat2real": nat2real, "rat": rat,
+                "dist": dist, "zero_interval": zero_real, "i_I": i_I}
+    discrete = ("bool", "nat")
     for name, sym in sig.symbols.items():
-        if name in ("true", "false", "and", "or", "not", "zero_nat", "succ",
-                    "eq_nat", "less_nat", "pair", "fst", "snd"):
+        if sym.conditional or all(s.kind in discrete for s in
+                                  sym.arg_sorts + (sym.result_sort,)):
             trackers[name] = base.interp[name]
-        elif sym.conditional:
-            trackers[name] = _if_rule()
-    if "zero_real" in sig.symbols:
-        trackers["zero_real"] = _total(lambda: NatV(0))  # index 0 is const 0
-        trackers["one_real"] = _total(lambda: mint(ConstCode(1)))
-        trackers["add"] = _total(lambda a, b: mint(add_codes(code_of(a), code_of(b))))
-        trackers["mul"] = _total(lambda a, b: mint(mul_codes(code_of(a), code_of(b))))
-        trackers["neg"] = _total(lambda a: mint(neg_code(code_of(a))))
-
-        def inv_rule(args, fuel):
-            c, status = inv_code(code_of(args[0]), fuel)
-            if status == "zero":
-                return PROVEN_DIVERGENT
-            if status == "fuel":
-                return FUEL_EXHAUSTED
-            return Converged(mint(c))
-
-        trackers["inv"] = inv_rule
-        trackers["eq_real"] = lambda args, fuel: compare_codes(
-            code_of(args[0]), code_of(args[1]), fuel, "eq")
-        trackers["less_real"] = lambda args, fuel: compare_codes(
-            code_of(args[0]), code_of(args[1]), fuel, "less")
-    if "nat2real" in sig.symbols:
-        trackers["nat2real"] = _total(lambda a: mint(ConstCode(a.n)))
-        trackers["rat"] = _total(lambda a: mint(ConstCode(prog_rat_decode(a.n))))
-        trackers["dist"] = _total(
-            lambda a, b: mint(abs_diff_code(code_of(a), code_of(b))))
-    if "i_I" in sig.symbols:
-        trackers["zero_interval"] = _total(lambda: NatV(0))
-        trackers["i_I"] = _total(lambda a: a)
     for s in sig.sorts.values():
         if s.kind == "array" and f"Null_{s.elem.name}" in sig.symbols:
             trackers.update(array_rules(s.elem, _code_default))
     missing = [n for n in sig.symbols if n not in trackers]
     if missing:
         raise AlgebraError(f"no tracking functions for {missing}")
-    return EffectivityCert({n: TrackingFn(r) for n, r in trackers.items()})
+    return EffectivityCert({n: TrackingFn(trackers[n]) for n in sig.symbols})
 
 
 def _code_default(elem: Sort) -> Value:
@@ -203,42 +226,40 @@ def encode_input(v: Value, sort: Sort, registry: CodeRegistry) -> Value:
 # tracking checks
 
 
-def check_tracking(F: Callable[[tuple, Fuel], Verdict], f, samples,
+def check_tracking(F: InterpRule, f, samples,
                    decode: Callable[[int, int], tuple],
                    decode_out: Optional[Callable[[Value], Value]] = None,
                    strict: bool = False, fuel_steps: int = 100_000,
                    name: str = "tracking") -> Report:
     """Sampled commuting square.
 
-    F runs on abstract values, f on index tuples; decode(position, index)
-    supplies the abstract value for each sample component and decode_out
-    maps the tracked result back to a value. Failures are report rows,
-    never exceptions.
+    F runs on abstract values and f on indices, both called as rules
+    F(fuel, *args); decode(position, index) supplies the abstract value for
+    each sample component and decode_out maps the tracked result back to a
+    value. Failures are report rows, never exceptions.
     """
     rep = Report(name)
     decode_out = decode_out or (lambda v: v)
     for ks in samples:
         abstract_args = tuple(decode(i, k) for i, k in enumerate(ks))
-        FV = F(abstract_args, Fuel(fuel_steps))
-        fv = f(tuple(NatV(k) for k in ks), Fuel(fuel_steps))
+        FV = F(Fuel(fuel_steps), *abstract_args)
+        fv = f(Fuel(fuel_steps), *(NatV(k) for k in ks))
+        tag_F, tag_f = (r.value if isinstance(r, Failure) else "ok"
+                        for r in (FV, fv))
         sample = str(ks)
-        if FV.tag == "ok":
-            if fv.tag != "ok":
-                rep.add(False, name, sample,
-                        f"abstract converged but tracking gave {fv.tag}")
-                continue
-            abstract_out = FV.value
-            tracked_out = decode_out(fv.value)
-            rep.add(_values_equal_unrefuted(abstract_out, tracked_out),
+        if tag_F == "ok" and tag_f != "ok":
+            rep.add(False, name, sample,
+                    f"abstract converged but tracking gave {tag_f}")
+        elif tag_F == "ok":
+            rep.add(_values_equal_unrefuted(FV, decode_out(fv)),
                     name, sample, "square commutes (equality unrefuted at 2^-20)")
+        elif strict and tag_f == "ok":
+            rep.add(False, name, sample,
+                    "strictness failure: tracking converged where the "
+                    "abstract function does not")
         else:
-            if strict and fv.tag == "ok":
-                rep.add(False, name, sample,
-                        "strictness failure: tracking converged where the "
-                        "abstract function does not")
-            else:
-                rep.add(True, name, sample,
-                        f"both sides non-convergent ({FV.tag}/{fv.tag})")
+            rep.add(True, name, sample,
+                    f"both sides non-convergent ({tag_F}/{tag_f})")
     return rep
 
 
@@ -385,8 +406,8 @@ def _dist_below(x: Value, center: Value, bound: Fraction, prec: int,
 def _scan_cover(cover, alpha: Enumeration, fuel: Fuel, probe):
     """Stage loop over cover balls: each stage takes one step of fuel and
     calls probe(i, center, radius, stage) on balls 0..stage (at most
-    cover_size_hint of them). The first non-None probe result, or None once
-    fuel runs out."""
+    cover_size_hint of them). The first non-None probe result, or FUEL_OUT
+    once fuel runs out."""
     stage = 0
     while fuel.take():
         for i in range(min(stage + 1, cover.cover_size_hint)):
@@ -395,14 +416,14 @@ def _scan_cover(cover, alpha: Enumeration, fuel: Fuel, probe):
             if r is not None:
                 return r
         stage += 1
-    return None
+    return FUEL_OUT
 
 
 def adequacy_mc(F_cover: LUCModulus, alpha: Enumeration, x: Value, n: int,
-                fuel: Fuel) -> Verdict:
+                fuel: Fuel):
     """Modulus of continuity at x: find a cover ball containing x, a gap
     exponent d0 with d(x, center) + 2^-d0 < 2^-l, and return
-    max(d0, LU(i, n)). Diverges (fuel) off the covered domain."""
+    max(d0, LU(i, n)). Diverges (FUEL_OUT) off the covered domain."""
 
     def probe(i, center, radius, stage):
         if not _dist_below(x, center, radius, stage, fuel):
@@ -410,15 +431,15 @@ def adequacy_mc(F_cover: LUCModulus, alpha: Enumeration, x: Value, n: int,
         for d0 in range(1, stage + 2):
             if _dist_below(x, center, radius - Fraction(1, 1 << d0),
                            stage + d0, fuel):
-                return Converged(nat_value(max(d0, F_cover.lu(i, n))))
+                return nat_value(max(d0, F_cover.lu(i, n)))
         return None
 
-    return _scan_cover(F_cover, alpha, fuel, probe) or FUEL_EXHAUSTED
+    return _scan_cover(F_cover, alpha, fuel, probe)
 
 
 def adequacy_g(f: TrackingFn, F_cover: LUCModulus, alpha: Enumeration,
                registry: CodeRegistry, x: Value, n: int,
-               strat=None, *, fuel: Fuel) -> Verdict:
+               strat=None, *, fuel: Fuel):
     """The approximant G_n(x): within 2^-n of F(x) for x in the domain.
 
     Steps: modulus M at precision n+1; Dovetail search (strat, or an
@@ -428,9 +449,9 @@ def adequacy_g(f: TrackingFn, F_cover: LUCModulus, alpha: Enumeration,
     on its stage budget is tried again; one refuted or proven divergent is
     not. A rational's constant code is minted once per call."""
     mc = adequacy_mc(F_cover, alpha, x, n + 1, fuel)
-    if mc.tag != "ok":
+    if mc is FUEL_OUT:
         return mc
-    M = mc.value.n
+    M = mc.n
     eps = Fraction(1, 1 << M)
     dovetail = strat if isinstance(strat, Dovetail) else Dovetail()
     e_cons: dict[Fraction, int] = {}
@@ -445,26 +466,25 @@ def adequacy_g(f: TrackingFn, F_cover: LUCModulus, alpha: Enumeration,
         q = a_k.code.value
         if q not in e_cons:
             e_cons[q] = registry.mint(ConstCode(q))
-        run = f((NatV(e_cons[q]),), fuel.spawn(stage + 1))
-        if run.tag == "ok":
-            y = ecode_eval(registry.code(run.value.n), n + 1, fuel)
-            return Converged(rat_value(y))
-        return DIV if run.tag == "div" else FUEL_OUT
+        run = f(fuel.spawn(stage + 1), NatV(e_cons[q]))
+        if run is DIV or run is FUEL_OUT:
+            return run
+        return rat_value(ecode_eval(registry.code(run.n), n + 1, fuel))
 
-    return dovetail.search(fuel, attempt) or FUEL_EXHAUSTED
+    return dovetail.search(fuel, attempt)
 
 
 def effective_open_membership(cover: EffOpenCover, e: ECode,
-                              alpha: Enumeration, fuel: Fuel) -> Verdict:
+                              alpha: Enumeration, fuel: Fuel):
     """Semi-decide membership of the coded point in the cover union."""
     point = RealV(e)
 
     def probe(i, center, radius, stage):
         if _dist_below(point, center, radius, stage, fuel):
-            return Converged(TT)
+            return TT
         return None
 
-    return _scan_cover(cover, alpha, fuel, probe) or FUEL_EXHAUSTED
+    return _scan_cover(cover, alpha, fuel, probe)
 
 
 def strictify_tracking(f: TrackingFn, cover: EffOpenCover,
@@ -472,11 +492,11 @@ def strictify_tracking(f: TrackingFn, cover: EffOpenCover,
     """f'(e) = f(e) after semi-deciding that the coded point lies in the
     (declared-equal-to-domain) cover; strict by construction."""
 
-    def rule(args, fuel: Fuel) -> Verdict:
+    def rule(fuel: Fuel, *args):
         member = effective_open_membership(cover, registry.code(args[0].n),
                                            alpha, fuel)
-        if member.tag != "ok":
+        if member is FUEL_OUT:
             return member
-        return f(args, fuel)
+        return f(fuel, *args)
 
     return TrackingFn(rule, domain_note=f"cover {cover.relation} to dom(F)")

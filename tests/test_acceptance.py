@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from whilecc.algebra import (get_algebra, rat_value, interval_value, NatV,
-                             RealV, apply, Converged)
+                             RealV, apply, DIV, FUEL_OUT)
 from whilecc.codes import (Fuel, ConstCode, CodeRegistry, SumCode, sqrt_code,
                            mul_codes, rat_encode, rat_dist,
                            check_fast_cauchy_prefix)
@@ -201,10 +201,10 @@ def test_criterion_7_theorem_b_construction():
     cover = LUCModulus(cover=lambda i: pairs[i % len(pairs)],
                        lu=lambda i, n: n + 4, cover_size_hint=len(pairs))
 
-    def sq(args, fuel):
+    def sq(fuel, a):
         fuel.take()
-        c = reg.code(args[0].n)
-        return Converged(NatV(reg.mint(mul_codes(c, c))))
+        c = reg.code(a.n)
+        return NatV(reg.mint(mul_codes(c, c)))
 
     f = TrackingFn(sq)
     rationals = [Fraction(n, d) for d in (1, 2, 3, 4, 8)
@@ -224,9 +224,9 @@ def test_criterion_7_theorem_b_construction():
         for n in ((10,) if i % 3 else (4, 10)):
             out = adequacy_g(f, cover, alpha, reg, x, n, Dovetail(),
                              fuel=Fuel(2_000_000))
-            ok &= out.tag == "ok"
-            if out.tag == "ok":
-                ok &= abs(out.value.code.value - xq * xq) < Fraction(1, 1 << n)
+            ok &= out is not DIV and out is not FUEL_OUT
+            if out is not DIV and out is not FUEL_OUT:
+                ok &= abs(out.code.value - xq * xq) < Fraction(1, 1 << n)
     criterion("criterion-7 theorem-b", ok, 10.0, time.time() - t0,
               "G_n(x) within 2^-n of x^2 at 20 rational/code samples, n<=10")
 
@@ -261,8 +261,9 @@ def test_criterion_8_property_suites():
         for _ in range(25):
             args = tuple(random.choice(pool) for _ in range(sym.arity))
             small = apply(rn, op, args, Fuel(random.randrange(1, 6)))
-            if small.tag in ("ok", "div"):
-                ok &= apply(rn, op, args, Fuel(50_000)).tag == small.tag
+            if small is not FUEL_OUT:
+                big = apply(rn, op, args, Fuel(50_000))
+                ok &= big is not FUEL_OUT and (big is DIV) == (small is DIV)
     detail.append("apply-fuel-monotone")
 
     # fuel monotonicity of eval_stmt leaf sets

@@ -1,4 +1,4 @@
-"""Built-in algebras, verdicts, fuel behavior, and metrics."""
+"""Built-in algebras, rule outcomes, fuel behavior, and metrics."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from whilecc.algebra import (apply, get_algebra, rat_value, interval_value,
                              interval_containment, INTERVAL_SLACK_BITS,
                              product_metric, AlgebraError,
-                             BoolV, NatV, RealV, ArrV, TT, FF)
+                             BoolV, NatV, RealV, ArrV, TT, FF, Value, DIV,
+                             FUEL_OUT)
 from whilecc.codes import Fuel, ConstCode, sqrt_code, e_code, add_codes
 from whilecc.signature import ProductType, REAL, NAT
 
@@ -18,38 +19,38 @@ F = lambda k=100000: Fuel(k)
 
 
 def test_booleans(B):
-    assert apply(B, "and", (TT, FF), F()).value.b is False
-    inner = apply(B, "not", (TT,), F()).value
-    assert apply(B, "not", (inner,), F()).value.b is True
-    assert apply(B, "or", (FF, FF), F()).value.b is False
+    assert apply(B, "and", (TT, FF), F()).b is False
+    inner = apply(B, "not", (TT,), F())
+    assert apply(B, "not", (inner,), F()).b is True
+    assert apply(B, "or", (FF, FF), F()).b is False
 
 
 def test_naturals(N):
-    assert apply(N, "eq_nat", (NatV(3), NatV(3)), F()).value.b
-    assert apply(N, "less_nat", (NatV(2), NatV(7)), F()).value.b
-    assert apply(N, "if_nat", (TT, NatV(4), NatV(9)), F()).value.n == 4
-    assert apply(N, "succ", (NatV(41),), F()).value.n == 42
+    assert apply(N, "eq_nat", (NatV(3), NatV(3)), F()).b
+    assert apply(N, "less_nat", (NatV(2), NatV(7)), F()).b
+    assert apply(N, "if_nat", (TT, NatV(4), NatV(9)), F()).n == 4
+    assert apply(N, "succ", (NatV(41),), F()).n == 42
 
 
 def test_total_algebras_never_fail(B, N):
     # even at a dead budget the discrete total operations complete
-    assert apply(B, "and", (TT, TT), Fuel(0)).converged
-    assert apply(N, "succ", (NatV(0),), Fuel(0)).converged
+    assert isinstance(apply(B, "and", (TT, TT), Fuel(0)), Value)
+    assert isinstance(apply(N, "succ", (NatV(0),), Fuel(0)), Value)
 
 
 def test_real_field_and_partial_comparisons(RN):
     v = apply(RN, "add", (rat_value(Fraction(1, 2)), rat_value(Fraction(1, 3))), F())
-    assert v.value.code.value == Fraction(5, 6)
-    assert apply(RN, "less_real", (rat_value(1), rat_value(2)), F()).value.b
+    assert v.code.value == Fraction(5, 6)
+    assert apply(RN, "less_real", (rat_value(1), rat_value(2)), F()).b
     for fuel in (1, 10, 1000):
-        assert apply(RN, "eq_real", (rat_value(1), rat_value(1)), Fuel(fuel)).tag == "fuel"
-    assert apply(RN, "inv", (rat_value(0),), F()).tag == "div"
-    assert apply(RN, "inv", (rat_value(2),), F()).value.code.value == Fraction(1, 2)
+        assert apply(RN, "eq_real", (rat_value(1), rat_value(1)), Fuel(fuel)) is FUEL_OUT
+    assert apply(RN, "inv", (rat_value(0),), F()) is DIV
+    assert apply(RN, "inv", (rat_value(2),), F()).code.value == Fraction(1, 2)
 
 
 def test_comparison_on_same_code_exhausts(RN):
     s2 = sqrt_code(2)
-    assert apply(RN, "less_real", (RealV(s2), RealV(s2)), Fuel(64)).tag == "fuel"
+    assert apply(RN, "less_real", (RealV(s2), RealV(s2)), Fuel(64)) is FUEL_OUT
 
 
 def test_comparison_against_64_digit_oracle(RN):
@@ -59,19 +60,19 @@ def test_comparison_against_64_digit_oracle(RN):
              add_codes(sqrt_code(2), ConstCode(Fraction(-1, 64)))]
     for i, x in enumerate(codes):
         for j, y in enumerate(codes):
-            verdict = apply(RN, "less_real", (RealV(x), RealV(y)), Fuel(400))
-            if verdict.tag != "ok":
+            out = apply(RN, "less_real", (RealV(x), RealV(y)), Fuel(400))
+            if out is DIV or out is FUEL_OUT:
                 continue
             xlo, xhi = x.interval(220)
             ylo, yhi = y.interval(220)
-            if verdict.value.b:
+            if out.b:
                 assert xlo < yhi, (i, j)
             else:
                 assert ylo < xhi, (i, j)
 
 
-def test_fuel_monotonicity_of_apply(RN):
-    # Converged / ProvenDivergent verdicts never change with more fuel
+def test_apply_is_fuel_monotone(RN):
+    # values and DIV never change with more fuel
     random.seed(7)
     args_pool = [rat_value(Fraction(random.randrange(-9, 10),
                                     random.randrange(1, 9))) for _ in range(12)]
@@ -81,11 +82,11 @@ def test_fuel_monotonicity_of_apply(RN):
         for _ in range(40):
             args = tuple(random.choice(args_pool) for _ in range(sym.arity))
             small = apply(RN, op, args, Fuel(random.randrange(1, 8)))
-            if small.tag in ("ok", "div"):
+            if small is not FUEL_OUT:
                 big = apply(RN, op, args, Fuel(10_000))
-                assert big.tag == small.tag
-                if small.tag == "ok" and isinstance(small.value, (BoolV,)):
-                    assert big.value.b == small.value.b
+                assert big is not FUEL_OUT and (big is DIV) == (small is DIV)
+                if isinstance(small, BoolV):
+                    assert big.b == small.b
 
 
 def test_metric_axioms_sampled(RN):
@@ -124,15 +125,15 @@ def test_product_metric(RN):
 
 def test_star_algebra_array_ops(RNs):
     f = F()
-    arr = apply(RNs, "Null_real", (), f).value
-    assert apply(RNs, "Lgth_real", (arr,), f).value.n == 0
-    arr = apply(RNs, "Newlength_real", (arr, NatV(3)), f).value
-    arr = apply(RNs, "Update_real", (arr, NatV(1), rat_value(7)), f).value
-    assert apply(RNs, "Ap_real", (arr, NatV(1)), f).value.code.value == 7
+    arr = apply(RNs, "Null_real", (), f)
+    assert apply(RNs, "Lgth_real", (arr,), f).n == 0
+    arr = apply(RNs, "Newlength_real", (arr, NatV(3)), f)
+    arr = apply(RNs, "Update_real", (arr, NatV(1), rat_value(7)), f)
+    assert apply(RNs, "Ap_real", (arr, NatV(1)), f).code.value == 7
     # out of range reads are total and give the sort default
-    assert apply(RNs, "Ap_real", (arr, NatV(9)), f).value.code.value == 0
+    assert apply(RNs, "Ap_real", (arr, NatV(9)), f).code.value == 0
     # out of range updates leave the array unchanged
-    same = apply(RNs, "Update_real", (arr, NatV(9), rat_value(1)), f).value
+    same = apply(RNs, "Update_real", (arr, NatV(9), rat_value(1)), f)
     assert [v.code.value for v in same.items] == [v.code.value for v in arr.items]
 
 
@@ -151,11 +152,11 @@ def test_interval_algebra(IN):
     f = F()
     half = interval_value(ConstCode(Fraction(1, 2)))
     out = apply(IN, "i_I", (half,), f)
-    assert out.value.code.value == Fraction(1, 2)
+    assert out.code.value == Fraction(1, 2)
     with pytest.raises(AlgebraError):
         interval_value(ConstCode(2))
     third = interval_value(sqrt_code(Fraction(1, 9)))  # a code for 1/3
-    assert apply(IN, "i_I", (third,), f).converged
+    assert isinstance(apply(IN, "i_I", (third,), f), Value)
     # boundary values pass with the documented slack
     interval_value(ConstCode(0))
     interval_value(ConstCode(1))

@@ -9,7 +9,10 @@ evaluation of choose-free terms must reproduce them bit for bit), then
 `Dovetail(seed)` and `Oracle(seed)`, which pin the choose search and the
 deterministic evaluator. A last axis runs one small program at every fuel
 budget up to the least one that completes, which pins the exact step at
-which each statement loop runs out of fuel.
+which each statement loop runs out of fuel. The rule axis applies every
+basic operation of `N*`, `RN*`, `IN*` and `code_algebra(IN*)` through
+`algebra.apply` to fixed arguments at a few budgets, and pins each outcome
+and the fuel left over: that is where a rule charges its own step.
 
 Regenerate (only when the semantics change on purpose) with
 
@@ -25,11 +28,13 @@ from pathlib import Path
 
 import pytest
 
-from whilecc.algebra import get_algebra, rat_value, value_key
-from whilecc.codes import Fuel
+from whilecc.algebra import (DIV, FUEL_OUT, ArrV, BoolV, NatV, RealV, apply,
+                             get_algebra, rat_value, value_key)
+from whilecc.codes import CodeRegistry, Fuel, sqrt_code
 from whilecc.interp import Dovetail, Enumerate, Oracle, eval_proc, nat_value
 from whilecc.lang import parse_program
 from whilecc.programs import load, real_array
+from whilecc.tracking import code_algebra, encode_input
 
 FIXTURE = Path(__file__).parent / "data" / "enum_golden.json"
 
@@ -185,10 +190,93 @@ def _case_id(case) -> str:
     return f"{program}-{args}-f{fuel}-{tail}"
 
 
+# The rule axis. Each sort has a pool of argument makers, called afresh for
+# every application, so that no code's approximation cache carries over from
+# one case to the next. The real pool gives equal reals (ties in eq/less),
+# an exact zero (inv) and a non-constant code.
+RULE_ALGEBRAS = ("N*", "RN*", "IN*", "codes(IN*)")
+RULE_FUELS = (0, 1, 2, 5, 64)
+APPROX_BITS, APPROX_FUEL = 20, 100_000
+SCALARS = {
+    "bool": (("tt", lambda: BoolV(True)), ("ff", lambda: BoolV(False))),
+    "nat": (("0", lambda: NatV(0)), ("3", lambda: NatV(3))),
+    "real": (("0", lambda: rat_value(0)), ("1/2", lambda: rat_value(Fraction(1, 2))),
+             ("sqrt2", lambda: RealV(sqrt_code(2)))),
+    "interval": (("0", lambda: rat_value(0)),
+                 ("1/2", lambda: rat_value(Fraction(1, 2)))),
+}
+
+
+def _pool(sort) -> tuple:
+    """(label, maker) pairs for the arguments of one sort; an array is empty
+    or holds the first and last element of its element sort's pool."""
+    if sort.kind != "array":
+        return SCALARS[sort.name]
+    (l0, m0), (l1, m1) = SCALARS[sort.elem.name][0], SCALARS[sort.elem.name][-1]
+    return (("[]", lambda: ArrV(sort.elem, ())),
+            (f"[{l0},{l1}]", lambda: ArrV(sort.elem, (m0(), m1()))))
+
+
+def _rule_algebra(name: str):
+    if name == "codes(IN*)":
+        registry = CodeRegistry()
+        return code_algebra(get_algebra("IN*"), registry), registry
+    return get_algebra(name), None
+
+
+def _rule_key(v) -> str:
+    """The value key, with a non-constant real as its approximation at
+    2^-APPROX_BITS (a code's identity cannot be recorded)."""
+    if isinstance(v, RealV) and not v.code.is_const:
+        return f"approx {v.code.approx(APPROX_BITS, Fuel(APPROX_FUEL))}"
+    if isinstance(v, ArrV):
+        return "[" + ", ".join(_rule_key(x) for x in v.items) + "]"
+    return repr(value_key(v))
+
+
+def _outcome(r) -> str:
+    if r is DIV:
+        return "div"
+    if r is FUEL_OUT:
+        return "fuel"
+    return _rule_key(r)
+
+
+def _run_rule(alg_name: str, rule: str) -> dict:
+    """Every argument combination at every budget of RULE_FUELS, in order,
+    on one fresh algebra (and registry, whose indices are then fixed)."""
+    alg, registry = _rule_algebra(alg_name)
+    sym = alg.signature.symbol(rule)
+    combos = [()]
+    for s in sym.arg_sorts:
+        combos = [c + ((s, p),) for c in combos for p in _pool(s)]
+    cases = []
+    for combo in combos:
+        for fuel in RULE_FUELS:
+            args = tuple(make() for _, (_, make) in combo)
+            if registry is not None:
+                args = tuple(encode_input(v, s, registry)
+                             for v, (s, _) in zip(args, combo))
+            budget = Fuel(fuel)
+            r = apply(alg, rule, args, budget)
+            cases.append({"args": ",".join(label for _, (label, _) in combo),
+                          "fuel": fuel, "outcome": _outcome(r),
+                          "fuel_remaining": budget.remaining})
+    return {"algebra": alg_name, "rule": rule, "cases": cases}
+
+
+def _rule_grid():
+    for name in RULE_ALGEBRAS:
+        alg, _ = _rule_algebra(name)
+        for rule in sorted(alg.signature.symbols):
+            yield name, rule
+
+
 ENUM_GRID = list(_grid(True))
 DET_GRID = list(_grid(False))
 BOUNDARY_GRID = list(_boundary_grid())
 GRID = ENUM_GRID + DET_GRID + BOUNDARY_GRID
+RULE_GRID = list(_rule_grid())
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +286,7 @@ def golden() -> list[dict]:
 
 def test_fixture_covers_grid(golden):
     # each case's record names its run, so only the count is left to check
-    assert len(golden) == len(GRID)
+    assert len(golden) == len(GRID) + len(RULE_GRID)
 
 
 @pytest.mark.parametrize("idx", range(len(ENUM_GRID)),
@@ -219,6 +307,12 @@ def test_fuel_boundary_matches_golden(golden, idx):
     assert _run(*GRID[idx]) == golden[idx]
 
 
+@pytest.mark.parametrize("idx", range(len(RULE_GRID)),
+                         ids=[f"{a}-{r}" for a, r in RULE_GRID])
+def test_rule_matches_golden(golden, idx):
+    assert _run_rule(*RULE_GRID[idx]) == golden[len(GRID) + idx]
+
+
 @pytest.mark.parametrize("make, last", BOUNDARIES,
                          ids=[repr(make()) for make, _ in BOUNDARIES])
 def test_fuel_boundary_is_the_least_budget_that_completes(make, last):
@@ -235,6 +329,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_enum_golden.py --write")
     FIXTURE.parent.mkdir(exist_ok=True)
-    rows = (json.dumps(_run(*c)) for c in GRID)
+    rows = [json.dumps(_run(*c)) for c in GRID]
+    rows += [json.dumps(_run_rule(*c)) for c in RULE_GRID]
     FIXTURE.write_text("[\n" + ",\n".join(rows) + "\n]\n")
-    print(f"wrote {len(GRID)} cases to {FIXTURE}")
+    print(f"wrote {len(rows)} cases to {FIXTURE}")

@@ -8,11 +8,15 @@ Each procedure is printed with `pretty_program`, and the tests check that
   * parsing the printed text gives the same procedure back;
   * a converged Dovetail(seed) or Oracle(seed) value lies in the Enumerate
     outcome set, whenever that set is not truncated;
-  * more fuel never removes an Enumerate value;
+  * more fuel never removes an Enumerate value, nor the proven-divergence
+    flag;
   * the stage-n computation tree is a prefix of the stage-(n+1) tree;
   * over N, where every guard converges, a procedure that Enumerate shows
     deterministic gives the same value after choose elimination as under
-    Dovetail.
+    Dovetail;
+  * over RN, the run over the code algebra tracks the run over values (the
+    soundness square): both converge or neither does, and the decoded code
+    outputs equal the value outputs.
 
 Draws are derandomized, so every run checks the same programs.
 """
@@ -24,7 +28,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from whilecc.algebra import get_algebra, rat_value, value_key
-from whilecc.codes import Fuel
+from whilecc.codes import CodeRegistry, Fuel
 from whilecc.interp import (Dovetail, Enumerate, Oracle, choose_eliminate,
                             comp_tree_stage, eval_proc, initial_state,
                             nat_value, tree_is_prefix)
@@ -32,9 +36,11 @@ from whilecc.lang import parse_program
 from whilecc.lang.ast import (App, Assign, Choose, Div, If, Lit, Procedure,
                               Program, Var, While, normalize_seq, seq_all)
 from whilecc.lang.parser import auto_init, pretty_program
+from whilecc.tracking import a0_square_check, code_algebra
 
 MAX_NAT = 4  # Enumerate's choose bound; every choose guard implies z <= it
 FUELS = (30, 60, 120, 250, 6_000)  # rising; strategies run on the last
+SQUARE_EXAMPLES = 150
 REAL_LITS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 4))
 
 
@@ -231,10 +237,12 @@ def test_converged_strategy_value_is_an_enumerate_value(case, strategy, seed):
 @given(programs())
 def test_more_fuel_keeps_every_enumerate_value(case):
     prog, proc, args = case
-    sets = [{value_key(v) for v in _enum(proc, args, fuel).values}
-            for fuel in FUELS]
-    for low, high in zip(sets, sets[1:]):
-        assert low <= high, pretty_program(prog)
+    runs = [_enum(proc, args, fuel) for fuel in FUELS]
+    for low, high in zip(runs, runs[1:]):
+        assert ({value_key(v) for v in low.values}
+                <= {value_key(v) for v in high.values}), pretty_program(prog)
+        assert high.proven_divergent or not low.proven_divergent, \
+            pretty_program(prog)
 
 
 @_settings(100)
@@ -272,3 +280,13 @@ def test_choose_elimination_agrees_with_dovetail_when_deterministic(case, seed):
     run = eval_proc(proc, args, alg, Dovetail(seed), Fuel(FUELS[-1]))
     if not run.maybe_divergent:
         assert [value_key(v) for v in run.values] == keys, pretty_program(prog)
+
+
+@_settings(SQUARE_EXAMPLES)
+@given(programs(("RN",)))
+def test_code_algebra_run_tracks_the_value_run(case):
+    prog, proc, args = case
+    rn, registry = get_algebra("RN"), CodeRegistry()
+    rep = a0_square_check(proc, rn, code_algebra(rn, registry), registry,
+                          [tuple(args)], fuel_steps=FUELS[-1])
+    assert rep.ok, (pretty_program(prog), rep.failures)

@@ -481,6 +481,22 @@ def test_choose_eliminate_keeps_searches_where_they_run(rhs):
         assert [v.n for v in a.values] == [v.n for v in b.values], n
 
 
+def test_choose_eliminate_diverges_where_a_guard_search_has_no_witness():
+    # the precondition of choose_eliminate: candidate 0 reaches an inner
+    # search with no witness; the strategies go on to the witness 1, the
+    # eliminated procedure runs that search until fuel runs out
+    rhs = ("choose z : (z < 4) andthen ((z = 1) orelse "
+           "((choose y : (y < 4) andthen (y = 5)) = 0))")
+    p = parse(f"algebra N\nfunc f in n: nat out r: nat begin r := {rhs} end")
+    for strat in (Dovetail(), Enumerate(4)):
+        res = eval_proc(p, (NatV(0),), N, strat, Fuel(5_000))
+        assert [v.n for v in res.values] == [1], strat
+        assert not res.maybe_divergent, strat
+    res = eval_proc(choose_eliminate(p, N), (NatV(0),), N, Dovetail(),
+                    Fuel(5_000))
+    assert res.values == [] and res.truncated and not res.proven_divergent
+
+
 def test_deterministic_programs_agree_with_elimination_spot():
     # the full 0..100 sweep is the acceptance criterion; spot-check here
     alg = get_algebra("N*")

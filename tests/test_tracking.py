@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from whilecc.algebra import (get_algebra, rat_value, value_key, NatV, RealV,
-                             ArrV, TT, FF, Converged, PROVEN_DIVERGENT,
-                             FUEL_EXHAUSTED)
+                             ArrV, TT, FF, DIV, FUEL_OUT)
 from whilecc.codes import (Fuel, CodeRegistry, ConstCode, sqrt_code,
                            mul_codes, add_codes, inv_code, rat_encode)
 from whilecc.interp import Dovetail, eval_proc
@@ -85,9 +84,10 @@ def test_code_algebra_array_trackers_match_star_algebra(name, registry):
             coded = tuple(encode_input(a, t, registry)
                           for a, t in zip(args, sym.arg_sorts))
             got = calg.apply(sym, coded, Fuel(100))
-            assert want.tag == got.tag == "ok", (name, sym.name)
-            decoded = decode_code_value(got.value, sym.result_sort, registry)
-            assert value_key(decoded) == value_key(want.value), \
+            assert all(r is not DIV and r is not FUEL_OUT
+                       for r in (want, got)), (name, sym.name)
+            decoded = decode_code_value(got, sym.result_sort, registry)
+            assert value_key(decoded) == value_key(want), \
                 (name, sym.name, args)
 
 
@@ -123,13 +123,13 @@ def test_check_tracking_addition(rn_codes):
     def decode(_i, k):
         return alpha.decode("real", k)
 
-    def f(args, fuel):
+    def f(fuel, a, b):
         fuel.take()
-        c1 = ConstCode(alpha.decode("real", args[0].n).code.value)
-        c2 = ConstCode(alpha.decode("real", args[1].n).code.value)
-        return Converged(NatV(reg.mint(add_codes(c1, c2))))
+        c1 = ConstCode(alpha.decode("real", a.n).code.value)
+        c2 = ConstCode(alpha.decode("real", b.n).code.value)
+        return NatV(reg.mint(add_codes(c1, c2)))
 
-    rep = check_tracking(lambda args, fuel: rn.apply("add", args, fuel),
+    rep = check_tracking(lambda fuel, *args: rn.apply("add", args, fuel),
                          TrackingFn(f), ks, decode,
                          decode_out=lambda v: RealV(reg.code(v.n)),
                          name="add-tracking")
@@ -140,13 +140,13 @@ def test_check_tracking_strictness_failure_reported(rn_codes):
     rn, calg, reg = rn_codes
     alpha = alpha_rat()
 
-    def bad_inv(args, fuel):  # ignores the zero case entirely
+    def bad_inv(fuel, a):  # ignores the zero case entirely
         fuel.take()
-        q = alpha.decode("real", args[0].n).code.value
-        return Converged(NatV(reg.mint(ConstCode(0 if q == 0 else 1 / q))))
+        q = alpha.decode("real", a.n).code.value
+        return NatV(reg.mint(ConstCode(0 if q == 0 else 1 / q)))
 
     ks = [(rat_encode(Fraction(1, 2)),), (rat_encode(Fraction(0)),)]
-    rep = check_tracking(lambda args, fuel: rn.apply("inv", args, fuel),
+    rep = check_tracking(lambda fuel, *args: rn.apply("inv", args, fuel),
                          TrackingFn(bad_inv), ks,
                          lambda _i, k: alpha.decode("real", k),
                          decode_out=lambda v: RealV(reg.code(v.n)),
@@ -158,7 +158,7 @@ def test_check_tracking_strictness_failure_reported(rn_codes):
 def test_check_tracking_eq_nat_identity():
     n_alg = get_algebra("N")
     f = TrackingFn(n_alg.interp["eq_nat"])
-    rep = check_tracking(lambda args, fuel: n_alg.apply("eq_nat", args, fuel),
+    rep = check_tracking(lambda fuel, *args: n_alg.apply("eq_nat", args, fuel),
                          f, [(3, 3), (2, 7)],
                          lambda _i, k: NatV(k), name="eq_nat")
     assert rep.ok
@@ -288,10 +288,10 @@ def square_setup(registry):
                        lu=lambda i, n: n + 4,
                        cover_size_hint=len(cover_pairs))
 
-    def sq(args, fuel):
+    def sq(fuel, a):
         fuel.take()
-        c = registry.code(args[0].n)
-        return Converged(NatV(registry.mint(mul_codes(c, c))))
+        c = registry.code(a.n)
+        return NatV(registry.mint(mul_codes(c, c)))
 
     return alpha, registry, cover, TrackingFn(sq)
 
@@ -300,14 +300,14 @@ def test_adequacy_mc_formula_case(square_setup):
     alpha, reg, cover, _ = square_setup
     out = adequacy_mc(cover, alpha, rat_value(Fraction(1, 2)), 4,
                       fuel=Fuel(200_000))
-    assert out.tag == "ok"
-    assert out.value.n >= 8  # max(d0, lu(i, 4)) with lu = n + 4
+    assert out is not DIV and out is not FUEL_OUT
+    assert out.n >= 8  # max(d0, lu(i, 4)) with lu = n + 4
 
 
 def test_adequacy_mc_outside_cover_exhausts(square_setup):
     alpha, reg, cover, _ = square_setup
     out = adequacy_mc(cover, alpha, rat_value(50), 3, fuel=Fuel(3000))
-    assert out.tag == "fuel"
+    assert out is FUEL_OUT
 
 
 def test_adequacy_g_square(square_setup):
@@ -316,34 +316,34 @@ def test_adequacy_g_square(square_setup):
         for n in (2, 6, 10):
             out = adequacy_g(sq, cover, alpha, reg, rat_value(xq), n, Dovetail(),
                              fuel=Fuel(500_000))
-            assert out.tag == "ok", (xq, n)
-            y = out.value.code.value
+            assert out is not DIV and out is not FUEL_OUT, (xq, n)
+            y = out.code.value
             assert abs(y - xq * xq) < Fraction(1, 1 << n), (xq, n, y)
 
 
 def test_adequacy_g_identity_tracking(square_setup):
     alpha, reg, cover, _ = square_setup
 
-    def ident(args, fuel):
+    def ident(fuel, a):
         fuel.take()
-        return Converged(args[0])
+        return a
 
     out = adequacy_g(TrackingFn(ident), cover, alpha, reg,
                      rat_value(Fraction(5, 8)), 8, Dovetail(), fuel=Fuel(500_000))
-    assert out.tag == "ok"
-    assert abs(out.value.code.value - Fraction(5, 8)) < Fraction(1, 256)
+    assert out is not DIV and out is not FUEL_OUT
+    assert abs(out.code.value - Fraction(5, 8)) < Fraction(1, 256)
 
 
 def test_adequacy_g_outside_domain_exhausts(square_setup):
     alpha, reg, cover, _ = square_setup
 
-    def inv_track(args, fuel):
-        code, status = inv_code(reg.code(args[0].n), fuel)
+    def inv_track(fuel, a):
+        code, status = inv_code(reg.code(a.n), fuel)
         if status == "zero":
-            return PROVEN_DIVERGENT
+            return DIV
         if status == "fuel":
-            return FUEL_EXHAUSTED
-        return Converged(NatV(reg.mint(code)))
+            return FUEL_OUT
+        return NatV(reg.mint(code))
 
     # x = 0 is outside dom(inv): the k-search never certifies f(e_con[k]) down
     pairs = [(rat_encode(Fraction(0)), 0)]
@@ -351,7 +351,7 @@ def test_adequacy_g_outside_domain_exhausts(square_setup):
                            cover_size_hint=1)
     out = adequacy_g(TrackingFn(inv_track), inv_cover, alpha, reg,
                      rat_value(0), 3, Dovetail(), fuel=Fuel(4000))
-    assert out.tag == "fuel"
+    assert out is FUEL_OUT
 
 
 def test_adequacy_g_never_retries_a_divergent_index(registry):
@@ -366,13 +366,13 @@ def test_adequacy_g_never_retries_a_divergent_index(registry):
                        cover_size_hint=1)
     seen = []
 
-    def divergent(args, fuel):
-        seen.append(registry.code(args[0].n).value)
-        return PROVEN_DIVERGENT
+    def divergent(fuel, a):
+        seen.append(registry.code(a.n).value)
+        return DIV
 
     out = adequacy_g(TrackingFn(divergent), cover, alpha, registry,
                      rat_value(0), 3, Dovetail(), fuel=Fuel(20_000))
-    assert out.tag == "fuel"
+    assert out is FUEL_OUT
     assert seen and len(seen) == len(set(seen))
 
 
@@ -382,14 +382,14 @@ def test_adequacy_g_mints_one_code_per_rational(square_setup):
     alpha, reg, cover, _ = square_setup
     tried = []
 
-    def undecided(args, fuel):
-        tried.append(reg.code(args[0].n).value)
-        return FUEL_EXHAUSTED
+    def undecided(fuel, a):
+        tried.append(reg.code(a.n).value)
+        return FUEL_OUT
 
     before = len(reg)
     out = adequacy_g(TrackingFn(undecided), cover, alpha, reg, rat_value(0), 3,
                      Dovetail(), fuel=Fuel(20_000))
-    assert out.tag == "fuel"
+    assert out is FUEL_OUT
     assert len(tried) > len(set(tried))
     assert len(reg) - before <= len(set(tried))
 
@@ -406,11 +406,11 @@ def test_effective_open_membership(registry):
                          cover_size_hint=len(pairs))
     one = ConstCode(1)
     out = effective_open_membership(cover, one, alpha, Fuel(5000))
-    assert out.tag == "ok" and out.value.b
+    assert out is not DIV and out is not FUEL_OUT and out.b
     zero = ConstCode(0)
     for budget in (50, 500, 5000):
         out = effective_open_membership(cover, zero, alpha, Fuel(budget))
-        assert out.tag == "fuel"  # boundary point: semi-decision never fires
+        assert out is FUEL_OUT  # boundary point: semi-decision never fires
 
 
 def test_strictify_tracking(registry):
@@ -418,19 +418,20 @@ def test_strictify_tracking(registry):
     pairs = [(rat_encode(Fraction(0)), -4)]  # one huge ball: everything nearby
     cover = EffOpenCover(cover=lambda i: pairs[0], cover_size_hint=1)
 
-    def ident(args, fuel):
+    def ident(fuel, a):
         fuel.take()
-        return Converged(args[0])
+        return a
 
     f = TrackingFn(ident)
     f2 = strictify_tracking(f, cover, alpha, registry)
     idx = registry.register(ConstCode(Fraction(1, 2)))
-    a = f((NatV(idx),), Fuel(1000))
-    b = f2((NatV(idx),), Fuel(5000))
-    assert a.tag == b.tag == "ok" and a.value.n == b.value.n
+    a = f(Fuel(1000), NatV(idx))
+    b = f2(Fuel(5000), NatV(idx))
+    assert all(r is not DIV and r is not FUEL_OUT for r in (a, b))
+    assert a.n == b.n
     # a code outside the cover never gets through the strictified version
     far_pairs = [(rat_encode(Fraction(10)), 4)]
     far_cover = EffOpenCover(cover=lambda i: far_pairs[0], cover_size_hint=1)
     f3 = strictify_tracking(f, far_cover, alpha, registry)
-    out = f3((NatV(idx),), Fuel(2000))
-    assert out.tag == "fuel"
+    out = f3(Fuel(2000), NatV(idx))
+    assert out is FUEL_OUT
