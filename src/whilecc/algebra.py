@@ -168,7 +168,7 @@ def compare_codes(x: ECode, y: ECode, fuel: Fuel, op: str):
 # partial algebras
 
 
-MetricRule = Callable[[Value, Value, int], Fraction]
+MetricRule = Callable[[Value, Value, int, Fuel], Fraction]
 InterpRule = Callable[..., "Value | Failure"]  # rule(fuel, *values)
 
 
@@ -202,12 +202,14 @@ class PartialAlgebra:
                 raise AlgebraError(f"{sym.name}: argument of sort {s.name} got {v!r}")
         return self.interp[sym.name](fuel, *args)
 
-    def metric(self, sort: Sort, v1: Value, v2: Value, n: int) -> Fraction:
+    def metric(self, sort: Sort, v1: Value, v2: Value, n: int, fuel: Fuel) -> Fraction:
+        """The distance at precision n; a real one is charged to `fuel` and
+        raises `OutOfFuel` when that runs out."""
         try:
             rule = self.metrics[sort.name]
         except KeyError:
             raise AlgebraError(f"sort {sort.name} has no metric") from None
-        return rule(v1, v2, n)
+        return rule(v1, v2, n, fuel)
 
     def default_value(self, sort: Sort) -> Value:
         v = apply_closed(self, default_term(self.signature, sort), Fuel(1000))
@@ -229,13 +231,13 @@ def apply_closed(a: PartialAlgebra, t: ClosedTerm, fuel: Fuel):
     return a.apply(t.sym, tuple(vals), fuel)
 
 
-def product_metric(a: PartialAlgebra, u, xs, ys, n: int) -> Fraction:
+def product_metric(a: PartialAlgebra, u, xs, ys, n: int, fuel: Fuel) -> Fraction:
     sorts = u.components if isinstance(u, ProductType) else tuple(u)
     if len(xs) != len(sorts) or len(ys) != len(sorts):
         raise AlgebraError("tuple length does not match product type")
     best = Fraction(0)
     for s, x, y in zip(sorts, xs, ys):
-        d = a.metric(s, x, y, n)
+        d = a.metric(s, x, y, n, fuel)
         if d > best:
             best = d
     return best
@@ -245,21 +247,21 @@ def product_metric(a: PartialAlgebra, u, xs, ys, n: int) -> Fraction:
 # metric rules
 
 
-def _discrete_metric(v1, v2, n):
+def _discrete_metric(v1, v2, n, fuel):
     return Fraction(0) if value_key(v1) == value_key(v2) else Fraction(1)
 
 
-def _real_metric(v1: RealV, v2: RealV, n: int) -> Fraction:
-    return abs_diff_code(v1.code, v2.code).approx(n)
+def _real_metric(v1: RealV, v2: RealV, n: int, fuel: Fuel) -> Fraction:
+    return abs_diff_code(v1.code, v2.code).approx(n, fuel)
 
 
 def _array_metric(elem_rule: MetricRule) -> MetricRule:
-    def rule(v1: ArrV, v2: ArrV, n: int) -> Fraction:
+    def rule(v1: ArrV, v2: ArrV, n: int, fuel: Fuel) -> Fraction:
         if len(v1.items) != len(v2.items):
             return Fraction(1)
         best = Fraction(0)
         for a, b in zip(v1.items, v2.items):
-            d = elem_rule(a, b, n)
+            d = elem_rule(a, b, n, fuel)
             if d > best:
                 best = d
         return min(Fraction(1), best)

@@ -7,6 +7,11 @@
 Exit status: 0 for a clean converged run, 2 when divergence remains
 possible, 1 for usage, parse, or input errors. Identical configurations
 print byte-identical reports.
+
+`--fuel` bounds the whole command: a non-constant real output is rendered
+on what the run left of it, and its value line says so when that runs out.
+`fuel_used` counts the run alone. Each run builds its own code registry, so
+no run reuses the levels an earlier one computed.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 
 from .algebra import (Value, BoolV, NatV, RealV, ArrV, get_algebra,
                       rat_value, interval_value, AlgebraError)
-from .codes import Fuel, CodeRegistry, ConstCode
+from .codes import Fuel, CodeRegistry, ConstCode, OutOfFuel
 from .interp import Dovetail, Enumerate, Oracle, eval_proc
 from .lang import parse_program, WccError
 from .programs import stdlib, StdlibError
@@ -27,8 +32,6 @@ from .signature import Sort
 
 FUEL_ENV = "WHILECC_FUEL_DEFAULT"
 DEFAULT_FUEL = 2_000_000
-
-_REGISTRY = CodeRegistry()
 
 
 class UsageError(Exception):
@@ -95,9 +98,9 @@ def _split_top(text: str) -> list[str]:
     return [p for p in (p.strip() for p in parts) if p]
 
 
-def to_value(lit, sort: Sort) -> Value:
+def to_value(lit, sort: Sort, registry: CodeRegistry) -> Value:
     if isinstance(lit, str):  # named code
-        code = _REGISTRY.code(_REGISTRY.named(lit))
+        code = registry.code(registry.named(lit))
         if sort.kind == "real":
             return RealV(code)
         if sort.kind == "interval":
@@ -118,7 +121,7 @@ def to_value(lit, sort: Sort) -> Value:
     if isinstance(lit, list):
         if sort.kind != "array":
             raise UsageError(f"array literal cannot fill sort {sort.name}")
-        return ArrV(sort.elem, tuple(to_value(x, sort.elem) for x in lit))
+        return ArrV(sort.elem, tuple(to_value(x, sort.elem, registry) for x in lit))
     raise UsageError(f"cannot interpret input {lit!r} for sort {sort.name}")
 
 
@@ -136,13 +139,13 @@ def load_program(spec: str, proc_name):
     return entry.load()
 
 
-def make_inputs(proc, lits) -> tuple:
+def make_inputs(proc, lits, registry: CodeRegistry) -> tuple:
     if len(lits) == 1 and isinstance(lits[0], tuple) and len(proc.in_vars) > 1:
         lits = list(lits[0])  # a single tuple literal carries the whole input
     if len(lits) != len(proc.in_vars):
         raise UsageError(f"{proc.name} takes {len(proc.in_vars)} inputs, "
                          f"got {len(lits)}")
-    return tuple(to_value(lit, s) for lit, (_, s) in zip(lits, proc.in_vars))
+    return tuple(to_value(lit, s, registry) for lit, (_, s) in zip(lits, proc.in_vars))
 
 
 def _decimal(q: Fraction, digits: int) -> str:
@@ -153,7 +156,8 @@ def _decimal(q: Fraction, digits: int) -> str:
     return f"{sign}{intpart}.{str(frac).zfill(digits)}"
 
 
-def render_value(v: Value, digits: int) -> str:
+def render_value(v: Value, digits: int, fuel: Fuel) -> str:
+    """v to `digits` decimals; a non-constant code is approximated on `fuel`."""
     if isinstance(v, NatV):
         return str(v.n)
     if isinstance(v, BoolV):
@@ -162,20 +166,24 @@ def render_value(v: Value, digits: int) -> str:
         if v.code.is_const:
             q = v.code.value
             return f"{q} ({_decimal(q, digits)})"
-        q = v.code.approx(digits * 4)
+        try:
+            q = v.code.approx(digits * 4, fuel)
+        except OutOfFuel:
+            return f"(code: fuel ran out rendering it to 2^-{digits * 4})"
         return f"~{_decimal(q, digits)} (code)"
     if isinstance(v, ArrV):
-        return "[" + ", ".join(render_value(x, digits) for x in v.items) + "]"
+        return "[" + ", ".join(render_value(x, digits, fuel) for x in v.items) + "]"
     if isinstance(v, tuple):
-        return "(" + ", ".join(render_value(x, digits) for x in v) + ")"
+        return "(" + ", ".join(render_value(x, digits, fuel) for x in v) + ")"
     return repr(v)
 
 
 def run_once(proc, alg, args, strat, fuel_steps):
+    """The outcome set, the fuel the run used, and the rendering budget:
+    what the run left of `fuel_steps`."""
     fuel = Fuel(fuel_steps)
     res = eval_proc(proc, args, alg, strat, fuel)
-    used = fuel_steps - fuel.remaining
-    return res, used
+    return res, fuel_steps - fuel.remaining, fuel
 
 
 def cmd_run(ns) -> int:
@@ -184,13 +192,12 @@ def cmd_run(ns) -> int:
     lits = [parse_literal(t) for t in lits]
     if ns.n is not None:
         lits = [Fraction(ns.n)] + lits
-    args = make_inputs(proc, lits)
+    args = make_inputs(proc, lits, CodeRegistry())
     strat = parse_strategy(ns.strategy, ns.seed)
-    res, used = run_once(proc, alg, args, strat, ns.fuel)
+    res, used, fuel = run_once(proc, alg, args, strat, ns.fuel)
     digits = (ns.n or 6) + 2
-    lines = []
-    for v in res.values:
-        lines.append(f"value {render_value(v, digits)}")
+    rendered = [render_value(v, digits, fuel) for v in res.values]
+    lines = [f"value {r}" for r in rendered]
     if not res.values:
         lines.append("value (none)")
     flag_bits = []
@@ -204,8 +211,8 @@ def cmd_run(ns) -> int:
                  f"fuel_budget={ns.fuel}")
     exit_code = 0 if (res.values and not res.maybe_divergent) else 2
     if ns.format == "json-lines":
-        for v in res.values:
-            print(json.dumps({"value": render_value(v, digits)}, sort_keys=True))
+        for r in rendered:
+            print(json.dumps({"value": r}, sort_keys=True))
         print(json.dumps({"flags": flag_bits, "diagnostics": res.diagnostics,
                           "outcomes": len(res.values), "fuel_used": used,
                           "exit": exit_code}, sort_keys=True))
@@ -238,15 +245,14 @@ def cmd_sweep(ns) -> int:
     census: dict[str, int] = {}
     for n in ns_list:
         for seed in seeds:
-            lits = [Fraction(n)] + base_lits
-            args = make_inputs(proc, lits)
-            res, used = run_once(proc, alg, args, Dovetail(seed), ns.fuel)
-            for v in res.values:
-                key = render_value(v, n + 2)
+            args = make_inputs(proc, [Fraction(n)] + base_lits, CodeRegistry())
+            res, used, fuel = run_once(proc, alg, args, Dovetail(seed), ns.fuel)
+            rendered = [render_value(v, n + 2, fuel) for v in res.values]
+            for key in rendered:
                 census[key] = census.get(key, 0) + 1
             cells.append({
                 "n": n, "seed": seed,
-                "values": [render_value(v, n + 2) for v in res.values],
+                "values": rendered,
                 "flags": {"proven_divergent": res.proven_divergent,
                           "truncated": res.truncated},
                 "diagnostics": res.diagnostics,

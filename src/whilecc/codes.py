@@ -15,6 +15,11 @@ codes (sum, product, inverse, ...) re-query their children at shifted
 precisions chosen so the fast Cauchy bound is preserved.
 The module also hosts the Cantor pairing utilities and the rational codecs
 used by enumerations, plus the append-only code registry.
+
+Every producer draws on the `Fuel` its caller passes, and raises `OutOfFuel`
+when that budget dies; there is no module-wide fallback budget. A diagonal
+code passes the same budget on to its level function, so whoever asks for a
+lifted code's n-th rational also pays for the level runs behind it.
 """
 
 from __future__ import annotations
@@ -130,13 +135,6 @@ class Fuel:
         return f"Fuel({self.remaining})"
 
 
-SESSION_FUEL = 10_000_000
-
-
-def _budget(fuel: Optional[Fuel]) -> Fuel:
-    return fuel if fuel is not None else Fuel(SESSION_FUEL)
-
-
 # ---------------------------------------------------------------------------
 # pairing and rational codecs
 
@@ -234,11 +232,15 @@ class ECode:
     def __init__(self):
         self._cache: dict[int, Fraction] = {}
 
-    def approx(self, n: int, fuel: Optional[Fuel] = None) -> Fraction:
-        """The n-th rational of the sequence; within 2^-n of the limit."""
+    def approx(self, n: int, fuel: Fuel) -> Fraction:
+        """The n-th rational of the sequence; within 2^-n of the limit.
+
+        The work of computing an uncached level, including any level runs
+        of a lifted code, is charged to `fuel`; `OutOfFuel` leaves the level
+        uncached."""
         v = self._cache.get(n)
         if v is None:
-            v = self._compute(n, _budget(fuel))
+            v = self._compute(n, fuel)
             self._cache[n] = v
         return v
 
@@ -249,7 +251,7 @@ class ECode:
     def is_const(self) -> bool:
         return False
 
-    def interval(self, n: int, fuel: Optional[Fuel] = None) -> tuple[Fraction, Fraction]:
+    def interval(self, n: int, fuel: Fuel) -> tuple[Fraction, Fraction]:
         v = self.approx(n, fuel)
         h = Fraction(1, 1 << n)
         return v - h, v + h
@@ -263,7 +265,7 @@ class ConstCode(ECode):
     def __init__(self, value):
         self.value = Fraction(value)
 
-    def approx(self, n, fuel=None):
+    def approx(self, n, fuel):
         return self.value
 
     @property
@@ -385,21 +387,23 @@ class InvCode(ECode):
 
 
 class DiagonalCode(ECode):
-    """Diagonal over a rule n -> code, shifted by 2 to restore fast Cauchy.
+    """Diagonal over a rule (n, fuel) -> code, shifted by 2 to restore fast
+    Cauchy.
 
     The caller promises level-n codes have limits within 2^-n of a common
     target; then value_at(n) = levels(n+2).approx(n+2) converges fast to it.
+    The level rule runs on the budget of the `approx` call that needs it.
     """
 
     __slots__ = ("levels",)
 
-    def __init__(self, levels: Callable[[int], ECode]):
+    def __init__(self, levels: Callable[[int, Fuel], ECode]):
         super().__init__()
         self.levels = levels
 
     def _compute(self, n, fuel):
         m = n + 2
-        code = self.levels(m)
+        code = self.levels(m, fuel)
         if code is None:
             raise CodeProducerError("diagonal level producer failed", m)
         return code.approx(m, fuel)
@@ -524,11 +528,10 @@ def e_code() -> ECode:
 VALIDATION_PREFIX = 14
 
 
-def check_fast_cauchy_prefix(code: ECode, upto: int = VALIDATION_PREFIX,
-                             fuel: Optional[Fuel] = None) -> list[tuple[int, int]]:
+def check_fast_cauchy_prefix(code: ECode, fuel: Fuel,
+                             upto: int = VALIDATION_PREFIX) -> list[tuple[int, int]]:
     """Exact-rational check of |v(k) - v(n)| < 2^-n on a finite prefix."""
-    budget = _budget(fuel)
-    vals = [code.approx(i, budget) for i in range(upto + 1)]
+    vals = [code.approx(i, fuel) for i in range(upto + 1)]
     bad = []
     for n in range(min(12, upto)):
         for k in range(n + 1, upto + 1):
@@ -542,15 +545,15 @@ class CodeRegistry:
 
     Indices are stable within a session; membership of an index in the code
     space is only ever validated on a finite prefix (the full predicate is
-    undecidable). Internally minted arithmetic codes skip the prefix check:
-    they are fast Cauchy by construction.
+    undecidable). `register` checks that prefix on the caller's budget;
+    `mint` skips it, for codes that are fast Cauchy by construction.
     """
 
     def __init__(self):
         self._codes: list[ECode] = []
         self._programs: dict[str, Callable[[int, int, Fuel], Fraction]] = {}
         self._named: dict[str, int] = {}
-        self.register(ConstCode(0))  # index 0: the default real
+        self.mint(ConstCode(0))  # index 0: the default real
 
     def __len__(self):
         return len(self._codes)
@@ -560,12 +563,11 @@ class CodeRegistry:
         self._codes.append(code)
         return len(self._codes) - 1
 
-    def register(self, code: ECode, validate: bool = False,
-                 prefix: int = VALIDATION_PREFIX, fuel: Optional[Fuel] = None) -> int:
-        if validate:
-            bad = check_fast_cauchy_prefix(code, prefix, fuel)
-            if bad:
-                raise FastCauchyError(bad)
+    def register(self, code: ECode, fuel: Fuel) -> int:
+        """Register a code after checking its fast Cauchy prefix on `fuel`."""
+        bad = check_fast_cauchy_prefix(code, fuel)
+        if bad:
+            raise FastCauchyError(bad)
         return self.mint(code)
 
     def code(self, index: int) -> ECode:

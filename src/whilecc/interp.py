@@ -656,11 +656,12 @@ class CompTree:
 
 
 def comp_tree_stage(s: Stmt, sigma: State, n: int, alg: PartialAlgebra,
-                    strat=None, fuel: Optional[Fuel] = None) -> CompTree:
+                    strat=None, *, fuel: Fuel) -> CompTree:
+    """The stage-n computation tree of s from sigma, built on `fuel`."""
     if n < 0:
         raise ValueError("stage must be non-negative")
     strat = strat or Enumerate()
-    ctx = Ctx(alg, strat, fuel if fuel is not None else Fuel(1_000_000))
+    ctx = Ctx(alg, strat, fuel)
     return _tree(ctx, s, sigma, n)
 
 

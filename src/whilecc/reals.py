@@ -83,8 +83,11 @@ def alpha_rat() -> Enumeration:
 # codes: spec-facing operations over the registry
 
 
-def ecode_eval(e: ECode, n: int, fuel: Optional[Fuel] = None) -> Fraction:
-    """The n-th rational of the sequence; within 2^-(n-1) of the limit."""
+def ecode_eval(e: ECode, n: int, fuel: Fuel) -> Fraction:
+    """The n-th rational of the sequence; within 2^-(n-1) of the limit.
+
+    All the work, including the level runs of a lifted code, is charged to
+    `fuel`; `OutOfFuel` is raised when it runs out first."""
     return e.approx(n, fuel)
 
 
@@ -103,10 +106,10 @@ class CCode:
     modulus: Callable[[int], int]  # precision -> stabilization point
 
 
-def c_to_e(c: CCode, alpha: Enumeration, sort: str = "real",
-           validate: bool = True) -> ECode:
+def c_to_e(c: CCode, alpha: Enumeration, fuel: Fuel, sort: str = "real") -> ECode:
     """Normalize to identity modulus: {e'}(n) = {e}({m}(n)). The fast Cauchy
-    prefix is checked; violations are reported, not silently accepted."""
+    prefix is checked on `fuel`; violations are reported, not silently
+    accepted."""
 
     def rule(n: int) -> Fraction:
         v = alpha.decode(sort, c.seq(c.modulus(n)))
@@ -114,16 +117,16 @@ def c_to_e(c: CCode, alpha: Enumeration, sort: str = "real",
 
     from .codes import RuleCode
     code = RuleCode(rule, name="c_to_e")
-    if validate:
-        bad = check_fast_cauchy_prefix(code)
-        if bad:
-            raise FastCauchyError(bad)
+    bad = check_fast_cauchy_prefix(code, fuel)
+    if bad:
+        raise FastCauchyError(bad)
     return code
 
 
-def diagonal_code(levels: Callable[[int], ECode]) -> ECode:
+def diagonal_code(levels: Callable[[int, Fuel], ECode]) -> ECode:
     """Diagonal over level codes whose limits approach a common target at
-    rate 2^-level; the result is shifted by two to restore fast Cauchy."""
+    rate 2^-level; the result is shifted by two to restore fast Cauchy.
+    `levels(m, fuel)` runs on the budget of the `approx` call needing it."""
     return DiagonalCode(levels)
 
 
@@ -248,7 +251,8 @@ class CanonicalEnumeration(Enumeration):
         if v is DIV:
             return None  # excluded from the index domain
         if v is FUEL_OUT:
-            raise EnumPending(f"evaluation of {t!r} pending at the session budget")
+            raise EnumPending(f"evaluation of {t!r} pending at its per-evaluation "
+                              f"budget (fuel_per_eval={self.fuel_per_eval})")
         return v
 
     def _decode(self, sort: str, k: int) -> Value:

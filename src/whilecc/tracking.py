@@ -10,7 +10,8 @@ representing machinery of the soundness proof, and the comparison of the
 two instantiations is what the tests check.
 
 Real-sorted equality of results is only refutable, so commuting squares are
-checked as "not refuted at precision 2^-20".
+checked as "not refuted at precision 2^-20", on the budget the check already
+gives the tracked side; a comparison that runs out of it fails its row.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .algebra import (PartialAlgebra, Value, BoolV, NatV, RealV, ArrV, DIV,
                       FUEL_OUT, Failure, TT, FF, InterpRule, compare_codes,
                       rat_value, array_rules, AlgebraError)
 from .codes import (Fuel, ECode, ConstCode, CodeRegistry, CodeProducerError,
-                    add_codes, neg_code, mul_codes, abs_diff_code, inv_code,
-                    prog_rat_decode)
+                    OutOfFuel, add_codes, neg_code, mul_codes, abs_diff_code,
+                    inv_code, prog_rat_decode)
 from .interp import Dovetail, eval_proc, nat_value
 from .lang.ast import Procedure
 from .reals import Enumeration, diagonal_code, ecode_eval
@@ -62,8 +63,10 @@ class EffectivityCert:
 # the code algebra
 
 
-def _values_equal_unrefuted(a: Value, b: Value, bits: int = EQUALITY_CHECK_BITS) -> bool:
-    """Exact on discrete sorts; on reals, equality not refuted at 2^-bits."""
+def _values_equal_unrefuted(a: Value, b: Value, fuel: Fuel,
+                            bits: int = EQUALITY_CHECK_BITS) -> bool:
+    """Exact on discrete sorts; on reals, equality not refuted at 2^-bits.
+    Raises `OutOfFuel` when `fuel` runs out first."""
     if isinstance(a, BoolV) and isinstance(b, BoolV):
         return a.b == b.b
     if isinstance(a, NatV) and isinstance(b, NatV):
@@ -71,14 +74,26 @@ def _values_equal_unrefuted(a: Value, b: Value, bits: int = EQUALITY_CHECK_BITS)
     if isinstance(a, RealV) and isinstance(b, RealV):
         if a.code.is_const and b.code.is_const:
             return a.code.value == b.code.value
-        alo, ahi = a.code.interval(bits)
-        blo, bhi = b.code.interval(bits)
+        alo, ahi = a.code.interval(bits, fuel)
+        blo, bhi = b.code.interval(bits, fuel)
         return not (ahi < blo or bhi < alo)
     if isinstance(a, ArrV) and isinstance(b, ArrV):
         return (len(a.items) == len(b.items)
-                and all(_values_equal_unrefuted(x, y, bits)
+                and all(_values_equal_unrefuted(x, y, fuel, bits)
                         for x, y in zip(a.items, b.items)))
     return False
+
+
+def _add_equality_row(rep: Report, name: str, sample: str, pairs, fuel: Fuel,
+                      detail: str) -> None:
+    """Add the row saying whether each pair of results is equal, checked on
+    `fuel`; when that runs out first, the row fails and says so."""
+    try:
+        ok = all(_values_equal_unrefuted(a, b, fuel) for a, b in pairs)
+    except OutOfFuel:
+        ok = False
+        detail = f"fuel ran out comparing the results at 2^-{EQUALITY_CHECK_BITS}"
+    rep.add(ok, name, sample, detail)
 
 
 def builtin_certs(base: PartialAlgebra, registry: CodeRegistry) -> EffectivityCert:
@@ -236,14 +251,16 @@ def check_tracking(F: InterpRule, f, samples,
     F runs on abstract values and f on indices, both called as rules
     F(fuel, *args); decode(position, index) supplies the abstract value for
     each sample component and decode_out maps the tracked result back to a
-    value. Failures are report rows, never exceptions.
+    value. The results are compared on what is left of f's budget. Failures
+    are report rows, never exceptions.
     """
     rep = Report(name)
     decode_out = decode_out or (lambda v: v)
     for ks in samples:
         abstract_args = tuple(decode(i, k) for i, k in enumerate(ks))
         FV = F(Fuel(fuel_steps), *abstract_args)
-        fv = f(Fuel(fuel_steps), *(NatV(k) for k in ks))
+        fuel = Fuel(fuel_steps)
+        fv = f(fuel, *(NatV(k) for k in ks))
         tag_F, tag_f = (r.value if isinstance(r, Failure) else "ok"
                         for r in (FV, fv))
         sample = str(ks)
@@ -251,8 +268,8 @@ def check_tracking(F: InterpRule, f, samples,
             rep.add(False, name, sample,
                     f"abstract converged but tracking gave {tag_f}")
         elif tag_F == "ok":
-            rep.add(_values_equal_unrefuted(FV, decode_out(fv)),
-                    name, sample, "square commutes (equality unrefuted at 2^-20)")
+            _add_equality_row(rep, name, sample, [(FV, decode_out(fv))], fuel,
+                              "square commutes (equality unrefuted at 2^-20)")
         elif strict and tag_f == "ok":
             rep.add(False, name, sample,
                     "strictness failure: tracking converged where the "
@@ -281,7 +298,7 @@ class LiftedCode(ECode):
                  registry: CodeRegistry):
         self.diagonal, self.code_alg, self.registry = diagonal, code_alg, registry
 
-    def approx(self, n: int, fuel: Optional[Fuel] = None) -> Fraction:
+    def approx(self, n: int, fuel: Fuel) -> Fraction:
         return self.diagonal.approx(n, fuel)
 
 
@@ -293,8 +310,13 @@ def soundness_lift(P: Procedure, code_alg: PartialAlgebra,
 
     Level m runs P on the code algebra at precision m; the diagonal shifted
     by two is a fast Cauchy code for the approximated value at the decoded
-    input. A diverging level run aborts with that level's index. The
-    diagonal code is registered. It refers to the code algebra and the
+    input. A level run is paid for by the `approx` call that needs it: it
+    runs on a child of that call's budget, capped at `fuel_per_level`. When
+    the caller's budget dies during the run, `approx` raises `OutOfFuel`;
+    when the run does not converge within its cap, `LiftError` with the
+    level's index. Either way the level is not cached.
+
+    The diagonal code is registered. It refers to the code algebra and the
     registry only weakly: both refer to the registry, which refers to the
     code, and that cycle would leave each lift to the cyclic garbage
     collector. The returned code holds all three.
@@ -303,7 +325,7 @@ def soundness_lift(P: Procedure, code_alg: PartialAlgebra,
     cache: dict[int, ECode] = {}
     alg_ref, reg_ref = weakref.ref(code_alg), weakref.ref(registry)
 
-    def levels(m: int) -> ECode:
+    def levels(m: int, fuel: Fuel) -> ECode:
         c = cache.get(m)
         if c is None:
             alg, reg = alg_ref(), reg_ref()
@@ -311,8 +333,11 @@ def soundness_lift(P: Procedure, code_alg: PartialAlgebra,
                 raise LiftError(f"level {m}: the lift's code algebra or "
                                 "registry was freed", level=m)
             res = eval_proc(P, (nat_value(m),) + tuple(args), alg,
-                            strat, Fuel(fuel_per_level))
+                            strat, fuel.spawn(fuel_per_level))
             if not res.values:
+                if fuel.dead:
+                    raise OutOfFuel(f"level {m}: the caller's budget ran out "
+                                    "during the approximating run", m)
                 raise LiftError(
                     f"level {m}: approximating run did not converge "
                     f"({'divergent' if res.proven_divergent else 'fuel'})",
@@ -334,7 +359,8 @@ def a0_square_check(P: Procedure, abstract_alg: PartialAlgebra,
     """Run P both on values and on codes and compare the decoded outputs.
 
     With rational inputs and field operations both sides are exact, so the
-    comparison is exact equality; otherwise equality is unrefuted-at-2^-20.
+    comparison is exact equality; otherwise equality is unrefuted-at-2^-20,
+    checked on what is left of the code run's budget.
     """
     rep = Report(name)
     out_sorts = [s for _, s in P.out_vars]
@@ -342,7 +368,8 @@ def a0_square_check(P: Procedure, abstract_alg: PartialAlgebra,
         abstract = eval_proc(P, args, abstract_alg, Dovetail(), Fuel(fuel_steps))
         coded_args = tuple(encode_input(v, s, registry)
                            for v, s in zip(args, [s for _, s in P.in_vars]))
-        coded = eval_proc(P, coded_args, code_alg, Dovetail(), Fuel(fuel_steps))
+        fuel = Fuel(fuel_steps)
+        coded = eval_proc(P, coded_args, code_alg, Dovetail(), fuel)
         sample = "(" + ", ".join(map(repr, args)) + ")"
         if bool(abstract.values) != bool(coded.values):
             rep.add(False, name, sample, "one side converged, the other did not")
@@ -355,8 +382,8 @@ def a0_square_check(P: Procedure, abstract_alg: PartialAlgebra,
         cvs = cv if isinstance(cv, tuple) else (cv,)
         decoded = tuple(decode_code_value(c, s, registry)
                         for c, s in zip(cvs, out_sorts))
-        ok = all(_values_equal_unrefuted(a, d) for a, d in zip(avs, decoded))
-        rep.add(ok, name, sample, "decoded code run equals value run exactly")
+        _add_equality_row(rep, name, sample, zip(avs, decoded), fuel,
+                          "decoded code run equals value run exactly")
     return rep
 
 

@@ -185,7 +185,7 @@ def test_criterion_6_theorem_a_lift():
         lifted = soundness_lift(p, calg, reg, (NatV(idx),))
         lo, hi = exp_enclosure(x)
         for n in range(0, 9):
-            v = ecode_eval(lifted, n)
+            v = ecode_eval(lifted, n, Fuel(10**7))
             tol = Fraction(2, 1 << n)  # the 2^-n+1 bound
             ok &= lo - tol < v < hi + tol
     criterion("criterion-6 theorem-a-lift", ok, 10.0, time.time() - t0,
@@ -219,8 +219,9 @@ def test_criterion_7_theorem_b_construction():
     assert len(samples) == 20
     ok = True
     for i, x in enumerate(samples):
+        # derived rational codes: exact at depth
         xq = (x.code.value if x.code.is_const
-              else x.code.approx(40))  # derived rational codes: exact at depth
+              else x.code.approx(40, Fuel(10**6)))
         for n in ((10,) if i % 3 else (4, 10)):
             out = adequacy_g(f, cover, alpha, reg, x, n, Dovetail(),
                              fuel=Fuel(2_000_000))
@@ -242,13 +243,13 @@ def test_criterion_8_property_suites():
     emitted = [ConstCode(Fraction(3, 7)), sqrt_code(2),
                SumCode(sqrt_code(2), ConstCode(Fraction(-1, 3))),
                mul_codes(sqrt_code(2), sqrt_code(3))]
-    ok &= all(check_fast_cauchy_prefix(c) == [] for c in emitted)
+    ok &= all(check_fast_cauchy_prefix(c, Fuel(10**6)) == [] for c in emitted)
     inn = get_algebra("IN")
     calg = code_algebra(inn, reg)
     pexp, _ = load("exp_approx")
     lift = soundness_lift(pexp, calg, reg,
                           (NatV(reg.mint(ConstCode(Fraction(1, 2)))),))
-    ok &= check_fast_cauchy_prefix(lift, upto=8) == []
+    ok &= check_fast_cauchy_prefix(lift, Fuel(10**7), upto=8) == []
     detail.append("fast-Cauchy")
 
     # fuel monotonicity of apply
@@ -283,8 +284,10 @@ def test_criterion_8_property_suites():
                    "i": NatV(0)})
     for n in range(4):
         ok &= tree_is_prefix(
-            comp_tree_stage(p.body, sigma, n, alg, Enumerate(6)),
-            comp_tree_stage(p.body, sigma, n + 1, alg, Enumerate(6)))
+            comp_tree_stage(p.body, sigma, n, alg, Enumerate(6),
+                            fuel=Fuel(1_000_000)),
+            comp_tree_stage(p.body, sigma, n + 1, alg, Enumerate(6),
+                            fuel=Fuel(1_000_000)))
     detail.append("stage-prefix")
 
     # initialisation independence

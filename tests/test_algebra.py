@@ -11,7 +11,8 @@ from whilecc.algebra import (apply, get_algebra, rat_value, interval_value,
                              product_metric, AlgebraError,
                              BoolV, NatV, RealV, ArrV, TT, FF, Value, DIV,
                              FUEL_OUT)
-from whilecc.codes import Fuel, ConstCode, sqrt_code, e_code, add_codes
+from whilecc.codes import (Fuel, ConstCode, OutOfFuel, sqrt_code, e_code,
+                           add_codes)
 from whilecc.signature import ProductType, REAL, NAT
 
 
@@ -63,8 +64,8 @@ def test_comparison_against_64_digit_oracle(RN):
             out = apply(RN, "less_real", (RealV(x), RealV(y)), Fuel(400))
             if out is DIV or out is FUEL_OUT:
                 continue
-            xlo, xhi = x.interval(220)
-            ylo, yhi = y.interval(220)
+            xlo, xhi = x.interval(220, F())
+            ylo, yhi = y.interval(220, F())
             if out.b:
                 assert xlo < yhi, (i, j)
             else:
@@ -97,30 +98,40 @@ def test_metric_axioms_sampled(RN):
     n = 10
     slack1 = Fraction(2, 1 << n)
     for x in pts:
-        assert RN.metric(real, x, x, n) <= slack1
+        assert RN.metric(real, x, x, n, F()) <= slack1
         for y in pts:
-            dxy = RN.metric(real, x, y, n)
-            dyx = RN.metric(real, y, x, n)
+            dxy = RN.metric(real, x, y, n, F())
+            dyx = RN.metric(real, y, x, n, F())
             assert abs(dxy - dyx) <= slack1
             for z in pts:
-                dxz = RN.metric(real, x, z, n)
-                dyz = RN.metric(real, y, z, n)
+                dxz = RN.metric(real, x, z, n, F())
+                dyz = RN.metric(real, y, z, n, F())
                 assert dxz <= dxy + dyz + 2 * slack1
 
 
 def test_product_metric(RN):
     u = ProductType((REAL, REAL))
     d = product_metric(RN, u, (rat_value(0), rat_value(0)),
-                       (rat_value(3), rat_value(4)), 20)
+                       (rat_value(3), rat_value(4)), 20, F())
     assert abs(d - 4) <= Fraction(1, 1 << 19)
     same = product_metric(RN, u, (rat_value(1), rat_value(2)),
-                          (rat_value(1), rat_value(2)), 10)
+                          (rat_value(1), rat_value(2)), 10, F())
     assert same <= Fraction(1, 1 << 10)
     # mixed tuple uses the discrete metric on nat
     u2 = ProductType((REAL, NAT))
     d2 = product_metric(RN, u2, (rat_value(0), NatV(1)),
-                        (rat_value(0), NatV(2)), 10)
+                        (rat_value(0), NatV(2)), 10, F())
     assert d2 == 1
+
+
+def test_real_metric_charges_caller_fuel(RN):
+    real = RN.signature.sort("real")
+    fuel = Fuel(10)
+    d = RN.metric(real, RealV(sqrt_code(2)), rat_value(1), 20, fuel)
+    assert abs(d - Fraction(41421, 100000)) < Fraction(1, 10**5)
+    assert fuel.remaining < 10
+    with pytest.raises(OutOfFuel):
+        RN.metric(real, RealV(sqrt_code(2)), rat_value(1), 20, Fuel(0))
 
 
 def test_star_algebra_array_ops(RNs):
@@ -142,9 +153,9 @@ def test_array_metric_length_mismatch_is_one(RNs):
     sx = RNs.signature.sort("real*")
     a = ArrV(real, (rat_value(1), rat_value(2)))
     b = ArrV(real, (rat_value(1), rat_value(2), rat_value(3)))
-    assert RNs.metric(sx, a, b, 8) == 1
+    assert RNs.metric(sx, a, b, 8, F()) == 1
     c = ArrV(real, (rat_value(1), rat_value(Fraction(9, 4))))
-    d = RNs.metric(sx, a, c, 20)
+    d = RNs.metric(sx, a, c, 20, F())
     assert abs(d - Fraction(1, 4)) <= Fraction(1, 1 << 19)
 
 
@@ -168,8 +179,8 @@ def test_interval_containment_charges_caller_fuel():
     slack = Fraction(1, 1 << INTERVAL_SLACK_BITS)
     probe = sqrt_code(Fraction(1, 9))  # a code for 1/3
     rounds = next(n + 1 for n in range(64)
-                  if -slack <= probe.interval(n)[0]
-                  and probe.interval(n)[1] <= 1 + slack)
+                  if -slack <= probe.interval(n, F())[0]
+                  and probe.interval(n, F())[1] <= 1 + slack)
     fuel = Fuel(1000)
     assert interval_containment(sqrt_code(Fraction(1, 9)), fuel) == "yes"
     assert 1000 - fuel.remaining > rounds
@@ -201,4 +212,4 @@ def test_get_algebra_names():
 def test_real_metric_is_exact_on_rationals(q1, q2):
     RN = get_algebra("RN")
     real = RN.signature.sort("real")
-    assert RN.metric(real, rat_value(q1), rat_value(q2), 12) == abs(q1 - q2)
+    assert RN.metric(real, rat_value(q1), rat_value(q2), 12, F()) == abs(q1 - q2)

@@ -1,10 +1,14 @@
 """The batch runner: exit codes, output formats, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import whilecc
 from whilecc.cli import main, parse_literal, parse_strategy, UsageError
 from whilecc.programs.oracles import exp_partial_sum
 
@@ -99,6 +103,38 @@ def test_named_code_input(capsys):
                            "--input", "sqrt2, 2")
     assert code == 0
     assert "value" in out
+
+
+def test_named_code_runs_are_byte_identical_in_one_process(capsys):
+    # each run builds its own registry, so a run never reuses the sqrt2
+    # levels an earlier one computed; a fresh process prints the same
+    args = ("run", "--program", "choose_near", "--input", "sqrt2, 3")
+    first = run_cli(capsys, *args)
+    second = run_cli(capsys, *args)
+    assert first == second
+    src = os.path.dirname(os.path.dirname(whilecc.__file__))
+    fresh = subprocess.run([sys.executable, "-m", "whilecc.cli", *args],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src})
+    assert (fresh.returncode, fresh.stdout) == first[:2]
+
+
+def test_code_value_renders_on_what_the_run_left(capsys):
+    # the run takes 17 steps and rendering sqrt2 + 1 to 2^-32 two more
+    args = ("run", "--program", "scaled_sum", "--input", "sqrt2, 1")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert "value ~2.41421356 (code)" in out
+    assert "fuel_used=17 " in out
+    code, out, _ = run_cli(capsys, *args, "--fuel", "18")
+    assert code == 0  # the run converged cleanly; rendering is not the run
+    assert out.splitlines()[0] == \
+        "value (code: fuel ran out rendering it to 2^-32)"
+    assert "stats outcomes=1 fuel_used=17 fuel_budget=18" in out
+    code, out, _ = run_cli(capsys, *args, "--fuel", "18",
+                           "--format", "json-lines")
+    assert json.loads(out.splitlines()[0]) == \
+        {"value": "(code: fuel ran out rendering it to 2^-32)"}
 
 
 def test_array_input_runs_bisection(capsys):

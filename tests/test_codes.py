@@ -70,17 +70,17 @@ def test_prog_rat_surjective_onto_samples():
 
 def test_const_code_fast_cauchy_trivially():
     c = ConstCode(Fraction(7, 2))
-    assert check_fast_cauchy_prefix(c) == []
+    assert check_fast_cauchy_prefix(c, Fuel(10**6)) == []
     for n in (0, 5, 13):
-        assert c.approx(n) == Fraction(7, 2)
+        assert c.approx(n, Fuel(10**6)) == Fraction(7, 2)
 
 
 def test_sqrt2_code_against_interval_oracle():
     s2 = sqrt_code(2)
     lo, hi = sqrt2_oracle_enclosure()
-    v = s2.approx(10)
+    v = s2.approx(10, Fuel(10**6))
     assert abs(v - lo) < Fraction(1, 1 << 9) and abs(v - hi) < Fraction(1, 1 << 9)
-    assert check_fast_cauchy_prefix(s2) == []
+    assert check_fast_cauchy_prefix(s2, Fuel(10**6)) == []
 
 
 def test_e_code_against_taylor_oracle():
@@ -96,9 +96,9 @@ def test_e_code_against_taylor_oracle():
     e = e_code()
     lo, hi = oracle(60)
     for n in (1, 4, 8, 12):
-        v = e.approx(n)
+        v = e.approx(n, Fuel(10**6))
         assert lo - Fraction(1, 1 << n) < v < hi + Fraction(1, 1 << n)
-    assert check_fast_cauchy_prefix(e) == []
+    assert check_fast_cauchy_prefix(e, Fuel(10**6)) == []
 
 
 def test_arithmetic_codes_are_fast_cauchy_and_correct():
@@ -110,9 +110,9 @@ def test_arithmetic_codes_are_fast_cauchy_and_correct():
         "absdiff": (abs_diff_code(s2, s2), Fraction(0)),
     }
     for name, (code, limit) in cases.items():
-        assert check_fast_cauchy_prefix(code) == [], name
+        assert check_fast_cauchy_prefix(code, Fuel(10**6)) == [], name
         if limit is not None:
-            assert abs(code.approx(16) - limit) < Fraction(1, 1 << 16), name
+            assert abs(code.approx(16, Fuel(10**6)) - limit) < Fraction(1, 1 << 16), name
 
 
 @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
@@ -227,11 +227,12 @@ def test_constant_codes_allocate_no_approx_cache():
     assert isinstance(consts[1], codes._SumConst)
     for c in consts:
         assert not hasattr(c, "_cache")
-        assert c.approx(5) == c.value
-        assert c.interval(2) == (c.value - quarter.value, c.value + quarter.value)
+        assert c.approx(5, Fuel(0)) == c.value
+        assert c.interval(2, Fuel(0)) == (c.value - quarter.value,
+                                          c.value + quarter.value)
         assert reg.parse_code(reg.format_code(c)).value == c.value
     memo = SumCode(ConstCode(HALF), e_code())
-    memo.approx(3)
+    memo.approx(3, Fuel(10**6))
     assert 3 in memo._cache
 
 
@@ -264,9 +265,9 @@ def test_inverse_code():
     s2 = sqrt_code(2)
     inv, status = inv_code(s2, Fuel(1000))
     assert status == "ok"
-    v = inv.approx(20)
+    v = inv.approx(20, Fuel(10**6))
     assert abs(v * v - HALF) < Fraction(1, 1 << 17)
-    assert check_fast_cauchy_prefix(inv) == []
+    assert check_fast_cauchy_prefix(inv, Fuel(10**6)) == []
 
 
 def test_separation_witness_runs_out_of_fuel_near_zero():
@@ -276,14 +277,14 @@ def test_separation_witness_runs_out_of_fuel_near_zero():
 
 def test_diagonal_code_constant_levels():
     q = Fraction(5, 9)
-    d = DiagonalCode(lambda n: ConstCode(q))
+    d = DiagonalCode(lambda n, fuel: ConstCode(q))
     for n in (0, 3, 9):
-        assert d.approx(n) == q
+        assert d.approx(n, Fuel(10**6)) == q
 
 
 def test_diagonal_code_taylor_levels():
     # level n: the factorial series truncated so the tail is below 2^-n
-    def level(n):
+    def level(n, fuel):
         s, t = Fraction(1), Fraction(1)
         for i in range(1, n + 3):
             t /= i
@@ -293,16 +294,17 @@ def test_diagonal_code_taylor_levels():
     d = DiagonalCode(level)
     e = e_code()
     for n in (2, 6, 10):
-        assert abs(d.approx(n) - e.approx(n + 4)) < Fraction(1, 1 << (n - 1))
-    assert check_fast_cauchy_prefix(d) == []
+        fuel = Fuel(10**6)
+        assert abs(d.approx(n, fuel) - e.approx(n + 4, fuel)) < Fraction(1, 1 << (n - 1))
+    assert check_fast_cauchy_prefix(d, Fuel(10**6)) == []
 
 
 def test_diagonal_code_sqrt_levels():
     s2 = sqrt_code(2)
-    d = DiagonalCode(lambda n: ConstCode(s2.approx(n)))
+    d = DiagonalCode(lambda n, fuel: ConstCode(s2.approx(n, fuel)))
     lo, hi = sqrt2_oracle_enclosure()
     for n in (2, 8):
-        v = d.approx(n)
+        v = d.approx(n, Fuel(10**6))
         assert lo - Fraction(1, 1 << (n - 1)) < v < hi + Fraction(1, 1 << (n - 1))
 
 
@@ -310,8 +312,8 @@ def test_registry_validation_flags_non_cauchy():
     reg = CodeRegistry()
     bad = RuleCode(lambda n: Fraction(n), name="runaway")
     with pytest.raises(FastCauchyError):
-        reg.register(bad, validate=True)
-    ok = reg.register(ConstCode(1), validate=True)
+        reg.register(bad, Fuel(10**6))
+    ok = reg.register(ConstCode(1), Fuel(10**6))
     assert reg.code(ok).value == 1
 
 
@@ -323,7 +325,8 @@ def test_registry_serialization():
     reg.add_program("taylor", lambda arg, n, fuel:
                     sum(Fraction(1, _fact(i)) for i in range(n + 3)))
     pc = reg.parse_code("prog:taylor:0")
-    assert abs(pc.approx(8) - e_code().approx(12)) < Fraction(1, 1 << 7)
+    fuel = Fuel(10**6)
+    assert abs(pc.approx(8, fuel) - e_code().approx(12, fuel)) < Fraction(1, 1 << 7)
 
 
 def _fact(i):
@@ -336,7 +339,7 @@ def _fact(i):
 def test_named_codes():
     reg = CodeRegistry()
     s2 = reg.code(reg.named("sqrt2"))
-    assert abs(s2.approx(12) ** 2 - 2) < Fraction(1, 1 << 9)
+    assert abs(s2.approx(12, Fuel(10**6)) ** 2 - 2) < Fraction(1, 1 << 9)
     assert reg.named("sqrt2") == reg.named("sqrt2")
 
 

@@ -16,7 +16,8 @@ Each procedure is printed with `pretty_program`, and the tests check that
     Dovetail;
   * over RN, the run over the code algebra tracks the run over values (the
     soundness square): both converge or neither does, and the decoded code
-    outputs equal the value outputs.
+    outputs equal the value outputs. Half the real outputs are a `dist` of
+    the drawn output term and another term, so a wrong `dist` tracker shows.
 
 Draws are derandomized, so every run checks the same programs.
 """
@@ -190,8 +191,14 @@ def programs(draw, algebras=("N", "RN")):
     if gen.has_real:
         aux.append(("u", sig.sort("real")))
     aux += [(f"{v}{d}", nat) for d in range(2) for v in "ie"]
-    body = seq_all([gen.block(2, 0),
-                    Assign(("r",), (gen.term(out_sort, 3),))])
+    block, out = gen.block(2, 0), gen.term(out_sort, 3)
+    if out_sort == "real" and draw(st.booleans()):
+        # dist of the output and another term, so dist results reach r
+        other = gen.term("real", 2)
+        if isinstance(out, Lit) and isinstance(other, Lit):
+            other = Var("x", sig.sort("real"))
+        out = gen.app("dist", out, other)
+    body = seq_all([block, Assign(("r",), (out,))])
     out_vars = [("r", sig.sort(out_sort)), ("k", nat)]
     proc = auto_init(Procedure("gen", alg_name, in_vars, out_vars, aux,
                                normalize_seq(body)), sig)
@@ -257,7 +264,7 @@ def test_stage_tree_is_a_prefix_of_the_next_stage(case):
         # went on, and the property is about the semantics, not the budget
         fuel = Fuel(100_000)
         trees.append(comp_tree_stage(proc.body, sigma, n, alg,
-                                     Enumerate(MAX_NAT, 2_000), fuel))
+                                     Enumerate(MAX_NAT, 2_000), fuel=fuel))
         assert not fuel.dead
     for n, (a, b) in enumerate(zip(trees, trees[1:])):
         assert tree_is_prefix(a, b), (n, pretty_program(prog))

@@ -183,14 +183,14 @@ def test_comp_step():
 
 
 def test_tree_skip_single_leaf():
-    t = comp_tree_stage(Skip(), state(), 1, N)
+    t = comp_tree_stage(Skip(), state(), 1, N, fuel=Fuel(1_000_000))
     assert len(t.children) == 1 and not t.children[0].children
 
 
 def test_tree_while_true_single_path():
     loop = While(App(N.signature.symbol("true"), ()), Skip())
     for n in (1, 3, 6):
-        t = comp_tree_stage(loop, state(), n, N)
+        t = comp_tree_stage(loop, state(), n, N, fuel=Fuel(1_000_000))
         depth = 0
         node = t
         while node.children:
@@ -203,7 +203,8 @@ def test_tree_while_true_single_path():
 def test_tree_choose_branches():
     src = term("choose z : z < 2", assign_to=("k", "nat"), algebra="RN")
     s = Assign(("k",), (src,))
-    t = comp_tree_stage(s, state(k=NatV(9)), 2, RN, Enumerate(5))
+    t = comp_tree_stage(s, state(k=NatV(9)), 2, RN, Enumerate(5),
+                        fuel=Fuel(1_000_000))
     leaf_vals = {leaf.state.get("k").n for leaf in t.leaves() if leaf.state}
     assert leaf_vals == {0, 1}
 
@@ -239,7 +240,7 @@ end""")
     sigma = initial_state(p, RN, (rat_value(1),))
     for budget, left in ((40, 0), (10_000, 9949)):
         fuel = Fuel(budget)
-        t = comp_tree_stage(p.body, sigma, 9, RN, Enumerate(5), fuel)
+        t = comp_tree_stage(p.body, sigma, 9, RN, Enumerate(5), fuel=fuel)
         assert rows(t) == expected and fuel.remaining == left
 
 
@@ -248,8 +249,10 @@ def test_stage_prefix_monotone():
     sigma = State({"x1": rat_value(1), "x2": rat_value(0), "x3": rat_value(1),
                    "i": NatV(0)})
     for n in range(0, 4):
-        t1 = comp_tree_stage(p.body, sigma, n, alg, Enumerate(6))
-        t2 = comp_tree_stage(p.body, sigma, n + 1, alg, Enumerate(6))
+        t1 = comp_tree_stage(p.body, sigma, n, alg, Enumerate(6),
+                             fuel=Fuel(1_000_000))
+        t2 = comp_tree_stage(p.body, sigma, n + 1, alg, Enumerate(6),
+                             fuel=Fuel(1_000_000))
         assert tree_is_prefix(t1, t2), n
 
 

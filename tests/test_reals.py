@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from whilecc.algebra import get_algebra, rat_value, FF
-from whilecc.codes import (ConstCode, CodeRegistry, FastCauchyError,
+from whilecc.codes import (ConstCode, CodeRegistry, FastCauchyError, Fuel,
                            rat_encode, sqrt_code)
 from whilecc.reals import (alpha_rat, ecode_eval, const_code,
                            CCode, c_to_e, diagonal_code, computable_closure,
@@ -45,15 +45,15 @@ def test_const_code():
     k = rat_encode(Fraction(7, 2))
     e = const_code(alpha, k)
     for n in (0, 3, 11):
-        assert ecode_eval(e, n) == Fraction(7, 2)
+        assert ecode_eval(e, n, Fuel(10**6)) == Fraction(7, 2)
 
 
 def test_c_to_e_constant_with_identity_modulus():
     alpha = alpha_rat()
     k = rat_encode(Fraction(1, 3))
     c = CCode(seq=lambda n: k, modulus=lambda n: n)
-    e = c_to_e(c, alpha)
-    assert ecode_eval(e, 5) == Fraction(1, 3)
+    e = c_to_e(c, alpha, Fuel(10**6))
+    assert ecode_eval(e, 5, Fuel(10**6)) == Fraction(1, 3)
 
 
 def test_c_to_e_harmonic_with_modulus():
@@ -61,9 +61,9 @@ def test_c_to_e_harmonic_with_modulus():
     alpha = alpha_rat()
     c = CCode(seq=lambda kk: rat_encode(Fraction(1, kk + 1)),
               modulus=lambda n: 2 ** n)
-    e = c_to_e(c, alpha)
+    e = c_to_e(c, alpha, Fuel(10**6))
     for n in (1, 5, 10):
-        assert abs(ecode_eval(e, n)) < Fraction(1, 1 << (n - 1))
+        assert abs(ecode_eval(e, n, Fuel(10**6))) < Fraction(1, 1 << (n - 1))
 
 
 def test_c_to_e_bad_modulus_reported():
@@ -71,17 +71,17 @@ def test_c_to_e_bad_modulus_reported():
     c = CCode(seq=lambda kk: rat_encode(Fraction(1, kk + 1)),
               modulus=lambda n: n // 2)  # too slow: convergence not controlled
     with pytest.raises(FastCauchyError):
-        c_to_e(c, alpha)
+        c_to_e(c, alpha, Fuel(10**6))
 
 
 def test_c_to_e_preserves_limits():
     alpha = alpha_rat()
     c = CCode(seq=lambda kk: rat_encode(Fraction(1, kk + 1)),
               modulus=lambda n: 2 ** n)
-    e = c_to_e(c, alpha)
+    e = c_to_e(c, alpha, Fuel(10**6))
     for n in (2, 6, 10):
         via_modulus = Fraction(1, c.modulus(n) + 1)
-        assert abs(ecode_eval(e, n) - via_modulus) < Fraction(1, 1 << (n - 2))
+        assert abs(ecode_eval(e, n, Fuel(10**6)) - via_modulus) < Fraction(1, 1 << (n - 2))
 
 
 def test_computable_closure_of_constants_acts_like_alpha():
@@ -89,33 +89,33 @@ def test_computable_closure_of_constants_acts_like_alpha():
     reg = CodeRegistry()
     closure = computable_closure(alpha, reg)
     k = rat_encode(Fraction(-5, 8))
-    idx = reg.register(const_code(alpha, k), validate=True)
+    idx = reg.register(const_code(alpha, k), Fuel(10**6))
     v = closure.decode("real", idx)
     for n in (0, 4, 9):
-        assert ecode_eval(v.code, n) == Fraction(-5, 8)
+        assert ecode_eval(v.code, n, Fuel(10**6)) == Fraction(-5, 8)
 
 
 def test_closure_is_computationally_closed_on_samples():
     # a diagonal over closure codes is again a closure code
     alpha = alpha_rat()
     reg = CodeRegistry()
-    levels = [reg.register(ConstCode(Fraction(1, 3) + Fraction(1, 1 << (n + 4))))
+    levels = [reg.mint(ConstCode(Fraction(1, 3) + Fraction(1, 1 << (n + 4))))
               for n in range(16)]
-    diag = diagonal_code(lambda n: reg.code(levels[min(n, 15)]))
-    idx = reg.register(diag, validate=True)
+    diag = diagonal_code(lambda n, fuel: reg.code(levels[min(n, 15)]))
+    idx = reg.register(diag, Fuel(10**6))
     closure = computable_closure(alpha, reg)
     assert closure.member("real", idx)
-    got = ecode_eval(closure.decode("real", idx).code, 10)
+    got = ecode_eval(closure.decode("real", idx).code, 10, Fuel(10**6))
     assert abs(got - Fraction(1, 3)) < Fraction(1, 1 << 8)
 
 
 def test_diagonal_limit_bound_on_constructed_instance():
     # levels approximate sqrt2 at rate 2^-level; diagonal lands within 2^-(n-1)
     s2 = sqrt_code(2)
-    diag = diagonal_code(lambda n: ConstCode(s2.approx(n)))
+    diag = diagonal_code(lambda n, fuel: ConstCode(s2.approx(n, fuel)))
     for n in (1, 4, 8):
-        truth = s2.approx(40)
-        assert abs(ecode_eval(diag, n) - truth) < Fraction(1, 1 << (n - 1))
+        truth = s2.approx(40, Fuel(10**6))
+        assert abs(ecode_eval(diag, n, Fuel(10**6)) - truth) < Fraction(1, 1 << (n - 1))
 
 
 def test_non_cauchy_producer_flagged():
@@ -123,7 +123,7 @@ def test_non_cauchy_producer_flagged():
     from whilecc.codes import RuleCode
     with pytest.raises(FastCauchyError):
         reg.register(RuleCode(lambda n: Fraction((-1) ** n), name="flip"),
-                     validate=True)
+                     Fuel(10**6))
 
 
 # ---------------------------------------------------------------------------

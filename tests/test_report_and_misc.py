@@ -1,9 +1,12 @@
 """Report plumbing, env-var fuel default, and resource-cap behavior."""
 
+import inspect
 import json
 
+from whilecc import codes, interp, reals, tracking
 from whilecc.report import Report
 from whilecc.algebra import rat_value, NatV
+from whilecc.codes import Fuel
 from whilecc.interp import Enumerate, comp_tree_stage, State
 from whilecc.programs import load
 
@@ -34,7 +37,33 @@ def test_comp_tree_node_cap_truncates_not_crashes():
     p, alg = load("pivot3")
     sigma = State({"x1": rat_value(1), "x2": rat_value(1), "x3": rat_value(1),
                    "i": NatV(0)})
-    tree = comp_tree_stage(p.body, sigma, 4, alg, Enumerate(8, max_depth=1))
+    tree = comp_tree_stage(p.body, sigma, 4, alg, Enumerate(8, max_depth=1), fuel=Fuel(1_000_000))
     def any_truncated(t):
         return t.truncated or any(any_truncated(c) for c in t.children)
     assert any_truncated(tree)
+
+
+def test_no_fuel_parameter_has_a_default():
+    # every budget is the caller's: a defaulted `fuel` would be a hidden one
+    fns = [interp.comp_tree_stage]
+    for mod in (codes, reals, tracking):
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", "") != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                fns.append(obj)
+            elif inspect.isclass(obj):
+                fns += [m for n, m in vars(obj).items()
+                        if inspect.isfunction(m) and not n.startswith("_")]
+    todo = [codes.ECode]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        fns += [vars(cls)[m] for m in ("approx", "interval") if m in vars(cls)]
+    assert len(fns) > 40
+    defaulted = [f.__qualname__ for f in fns
+                 if "fuel" in inspect.signature(f).parameters
+                 and inspect.signature(f).parameters["fuel"].default
+                 is not inspect.Parameter.empty]
+    assert defaulted == []
+    assert not hasattr(codes, "SESSION_FUEL")

@@ -8,12 +8,13 @@ import pytest
 
 from whilecc.algebra import (get_algebra, rat_value, value_key, NatV, RealV,
                              ArrV, TT, FF, DIV, FUEL_OUT)
-from whilecc.codes import (Fuel, CodeRegistry, ConstCode, sqrt_code,
+from whilecc.codes import (Fuel, CodeRegistry, ConstCode, OutOfFuel, sqrt_code,
                            mul_codes, add_codes, inv_code, rat_encode)
-from whilecc.interp import Dovetail, eval_proc
+from whilecc.interp import Dovetail, eval_proc, nat_value
 from whilecc.lang import parse
 from whilecc.programs import load
-from whilecc.programs.oracles import exp_enclosure, sqrt_enclosure
+from whilecc.programs.oracles import (exp_enclosure, exp_partial_sum,
+                                      sqrt_enclosure)
 from whilecc.reals import (Enumeration, SortEnumeration, alpha_rat,
                            ecode_eval)
 from whilecc.tracking import (TrackingFn, code_algebra, decode_code_value,
@@ -41,7 +42,7 @@ def real_sort():
 def test_code_algebra_identity_procedure(rn_codes):
     rn, calg, reg = rn_codes
     p = parse("algebra RN\nfunc f in a: real out b: real begin b := a end")
-    idx = reg.register(ConstCode(Fraction(2, 7)))
+    idx = reg.mint(ConstCode(Fraction(2, 7)))
     out = eval_proc(p, (NatV(idx),), calg, Dovetail(), Fuel(1000))
     assert out.values[0].n == idx  # the input code comes straight back
 
@@ -49,11 +50,11 @@ def test_code_algebra_identity_procedure(rn_codes):
 def test_code_algebra_doubling(rn_codes):
     rn, calg, reg = rn_codes
     p = parse("algebra RN\nfunc f in a: real out b: real begin b := a + a end")
-    idx = reg.register(ConstCode(Fraction(1, 3)))
+    idx = reg.mint(ConstCode(Fraction(1, 3)))
     out = eval_proc(p, (NatV(idx),), calg, Dovetail(), Fuel(1000))
     code = reg.code(out.values[0].n)
     for n in (1, 5, 9):
-        assert abs(ecode_eval(code, n) - Fraction(2, 3)) < Fraction(1, 1 << (n - 1))
+        assert abs(ecode_eval(code, n, Fuel(10**7)) - Fraction(2, 3)) < Fraction(1, 1 << (n - 1))
 
 
 ARRAY_SAMPLES = {
@@ -155,6 +156,31 @@ def test_check_tracking_strictness_failure_reported(rn_codes):
     assert any("strictness" in r[3] for r in rep.failures)
 
 
+def test_check_tracking_row_fails_when_the_comparison_runs_out_of_fuel(rn_codes):
+    # the results are compared on what the tracker left of its budget
+    rn, calg, reg = rn_codes
+
+    def sqrt2(fuel, a):
+        fuel.take()
+        return RealV(sqrt_code(2))
+
+    def tracker(drain):
+        def f(fuel, a):
+            while drain and fuel.take():
+                pass
+            return NatV(reg.mint(sqrt_code(2)))
+        return TrackingFn(f)
+
+    for drain, ok, detail in [
+            (False, True, "square commutes (equality unrefuted at 2^-20)"),
+            (True, False, "fuel ran out comparing the results at 2^-20")]:
+        rep = check_tracking(sqrt2, tracker(drain), [(0,)],
+                             lambda _i, k: NatV(k),
+                             decode_out=lambda v: RealV(reg.code(v.n)),
+                             fuel_steps=50, name="sqrt2")
+        assert rep.rows == [(ok, "sqrt2", "(0,)", detail)]
+
+
 def test_check_tracking_eq_nat_identity():
     n_alg = get_algebra("N")
     f = TrackingFn(n_alg.interp["eq_nat"])
@@ -171,10 +197,10 @@ def test_check_tracking_eq_nat_identity():
 def test_lift_of_constant_program(rn_codes):
     rn, calg, reg = rn_codes
     p = parse("algebra RN\nfunc c in n: nat, x: real out y: real begin y := 5/8 end")
-    idx = reg.register(ConstCode(0))
+    idx = reg.mint(ConstCode(0))
     code = soundness_lift(p, calg, reg, (NatV(idx),))
     for n in (0, 4, 8):
-        assert ecode_eval(code, n) == Fraction(5, 8)
+        assert ecode_eval(code, n, Fuel(10**7)) == Fraction(5, 8)
 
 
 def test_lift_square_plus_one_desk_instance(rn_codes):
@@ -188,18 +214,44 @@ def test_lift_square_plus_one_desk_instance(rn_codes):
         idx = reg.mint(code_in)
         lifted = soundness_lift(p, calg, reg, (NatV(idx),))
         for n in range(0, 9):
-            v = ecode_eval(lifted, n)
+            v = ecode_eval(lifted, n, Fuel(10**7))
             tol = Fraction(4, 1 << n)  # the 2^-n+2 bound of the instance
             assert tlo - tol < v < thi + tol, (n, v)
+
+
+def test_lift_levels_are_paid_for_by_the_caller():
+    # a level run is paid for by the approx call that needs it
+    reg = CodeRegistry()
+    calg = code_algebra(get_algebra("IN"), reg)
+    p, _ = load("exp_approx")
+    x = NatV(reg.mint(ConstCode(Fraction(1, 4))))
+    lifted = soundness_lift(p, calg, reg, (x,))
+    fuel = Fuel(5)
+    with pytest.raises(OutOfFuel):
+        ecode_eval(lifted, 6, fuel)
+    assert fuel.remaining == 0
+    # n = 6 needs level 8 alone; on a live budget the uncached level runs
+    # in full and the caller pays exactly its steps (9 310 here)
+    level = Fuel(10**6)
+    eval_proc(p, (nat_value(8), x), calg, Dovetail(), level)
+    fuel = Fuel(10**6)
+    assert ecode_eval(lifted, 6, fuel) == exp_partial_sum(Fraction(1, 4), 2 ** 9)
+    assert fuel.remaining == level.remaining
+    # a level that outgrows its cap on a live budget is still a LiftError
+    capped = soundness_lift(p, calg, reg, (x,), fuel_per_level=100)
+    fuel = Fuel(10**6)
+    with pytest.raises(LiftError) as e:
+        ecode_eval(capped, 6, fuel)
+    assert e.value.level == 8 and fuel.remaining == 10**6 - 100
 
 
 def test_lift_aborts_with_level_on_divergence(rn_codes):
     rn, calg, reg = rn_codes
     p = parse("algebra RN\nfunc d in n: nat, x: real out y: real begin div end")
-    idx = reg.register(ConstCode(0))
+    idx = reg.mint(ConstCode(0))
     code = soundness_lift(p, calg, reg, (NatV(idx),), fuel_per_level=500)
     with pytest.raises(LiftError) as e:
-        ecode_eval(code, 1)
+        ecode_eval(code, 1, Fuel(10**7))
     assert e.value.level == 3  # the first queried level is n + 2
 
 
@@ -216,7 +268,7 @@ def test_lift_bisection_sqrt2(rn_codes):
     lifted = soundness_lift(p, calg, reg, (arr,), fuel_per_level=3_000_000)
     lo, hi = sqrt_enclosure(2, 40)
     for n in (2, 5):
-        v = ecode_eval(lifted, n)
+        v = ecode_eval(lifted, n, Fuel(10**7))
         tol = Fraction(2, 1 << n)
         assert (lo - tol < v < hi + tol) or (-hi - tol < v < -lo + tol), (n, v)
 
@@ -232,7 +284,7 @@ def test_exp_lift_desk_check(rn_codes):
     lifted = soundness_lift(p, calg, reg, (NatV(idx),))
     lo, hi = exp_enclosure(x)
     for n in (1, 4, 6):
-        v = ecode_eval(lifted, n)
+        v = ecode_eval(lifted, n, Fuel(10**7))
         tol = Fraction(2, 1 << n)  # eq-(13)-style bound 2^-n+1
         assert lo - tol < v < hi + tol, (n, v)
 
@@ -251,7 +303,7 @@ def test_lifted_code_outlives_its_registry_and_code_algebra(RN):
     reg_ref = weakref.ref(reg)
     del calg, reg
     assert reg_ref() is not None  # the lifted code still holds it
-    assert ecode_eval(lifted, 6) == Fraction(13, 8)
+    assert ecode_eval(lifted, 6, Fuel(10**7)) == Fraction(13, 8)
 
 
 def test_registered_diagonal_alone_reports_its_freed_code_algebra(RN):
@@ -259,7 +311,7 @@ def test_registered_diagonal_alone_reports_its_freed_code_algebra(RN):
     diagonal = reg.code(len(reg) - 1)
     del lifted, calg
     with pytest.raises(LiftError, match="freed"):
-        ecode_eval(diagonal, 3)
+        ecode_eval(diagonal, 3, Fuel(10**7))
 
 
 def test_a_dropped_lift_is_freed_without_the_cyclic_collector(RN):
@@ -267,7 +319,7 @@ def test_a_dropped_lift_is_freed_without_the_cyclic_collector(RN):
     gc.disable()
     try:
         lifted, calg, reg = _const_lift(RN)
-        assert ecode_eval(lifted, 4) == Fraction(13, 8)
+        assert ecode_eval(lifted, 4, Fuel(10**7)) == Fraction(13, 8)
         refs = [weakref.ref(calg), weakref.ref(reg)]
         del lifted, calg, reg
         assert [r() for r in refs] == [None, None]
@@ -424,7 +476,7 @@ def test_strictify_tracking(registry):
 
     f = TrackingFn(ident)
     f2 = strictify_tracking(f, cover, alpha, registry)
-    idx = registry.register(ConstCode(Fraction(1, 2)))
+    idx = registry.mint(ConstCode(Fraction(1, 2)))
     a = f(Fuel(1000), NatV(idx))
     b = f2(Fuel(5000), NatV(idx))
     assert all(r is not DIV and r is not FUEL_OUT for r in (a, b))
