@@ -6,11 +6,14 @@ within 2^-n of the limit (and within 2^-n of every later entry, exactly):
     |value_at(k) - value_at(n)| < 2^-n   for all k > n.
 
 Constant codes carry an exact rational and all arithmetic between constants
-stays exact. A sum of two constants whose denominators nest (one divides
-the other) is stored unreduced, as a numerator over the larger denominator,
-and reduced once, the first time its `value` is read. So the stored
-denominator is a multiple of the reduced one, and a chain of such sums never
-stores a denominator larger than the largest one among its operands. Derived
+stays exact. Two results are stored as an unreduced integer pair
+(`PairConst`) and reduced once, the first time their `value` is read:
+- a sum of two constants whose denominators nest (one divides the other),
+  as a numerator over the larger denominator, so a chain of such sums never
+  stores a denominator larger than the largest one among its operands;
+- the distance |a - b| of two constants, over lcm(da, db).
+So the stored denominator is a multiple of the reduced one. Comparisons of
+two constants cross-multiply the stored pairs and never reduce them. Derived
 codes (sum, product, inverse, ...) re-query their children at shifted
 precisions chosen so the fast Cauchy bound is preserved.
 The module also hosts the Cantor pairing utilities and the rational codecs
@@ -28,14 +31,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Optional
 
-try:  # build normalized results without a full-size gcd where possible
-    Fraction(1, 2, _normalize=False)
-
+# Fraction(n, d) from coprime n and d > 0, without a full-size gcd
+if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12
+    _coprime = Fraction._from_coprime_ints
+else:
     def _coprime(n: int, d: int) -> Fraction:
         return Fraction(n, d, _normalize=False)
-except TypeError:  # future interpreters: fall back to plain construction
-    def _coprime(n: int, d: int) -> Fraction:
-        return Fraction(n, d)
 
 
 def rat_add(a: Fraction, b: Fraction) -> Fraction:
@@ -75,8 +76,8 @@ def rat_inv(a: Fraction) -> Fraction:
 
 
 def rat_dist(a: Fraction, b: Fraction) -> Fraction:
-    """Exact |a - b| in lowest terms, with Henrici-sized gcds."""
-    return abs(rat_add(a, -b))
+    """Exact |a - b| in lowest terms."""
+    return _dist_pair(a, b).value
 
 
 class CodeProducerError(Exception):
@@ -276,10 +277,12 @@ class ConstCode(ECode):
         return f"ConstCode({self.value})"
 
 
-class _SumConst(ConstCode):
-    """A sum of constants over nested denominators. Like a Fraction it has a
-    `numerator` and a `denominator`, but not in lowest terms until `value`
-    is first read, which reduces them and caches the Fraction."""
+class PairConst(ConstCode):
+    """A constant stored as an unreduced integer pair: a sum of constants
+    over nested denominators, or a distance of two constants. Like a
+    Fraction it has a `numerator` and a `denominator` > 0, but not in lowest
+    terms until `value` is first read, which reduces them and caches the
+    Fraction."""
 
     __slots__ = ("numerator", "denominator", "_value")
 
@@ -417,22 +420,33 @@ def _const(value: Fraction) -> ConstCode:
 
 def add_codes(x: ECode, y: ECode) -> ECode:
     if x.is_const and y.is_const:
-        a = x if type(x) is _SumConst else x.value
-        b = y if type(y) is _SumConst else y.value
+        a = x if type(x) is PairConst else x.value
+        b = y if type(y) is PairConst else y.value
         na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
         # nested denominators: add over the larger one, reduce on first read
         if db % da == 0:
-            return _sum_const(na * (db // da) + nb, db)
+            return _pair_const(na * (db // da) + nb, db)
         if da % db == 0:
-            return _sum_const(nb * (da // db) + na, da)
+            return _pair_const(nb * (da // db) + na, da)
         return _const(rat_add(x.value, y.value))
     return SumCode(x, y)
 
 
-def _sum_const(num: int, den: int) -> _SumConst:
-    c = _SumConst.__new__(_SumConst)
+def _pair_const(num: int, den: int) -> PairConst:
+    c = PairConst.__new__(PairConst)
     c.numerator, c.denominator, c._value = num, den, None
     return c
+
+
+def _dist_pair(a, b) -> PairConst:
+    """|a - b| of two exact rationals (Fractions or stored pairs) over
+    lcm(da, db), with one gcd of the denominators (Henrici) and no
+    reduction. For operands in lowest terms with gcd(da, db) = 1 it is in
+    lowest terms already."""
+    na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+    g = gcd(da, db)
+    s = da // g
+    return _pair_const(abs(na * (db // g) - nb * s), s * db)
 
 
 def neg_code(x: ECode) -> ECode:
@@ -449,7 +463,8 @@ def mul_codes(x: ECode, y: ECode) -> ECode:
 
 def abs_diff_code(x: ECode, y: ECode) -> ECode:
     if x.is_const and y.is_const:
-        return _const(abs(rat_add(x.value, -y.value)))
+        return _dist_pair(x if type(x) is PairConst else x.value,
+                          y if type(y) is PairConst else y.value)
     return AbsDiffCode(x, y)
 
 

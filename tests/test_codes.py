@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whilecc import codes
-from whilecc.algebra import RealV, interval_value, rat_value, value_key
+from whilecc.algebra import (FF, FUEL_OUT, TT, RealV, compare_codes,
+                             interval_value, rat_value, value_key)
 from whilecc.codes import (pair, unpair, rat_decode, rat_encode,
                            prog_rat_decode, ConstCode, RuleCode, SumCode,
-                           MulCode, DiagonalCode, Fuel, CodeRegistry,
+                           MulCode, DiagonalCode, Fuel, CodeRegistry, PairConst,
                            FastCauchyError, check_fast_cauchy_prefix,
                            add_codes, mul_codes, inv_code, abs_diff_code,
                            neg_code, sqrt_code, e_code, separation_witness)
@@ -127,13 +128,22 @@ def test_const_arithmetic_exact(a, b):
 def test_fast_rational_helpers_agree_with_operators(a, b):
     from whilecc.codes import rat_add, rat_mul, rat_inv, rat_dist
     assert rat_add(a, b) == a + b
-    assert rat_dist(a, b) == abs(a - b)  # Fraction equality is canonical
+    d = rat_dist(a, b)
+    assert d == abs(a - b)  # Fraction equality is canonical
+    assert type(d) is Fraction and d.denominator > 0
+    assert gcd(d.numerator, d.denominator) == 1
     assert rat_mul(a, b) == a * b
     if a != 0:
         assert rat_inv(a) == 1 / a
     # results are normalized (lowest terms, positive denominator)
     r = rat_add(a, b)
     assert r.denominator > 0 and Fraction(r.numerator, r.denominator) == r
+
+
+def test_coprime_builds_without_reducing():
+    # the caller promises coprime integers; no gcd runs on any interpreter
+    assert codes._coprime(2, 4).numerator == 2
+    assert codes._coprime(3, 7) == Fraction(3, 7)
 
 
 _CHAIN_OPS = ("add", "add", "add", "neg", "mul", "absdiff", "inv")
@@ -159,7 +169,20 @@ def const_chains(draw):
 
 
 def _stored_den(c: ConstCode) -> int:
-    return c.denominator if isinstance(c, codes._SumConst) else c.value.denominator
+    return c.denominator if isinstance(c, PairConst) else c.value.denominator
+
+
+def _unread(*cs: ConstCode) -> list[PairConst]:
+    return [c for c in cs if isinstance(c, PairConst) and c._value is None]
+
+
+def _check_compare(x: ConstCode, y: ConstCode, a: Fraction, b: Fraction):
+    # eq_real and less_real on constants: one step, FUEL_OUT when equal
+    for op in ("less", "eq"):
+        fuel = Fuel(3)
+        want = FUEL_OUT if a == b else TT if op == "less" and a < b else FF
+        assert compare_codes(x, y, fuel, op) is want
+        assert fuel.remaining == 2
 
 
 def _bits(q: Fraction) -> int:
@@ -188,6 +211,10 @@ def test_const_chains_read_canonical_values(chain):
         if _bits(a) + _bits(b) > 4000:  # repeated products grow exponentially
             continue
         dx, dy = _stored_den(x), _stored_den(y)
+        # comparisons and distances read the stored pairs, never reduce them
+        unread = _unread(x, y)
+        _check_compare(x, y, a, b)
+        assert _unread(*unread) == unread
         if op == "add":
             c, r = add_codes(x, y), a + b
         elif op == "neg":
@@ -203,13 +230,19 @@ def test_const_chains_read_canonical_values(chain):
                 continue
             r = 1 / a
         stored = _stored_den(c)
-        if op == "add" and isinstance(c, codes._SumConst):
+        if op == "add" and isinstance(c, PairConst):
             assert stored <= max(dx, dy)  # an unreduced sum never grows
+        if op == "absdiff":
+            assert stored == dx * dy // gcd(dx, dy)
+            assert _unread(*unread) == unread
         if read:
             _check_canonical(c, r, stored)
         pool.append((c, r, stored))
     for c, r, stored in pool:
         _check_canonical(c, r, stored)
+    for x, a, _ in pool[-4:]:
+        for y, b, _ in pool:
+            _check_compare(x, y, a, b)
 
 
 def test_certified_deviation_is_in_lowest_terms():
@@ -224,7 +257,7 @@ def test_constant_codes_allocate_no_approx_cache():
     quarter = ConstCode(Fraction(1, 4))
     consts = (ConstCode(HALF), add_codes(ConstCode(HALF), quarter),
               mul_codes(quarter, quarter), neg_code(quarter), reg.parse_code("const:-7/3"))
-    assert isinstance(consts[1], codes._SumConst)
+    assert isinstance(consts[1], PairConst)
     for c in consts:
         assert not hasattr(c, "_cache")
         assert c.approx(5, Fuel(0)) == c.value
