@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
 
-from .codes import (Fuel, ECode, ConstCode, PairConst, OutOfFuel, add_codes,
-                    neg_code, mul_codes, abs_diff_code, inv_code,
-                    prog_rat_decode, pair, unpair)
+from .codes import (Fuel, ECode, ConstCode, OutOfFuel, add_codes, neg_code,
+                    mul_codes, abs_diff_code, inv_code, prog_rat_decode, pair,
+                    unpair)
 from .signature import (Signature, Sort, FuncSymbol, ClosedTerm, ProductType,
                         make_signature, standardise, n_standardise,
                         star_signature, default_term, REAL, INTERVAL, NAT)
@@ -146,9 +146,7 @@ def compare_codes(x: ECode, y: ECode, fuel: Fuel, op: str):
     if x.is_const and y.is_const:
         fuel.take()
         # cross-multiply the stored pairs (denominators are positive)
-        a = x if type(x) is PairConst else x.value
-        b = y if type(y) is PairConst else y.value
-        l, r = a.numerator * b.denominator, b.numerator * a.denominator
+        l, r = x.numerator * y.denominator, y.numerator * x.denominator
         if l == r:
             return FUEL_OUT  # equality holds; the operation diverges
         return TT if op == "less" and l < r else FF

@@ -295,14 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None,
                        help="precision input, prepended to --input")
         p.add_argument("--fuel", type=int, default=default_fuel)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=("text", "json-lines"), default="text")
 
     runp = sub.add_parser("run", help="run one procedure")
     common(runp)
+    runp.add_argument("--seed", type=int, default=None,
+                      help="dovetail seed when --strategy gives none")
     runp.add_argument("--strategy", default="dovetail",
                       help="dovetail[:seed] | oracle:seed | enumerate:maxnat:depth")
-    sweepp = sub.add_parser("sweep", help="sweep seeds and precisions")
+    # no abbreviations: `--seed` would silently stand for `--seeds`
+    sweepp = sub.add_parser("sweep", help="sweep seeds and precisions",
+                            allow_abbrev=False)
     common(sweepp)
     sweepp.add_argument("--seeds", default="0..9", help="e.g. 0..49 or 1,2,3")
     sweepp.add_argument("--ns", default=None, help="precision list, e.g. 1..10")

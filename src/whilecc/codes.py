@@ -5,15 +5,17 @@ within 2^-n of the limit (and within 2^-n of every later entry, exactly):
 
     |value_at(k) - value_at(n)| < 2^-n   for all k > n.
 
-Constant codes carry an exact rational and all arithmetic between constants
-stays exact. Two results are stored as an unreduced integer pair
-(`PairConst`) and reduced once, the first time their `value` is read:
+Constant codes (`ConstCode`) carry an exact rational as an integer pair,
+`numerator` over `denominator` > 0, and all arithmetic between constants
+stays exact. Two results keep the pair unreduced and leave their `value`
+Fraction unset until its first read, which reduces the pair in place:
 - a sum of two constants whose denominators nest (one divides the other),
   as a numerator over the larger denominator, so a chain of such sums never
   stores a denominator larger than the largest one among its operands;
 - the distance |a - b| of two constants, over lcm(da, db).
-So the stored denominator is a multiple of the reduced one. Comparisons of
-two constants cross-multiply the stored pairs and never reduce them. Derived
+So the stored denominator is a multiple of the reduced one. Every other
+constant is made in lowest terms, with its Fraction. Comparisons of two
+constants cross-multiply the stored pairs and never reduce them. Derived
 codes (sum, product, inverse, ...) re-query their children at shifted
 precisions chosen so the fast Cauchy bound is preserved.
 The module also hosts the Cantor pairing utilities and the rational codecs
@@ -37,6 +39,10 @@ if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12
 else:
     def _coprime(n: int, d: int) -> Fraction:
         return Fraction(n, d, _normalize=False)
+
+
+# rat_add, rat_mul and rat_inv read `numerator`/`denominator` in lowest
+# terms: of Fractions, or of constant codes whose `value` has been read.
 
 
 def rat_add(a: Fraction, b: Fraction) -> Fraction:
@@ -229,6 +235,7 @@ class ECode:
     its levels in `_cache`; constant codes, which override it, have none."""
 
     __slots__ = ("_cache",)
+    is_const = False
 
     def __init__(self):
         self._cache: dict[int, Fraction] = {}
@@ -248,10 +255,6 @@ class ECode:
     def _compute(self, n: int, fuel: Fuel) -> Fraction:
         raise NotImplementedError
 
-    @property
-    def is_const(self) -> bool:
-        return False
-
     def interval(self, n: int, fuel: Fuel) -> tuple[Fraction, Fraction]:
         v = self.approx(n, fuel)
         h = Fraction(1, 1 << n)
@@ -259,32 +262,16 @@ class ECode:
 
 
 class ConstCode(ECode):
-    """Constant sequence: the exact-rational shortcut."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = Fraction(value)
-
-    def approx(self, n, fuel):
-        return self.value
-
-    @property
-    def is_const(self):
-        return True
-
-    def __repr__(self):
-        return f"ConstCode({self.value})"
-
-
-class PairConst(ConstCode):
-    """A constant stored as an unreduced integer pair: a sum of constants
-    over nested denominators, or a distance of two constants. Like a
-    Fraction it has a `numerator` and a `denominator` > 0, but not in lowest
-    terms until `value` is first read, which reduces them and caches the
-    Fraction."""
+    """Constant sequence: the exact-rational shortcut. Like a Fraction it has
+    a `numerator` and a `denominator` > 0. An unreduced pair has no Fraction
+    yet; the first read of `value` reduces the pair and caches it."""
 
     __slots__ = ("numerator", "denominator", "_value")
+    is_const = True
+
+    def __init__(self, value):
+        v = self._value = Fraction(value)
+        self.numerator, self.denominator = v.numerator, v.denominator
 
     @property
     def value(self) -> Fraction:
@@ -295,6 +282,12 @@ class PairConst(ConstCode):
             self.denominator //= g
             v = self._value = _coprime(self.numerator, self.denominator)
         return v
+
+    def approx(self, n, fuel):
+        return self.value
+
+    def __repr__(self):
+        return f"ConstCode({self.value})"
 
 
 class RuleCode(ECode):
@@ -413,33 +406,35 @@ class DiagonalCode(ECode):
 
 
 def _const(value: Fraction) -> ConstCode:
+    """A constant in lowest terms, with its Fraction."""
     c = ConstCode.__new__(ConstCode)
-    c.value = value
+    c._value = value
+    c.numerator, c.denominator = value.numerator, value.denominator
+    return c
+
+
+def _pair_const(num: int, den: int) -> ConstCode:
+    """A constant over an unreduced pair; `value` is read on demand."""
+    c = ConstCode.__new__(ConstCode)
+    c.numerator, c.denominator, c._value = num, den, None
     return c
 
 
 def add_codes(x: ECode, y: ECode) -> ECode:
     if x.is_const and y.is_const:
-        a = x if type(x) is PairConst else x.value
-        b = y if type(y) is PairConst else y.value
-        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+        na, da, nb, db = x.numerator, x.denominator, y.numerator, y.denominator
         # nested denominators: add over the larger one, reduce on first read
         if db % da == 0:
             return _pair_const(na * (db // da) + nb, db)
         if da % db == 0:
             return _pair_const(nb * (da // db) + na, da)
-        return _const(rat_add(x.value, y.value))
+        x.value, y.value  # reduce unreduced pairs in place
+        return _const(rat_add(x, y))
     return SumCode(x, y)
 
 
-def _pair_const(num: int, den: int) -> PairConst:
-    c = PairConst.__new__(PairConst)
-    c.numerator, c.denominator, c._value = num, den, None
-    return c
-
-
-def _dist_pair(a, b) -> PairConst:
-    """|a - b| of two exact rationals (Fractions or stored pairs) over
+def _dist_pair(a, b) -> ConstCode:
+    """|a - b| of two exact rationals (Fractions or constants) over
     lcm(da, db), with one gcd of the denominators (Henrici) and no
     reduction. For operands in lowest terms with gcd(da, db) = 1 it is in
     lowest terms already."""
@@ -457,14 +452,14 @@ def neg_code(x: ECode) -> ECode:
 
 def mul_codes(x: ECode, y: ECode) -> ECode:
     if x.is_const and y.is_const:
-        return _const(rat_mul(x.value, y.value))
+        x.value, y.value  # reduce unreduced pairs in place
+        return _const(rat_mul(x, y))
     return MulCode(x, y)
 
 
 def abs_diff_code(x: ECode, y: ECode) -> ECode:
     if x.is_const and y.is_const:
-        return _dist_pair(x if type(x) is PairConst else x.value,
-                          y if type(y) is PairConst else y.value)
+        return _dist_pair(x, y)
     return AbsDiffCode(x, y)
 
 
@@ -489,9 +484,10 @@ def separation_witness(x: ECode, fuel: Fuel) -> Optional[int]:
 def inv_code(x: ECode, fuel: Fuel) -> tuple[Optional[ECode], str]:
     """Build 1/x. Returns (code, "ok"), (None, "zero") or (None, "fuel")."""
     if x.is_const:
-        if x.value == 0:
+        if x.numerator == 0:
             return None, "zero"
-        return _const(rat_inv(x.value)), "ok"
+        x.value  # reduce an unreduced pair in place
+        return _const(rat_inv(x)), "ok"
     m = separation_witness(x, fuel)
     if m is None:
         return None, "fuel"

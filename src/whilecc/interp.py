@@ -496,15 +496,10 @@ def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
         any_flag = False
         for cand in range(ctx.strat.max_nat + 1):
             b2[t.var] = nat_value(cand)
-            if single is not None:
-                v = single(b2, ctx.fuel, g)
-                has_tt = isinstance(v, BoolV) and v.b
-                has_ff = isinstance(v, BoolV) and not v.b
-            else:
-                g = _enum_term(ctx, body, b2)
-                has_tt = any(isinstance(v, BoolV) and v.b for v in g.values)
-                has_ff = any(isinstance(v, BoolV) and not v.b
-                             for v in g.values)
+            has_tt = has_ff = False
+            for v in _enum_values(ctx, body, single, b2, g):
+                if isinstance(v, BoolV):
+                    has_tt, has_ff = has_tt or v.b, has_ff or not v.b
             if has_tt:
                 out.add(nat_value(cand), seen)
                 if not has_ff and not g.maybe_divergent:

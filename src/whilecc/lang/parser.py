@@ -335,64 +335,44 @@ class Parser:
 
     def parse_choose_term(self, allow_pair: bool = False):
         """Returns a Term, or for the two-binder sugar a triple
-        (choose-term, proj-template-1, proj-template-2) with `$` the hole."""
+        (choose-term, proj-template-1, proj-template-2) with `$` the hole.
+        Two binders decode one chosen natural through `fst`/`snd`; the
+        rational form wraps each binder's value in `rat(.)`."""
         self.expect("choose")
-        sig = self.sig
-        if self.accept("rational"):
-            names = [self.expect("ident", "binder").text]
-            if self.accept_op(","):
-                names.append(self.expect("ident", "binder").text)
-            self.expect_op(":")
-            if len(names) == 1:
-                z = self.fresh("ch_k")
-                self.bound.append((z, NAT))
-                rat = sig.symbol("rat")
-                body = self._with_binders(
-                    {names[0]: App(rat, (Var(z, NAT),))},
-                    lambda: self.check(self.parse_term(), BOOL))
-                self.bound.pop()
-                c = Choose(z, body, NAT)
-                return App(rat, (c,))
-            if not allow_pair:
-                raise self.err("paired choose needs two assignment targets",
-                               kind="well-formedness")
-            z = self.fresh("ch_z")
-            self.bound.append((z, NAT))
-            rat, fst, snd = sig.symbol("rat"), sig.symbol("fst"), sig.symbol("snd")
-            zv = Var(z, NAT)
-            body = self._with_binders(
-                {names[0]: App(rat, (App(fst, (zv,)),)),
-                 names[1]: App(rat, (App(snd, (zv,)),))},
-                lambda: self.check(self.parse_term(), BOOL))
-            self.bound.pop()
-            chooser = Choose(z, body, NAT)
-            hole = Var("$", NAT)
-            return (chooser, App(rat, (App(fst, (hole,)),)),
-                    App(rat, (App(snd, (hole,)),)))
+        rational = self.accept("rational")
         names = [self.expect("ident", "binder").text]
         if self.accept_op(","):
             names.append(self.expect("ident", "binder").text)
         self.expect_op(":")
-        if len(names) == 1:
-            z = names[0]
-            self.bound.append((z, NAT))
-            body = self.check(self.parse_term(), BOOL)
-            self.bound.pop()
-            return Choose(z, body, NAT)
-        if not allow_pair:
+        if len(names) == 2 and not allow_pair:
             raise self.err("paired choose needs two assignment targets",
                            kind="well-formedness")
-        z = self.fresh("ch_z")
+        if len(names) == 1:
+            z, projs = (self.fresh("ch_k") if rational else names[0]), (None,)
+        else:
+            z = self.fresh("ch_z")
+            projs = (self.sig.symbol("fst"), self.sig.symbol("snd"))
+
+        def wrap(t):
+            return App(self.sig.symbol("rat"), (t,)) if rational else t
+
+        def decode(v):  # the binders' values from the chosen natural v
+            return tuple(wrap(v if p is None else App(p, (v,))) for p in projs)
+
+        def guard():
+            return self.check(self.parse_term(), BOOL)
+
         self.bound.append((z, NAT))
-        fst, snd = self.sig.symbol("fst"), self.sig.symbol("snd")
-        zv = Var(z, NAT)
-        body = self._with_binders(
-            {names[0]: App(fst, (zv,)), names[1]: App(snd, (zv,))},
-            lambda: self.check(self.parse_term(), BOOL))
+        if rational or len(names) == 2:
+            body = self._with_binders(dict(zip(names, decode(Var(z, NAT)))),
+                                      guard)
+        else:  # the plain single binder is the choose variable itself
+            body = guard()
         self.bound.pop()
         chooser = Choose(z, body, NAT)
-        hole = Var("$", NAT)
-        return chooser, App(fst, (hole,)), App(snd, (hole,))
+        if len(names) == 1:
+            return wrap(chooser)
+        return (chooser,) + decode(Var("$", NAT))
 
     def _with_binders(self, mapping: dict, thunk):
         """Parse with pseudo-variables that are substituted away afterwards."""

@@ -53,6 +53,17 @@ def test_unknown_flag_exit_1(capsys):
     assert code == 1
 
 
+def test_seed_is_a_run_option_only(capsys):
+    # sweep takes its seeds from --seeds; a --seed there is a usage error
+    code, _, err = run_cli(capsys, "sweep", "--program", "exp_approx",
+                           "--input", "1", "--ns", "2", "--seeds", "0..1",
+                           "--seed", "7")
+    assert code == 1 and "--seed" in err
+    code, out, _ = run_cli(capsys, "run", "--program", "exp_approx",
+                           "--n", "2", "--input", "1", "--seed", "7")
+    assert code == 0 and "exit 0" in out
+
+
 def test_missing_program_exit_1(capsys):
     code, _, err = run_cli(capsys, "run", "--program", "no_such_prog",
                            "--input", "1")

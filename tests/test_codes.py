@@ -11,7 +11,7 @@ from whilecc.algebra import (FF, FUEL_OUT, TT, RealV, compare_codes,
                              interval_value, rat_value, value_key)
 from whilecc.codes import (pair, unpair, rat_decode, rat_encode,
                            prog_rat_decode, ConstCode, RuleCode, SumCode,
-                           MulCode, DiagonalCode, Fuel, CodeRegistry, PairConst,
+                           MulCode, DiagonalCode, Fuel, CodeRegistry, ECode,
                            FastCauchyError, check_fast_cauchy_prefix,
                            add_codes, mul_codes, inv_code, abs_diff_code,
                            neg_code, sqrt_code, e_code, separation_witness)
@@ -168,12 +168,9 @@ def const_chains(draw):
     return leaves, steps
 
 
-def _stored_den(c: ConstCode) -> int:
-    return c.denominator if isinstance(c, PairConst) else c.value.denominator
-
-
-def _unread(*cs: ConstCode) -> list[PairConst]:
-    return [c for c in cs if isinstance(c, PairConst) and c._value is None]
+def _unread(*cs: ConstCode) -> list[ConstCode]:
+    """The constants whose Fraction is not built yet (unreduced pairs)."""
+    return [c for c in cs if c._value is None]
 
 
 def _check_compare(x: ConstCode, y: ConstCode, a: Fraction, b: Fraction):
@@ -210,7 +207,7 @@ def test_const_chains_read_canonical_values(chain):
         (x, a, _), (y, b, _) = pool[i % len(pool)], pool[j % len(pool)]
         if _bits(a) + _bits(b) > 4000:  # repeated products grow exponentially
             continue
-        dx, dy = _stored_den(x), _stored_den(y)
+        dx, dy = x.denominator, y.denominator
         # comparisons and distances read the stored pairs, never reduce them
         unread = _unread(x, y)
         _check_compare(x, y, a, b)
@@ -229,8 +226,8 @@ def test_const_chains_read_canonical_values(chain):
                 assert (c, status) == (None, "zero")
                 continue
             r = 1 / a
-        stored = _stored_den(c)
-        if op == "add" and isinstance(c, PairConst):
+        stored = c.denominator
+        if op == "add" and _unread(c):
             assert stored <= max(dx, dy)  # an unreduced sum never grows
         if op == "absdiff":
             assert stored == dx * dy // gcd(dx, dy)
@@ -245,6 +242,29 @@ def test_const_chains_read_canonical_values(chain):
             _check_compare(x, y, a, b)
 
 
+def test_constants_are_one_type():
+    half, third, sixth = (ConstCode(Fraction(1, d)) for d in (2, 3, 6))
+    nested, dist = add_codes(third, sixth), abs_diff_code(half, sixth)
+    assert (nested.numerator, nested.denominator) == (3, 6)
+    assert (dist.numerator, dist.denominator) == (2, 6)
+    assert _unread(nested, dist) == [nested, dist]
+    consts = [(ConstCode(Fraction(-4, 6)), Fraction(-2, 3)), (nested, HALF),
+              (add_codes(half, ConstCode(Fraction(1, 5))), Fraction(7, 10)),
+              (mul_codes(half, third), Fraction(1, 6)),
+              (neg_code(third), Fraction(-1, 3)),
+              (inv_code(third, Fuel(0))[0], Fraction(3)),
+              (dist, Fraction(1, 3))]
+    for c, q in consts:
+        assert type(c) is ConstCode and c.is_const
+        unread = _unread(c)
+        assert c.numerator * q.denominator == q.numerator * c.denominator
+        assert _unread(c) == unread  # reading the pair reduces nothing
+        assert c.value == q
+        assert (c.numerator, c.denominator) == (q.numerator, q.denominator)
+    # a class attribute on every code, not a property
+    assert (ECode.is_const, ConstCode.is_const) == (False, True)
+
+
 def test_certified_deviation_is_in_lowest_terms():
     # |1/2 - 1/4| reads as 1/4 itself, which an unreduced 2/8 does not equal
     from whilecc.programs import _certified_deviation
@@ -257,7 +277,7 @@ def test_constant_codes_allocate_no_approx_cache():
     quarter = ConstCode(Fraction(1, 4))
     consts = (ConstCode(HALF), add_codes(ConstCode(HALF), quarter),
               mul_codes(quarter, quarter), neg_code(quarter), reg.parse_code("const:-7/3"))
-    assert isinstance(consts[1], PairConst)
+    assert _unread(consts[1])
     for c in consts:
         assert not hasattr(c, "_cache")
         assert c.approx(5, Fuel(0)) == c.value

@@ -231,3 +231,44 @@ end"""
     t = p.body.s2.rhs[0]
     assert t.sym.name == "less_real"
     assert t.args[0].sym.name == "i_I"
+
+
+# The four choose forms, rational or plain, with one binder or two, each as
+# the parser desugared it before its four cases were folded into one path.
+# The expected texts pin the fresh names ch_k/ch_z/ch_pair and their order.
+_CHOOSE_FORMS = {
+    "rational": (
+        "q := choose rational r : dist(r, x) < 1/4",
+        "",
+        "  q, a, b, m, i := 0, 0, 0, 0, 0;\n"
+        "  q := rat((choose ch_k0 : (dist(rat(ch_k0), x) < (1/4))))\n"),
+    "rational pair": (
+        "a, b := choose rational a0, b0 :\n"
+        "  (a0 < b0) andthen (dist(a0, choose rational r : dist(r, b0) < 1/8) < 1/2)",
+        "aux ch_pair2: nat\n",
+        "  q, a, b, m, i, ch_pair2 := 0, 0, 0, 0, 0, 0;\n"
+        "  ch_pair2 := (choose ch_z0 : ((rat(fst(ch_z0)) < rat(snd(ch_z0))) "
+        "andthen (dist(rat(fst(ch_z0)), rat((choose ch_k1 : "
+        "(dist(rat(ch_k1), rat(snd(ch_z0))) < (1/8))))) < (1/2))));\n"
+        "  a, b := rat(fst(ch_pair2)), rat(snd(ch_pair2))\n"),
+    "plain": (
+        "m := choose k : less_nat(k, choose k : eq_nat(k, 2))",
+        "",
+        "  q, a, b, m, i := 0, 0, 0, 0, 0;\n"
+        "  m := (choose k : (k < (choose k : (k = 2))))\n"),
+    "plain pair": (
+        "m, i := choose z1, z2 : eq_nat(pair(z1, z2), 11)",
+        "aux ch_pair1: nat\n",
+        "  q, a, b, m, i, ch_pair1 := 0, 0, 0, 0, 0, 0;\n"
+        "  ch_pair1 := (choose ch_z0 : (pair(fst(ch_z0), snd(ch_z0)) = 11));\n"
+        "  m, i := fst(ch_pair1), snd(ch_pair1)\n"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_CHOOSE_FORMS))
+def test_choose_forms_desugar_as_recorded(form):
+    stmt, aux, body = _CHOOSE_FORMS[form]
+    decls = "in x: real\nout q: real, a: real, b: real, m: nat, i: nat\n"
+    prog = parse_program(f"algebra RN\nfunc f {decls}begin\n  {stmt}\nend")
+    assert pretty_program(prog) == (
+        f"algebra RN\n\nfunc f\n{decls}{aux}begin\n{body}end\n")
