@@ -297,13 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fuel", type=int, default=default_fuel)
         p.add_argument("--format", choices=("text", "json-lines"), default="text")
 
-    runp = sub.add_parser("run", help="run one procedure")
+    # no abbreviations: one silently changes meaning once a new option
+    # shares its prefix (in `sweep`, `--seed` would stand for `--seeds`)
+    runp = sub.add_parser("run", help="run one procedure", allow_abbrev=False)
     common(runp)
     runp.add_argument("--seed", type=int, default=None,
                       help="dovetail seed when --strategy gives none")
     runp.add_argument("--strategy", default="dovetail",
                       help="dovetail[:seed] | oracle:seed | enumerate:maxnat:depth")
-    # no abbreviations: `--seed` would silently stand for `--seeds`
     sweepp = sub.add_parser("sweep", help="sweep seeds and precisions",
                             allow_abbrev=False)
     common(sweepp)

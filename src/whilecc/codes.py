@@ -111,32 +111,42 @@ class FastCauchyError(Exception):
 
 
 class Fuel:
-    """Mutable step budget. A capped child budget drains its parent too."""
+    """Mutable step budget: one counter, and a step is one decrement.
 
-    __slots__ = ("remaining", "parent")
+    A capped budget for a guard or a level run is carved out of its parent:
+    `spawn(cap)` moves min(cap, remaining) steps into a new child at once, and
+    `repay(child)` gives back what the child left. The parent is thus charged
+    exactly the steps the child took, as long as no guard or level run keeps
+    its budget after it returns and the parent is not drawn on while a child
+    is out. A spawn site repays in a `finally`, so a raising guard leaves its
+    parent right too.
+    """
 
-    def __init__(self, steps: int, parent: "Fuel | None" = None):
+    __slots__ = ("remaining",)
+
+    def __init__(self, steps: int):
         if steps < 0:
             raise ValueError("fuel must be non-negative")
         self.remaining = steps
-        self.parent = parent
 
-    def take(self, n: int = 1) -> bool:
-        if self.remaining < n:
-            self.remaining = 0
-            return False
-        if self.parent is not None and not self.parent.take(n):
-            self.remaining = 0
-            return False
-        self.remaining -= n
-        return True
+    def take(self) -> bool:
+        if self.remaining:
+            self.remaining -= 1
+            return True
+        return False
 
     @property
     def dead(self) -> bool:
         return self.remaining <= 0
 
     def spawn(self, cap: int) -> "Fuel":
-        return Fuel(min(cap, self.remaining), parent=self)
+        child = Fuel(cap if cap < self.remaining else self.remaining)
+        self.remaining -= child.remaining
+        return child
+
+    def repay(self, child: "Fuel") -> None:
+        self.remaining += child.remaining
+        child.remaining = 0
 
     def __repr__(self):
         return f"Fuel({self.remaining})"
@@ -583,9 +593,6 @@ class CodeRegistry:
 
     def code(self, index: int) -> ECode:
         return self._codes[index]
-
-    def const(self, q) -> int:
-        return self.mint(ConstCode(q))
 
     # named builtin codes (CLI input literals)
 

@@ -149,15 +149,17 @@ class Dovetail:
         stage = 0
         retry: list[tuple[int, int]] = []  # (due stage, candidate)
         while fuel.take():
-            batch = [self.visit(stage)]
-            while retry and retry[0][0] <= stage:
-                batch.append(heapq.heappop(retry)[1])
-            for cand in batch:
+            cand = self.visit(stage)
+            while True:
                 r = attempt(cand, stage)
                 if r is FUEL_OUT:
+                    # due after this stage: no pop of this stage reaches it
                     heapq.heappush(retry, (max(stage * 2, stage + 1), cand))
                 elif r is not DIV:
                     return r
+                if not retry or retry[0][0] > stage:
+                    break
+                cand = heapq.heappop(retry)[1]
             stage += 1
         return FUEL_OUT
 
@@ -430,7 +432,11 @@ def _dovetail_choose(strat, var: str, body, b: dict, fuel: Fuel):
 
     def attempt(cand: int, stage: int):
         b2[var] = nat_value(cand)
-        g = body(b2, fuel.spawn(stage + 1), None)
+        guard_fuel = fuel.spawn(stage + 1)
+        try:
+            g = body(b2, guard_fuel, None)
+        finally:
+            fuel.repay(guard_fuel)
         if g is FUEL_OUT or g is DIV:
             return g
         return nat_value(cand) if g.b else DIV  # a ff guard is refuted
@@ -645,9 +651,6 @@ class CompTree:
             for c in self.children:
                 c.leaves(acc)
         return acc
-
-    def count(self) -> int:
-        return 1 + sum(c.count() for c in self.children)
 
 
 def comp_tree_stage(s: Stmt, sigma: State, n: int, alg: PartialAlgebra,

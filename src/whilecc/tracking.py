@@ -311,10 +311,11 @@ def soundness_lift(P: Procedure, code_alg: PartialAlgebra,
     Level m runs P on the code algebra at precision m; the diagonal shifted
     by two is a fast Cauchy code for the approximated value at the decoded
     input. A level run is paid for by the `approx` call that needs it: it
-    runs on a child of that call's budget, capped at `fuel_per_level`. When
-    the caller's budget dies during the run, `approx` raises `OutOfFuel`;
-    when the run does not converge within its cap, `LiftError` with the
-    level's index. Either way the level is not cached.
+    runs on at most `fuel_per_level` steps carved out of that call's budget,
+    and the rest is repaid when the run returns. When the caller's budget
+    dies during the run, `approx` raises `OutOfFuel`; when the run does not
+    converge within its cap, `LiftError` with the level's index. Either way
+    the level is not cached.
 
     The diagonal code is registered. It refers to the code algebra and the
     registry only weakly: both refer to the registry, which refers to the
@@ -332,8 +333,12 @@ def soundness_lift(P: Procedure, code_alg: PartialAlgebra,
             if alg is None or reg is None:
                 raise LiftError(f"level {m}: the lift's code algebra or "
                                 "registry was freed", level=m)
-            res = eval_proc(P, (nat_value(m),) + tuple(args), alg,
-                            strat, fuel.spawn(fuel_per_level))
+            level_fuel = fuel.spawn(fuel_per_level)
+            try:
+                res = eval_proc(P, (nat_value(m),) + tuple(args), alg,
+                                strat, level_fuel)
+            finally:
+                fuel.repay(level_fuel)
             if not res.values:
                 if fuel.dead:
                     raise OutOfFuel(f"level {m}: the caller's budget ran out "
@@ -493,7 +498,11 @@ def adequacy_g(f: TrackingFn, F_cover: LUCModulus, alpha: Enumeration,
         q = a_k.code.value
         if q not in e_cons:
             e_cons[q] = registry.mint(ConstCode(q))
-        run = f(fuel.spawn(stage + 1), NatV(e_cons[q]))
+        run_fuel = fuel.spawn(stage + 1)
+        try:
+            run = f(run_fuel, NatV(e_cons[q]))
+        finally:
+            fuel.repay(run_fuel)
         if run is DIV or run is FUEL_OUT:
             return run
         return rat_value(ecode_eval(registry.code(run.n), n + 1, fuel))

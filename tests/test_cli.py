@@ -64,6 +64,16 @@ def test_seed_is_a_run_option_only(capsys):
     assert code == 0 and "exit 0" in out
 
 
+def test_run_rejects_abbreviated_options(capsys):
+    # `--prog`/`--inp` are not taken for `--program`/`--input`
+    code, out, err = run_cli(capsys, "run", "--prog", "choose_near",
+                             "--inp", "1/3, 4")
+    assert code == 1 and out == "" and "--prog" in err
+    code, out, _ = run_cli(capsys, "run", "--program", "choose_near",
+                           "--input", "1/3, 4")
+    assert code == 0 and out.startswith("value 1/3 ")
+
+
 def test_missing_program_exit_1(capsys):
     code, _, err = run_cli(capsys, "run", "--program", "no_such_prog",
                            "--input", "1")

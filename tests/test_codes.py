@@ -400,9 +400,21 @@ def test_fuel_budgets():
     f = Fuel(5)
     assert all(f.take() for _ in range(5))
     assert not f.take() and f.dead
+    # spawn carves the child's steps out of the parent at once
     parent = Fuel(10)
     child = parent.spawn(3)
-    assert child.take(3)
-    assert parent.remaining == 7
-    assert not child.take()
-    assert parent.remaining == 7
+    assert child.remaining == 3 and parent.remaining == 7
+    # a child's take leaves the parent alone
+    assert child.take()
+    assert child.remaining == 2 and parent.remaining == 7
+    # repay returns what the child left; the repaid child is empty
+    parent.repay(child)
+    assert parent.remaining == 9 and child.remaining == 0 and child.dead
+    # a cap above the parent's remaining is clipped to it
+    child = parent.spawn(100)
+    assert child.remaining == 9 and parent.remaining == 0 and parent.dead
+    # a child that used up its steps is dead and repays nothing
+    assert all(child.take() for _ in range(9))
+    assert not child.take() and child.dead
+    parent.repay(child)
+    assert parent.remaining == 0

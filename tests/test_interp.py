@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from whilecc.algebra import get_algebra, rat_value, NatV, RealV
+from whilecc.algebra import get_algebra, rat_value, NatV, RealV, FUEL_OUT
 from whilecc.codes import Fuel, sqrt_code
 from whilecc.interp import (Enumerate, Oracle, Dovetail, State, eval_term,
                             eval_atomic, first, rest, comp_step,
                             comp_tree_stage, tree_is_prefix, eval_stmt,
                             eval_proc, initial_state, is_deterministic_on,
-                            choose_eliminate, ChooseEliminationError)
+                            choose_eliminate, ChooseEliminationError,
+                            _dovetail_choose)
 from whilecc.lang import parse
 from whilecc.lang.ast import (Var, Lit, App, Choose, Skip, Div, Assign, Seq,
                               If, While)
@@ -122,6 +123,44 @@ def test_choose_in_choose_body_branches():
     assert out.truncated and not out.proven_divergent
     assert out.diagnostics == ["choose candidates 0..5 all rejected; "
                                "rest unexplored"]
+
+
+# Recorded values: a guard's budget is carved out of the caller's and the
+# rest repaid, so the caller is charged exactly the steps the stages and the
+# guards took, also when a guard nests a second choose.
+@pytest.mark.parametrize("seed, budget, values, left", [
+    (None, 300, [15], 30), (None, 100_000, [15], 99_730),
+    (3, 100, [], 0), (3, 300, [6090], 189), (3, 100_000, [6090], 99_889)])
+def test_dovetail_guard_nesting_a_choose_spends_as_recorded(seed, budget,
+                                                            values, left):
+    t = term("choose k : dist(rat(k), rat(choose j : rat(j) > x)) < 1/4",
+             frame="x: real", assign_to=("i", "nat"))
+    fuel = Fuel(budget)
+    out = eval_term(t, state(x=rat_value(Fraction(1, 2))), RN, Dovetail(seed),
+                    fuel)
+    assert [v.n for v in out.values] == values
+    assert out.maybe_divergent == (not values) and fuel.remaining == left
+
+
+def test_a_raising_guard_charges_its_caller_only_the_steps_taken():
+    # every guard drains its stage budget, and the guard of candidate 4
+    # then raises. Stages 0..4 take a step each, and their guards take
+    # 1 + (2 + 2) + (3 + 3 + 3) + 4 + 5 = 23 steps (candidate 0 is retried at
+    # stages 1 and 2, candidate 1 at stage 2): 28 in all, as recorded
+    class Boom(Exception):
+        pass
+
+    def guard(b, fuel, out):
+        while fuel.take():
+            pass
+        if b["z"].n == 4:
+            raise Boom
+        return FUEL_OUT
+
+    fuel = Fuel(1000)
+    with pytest.raises(Boom):
+        _dovetail_choose(Dovetail(), "z", guard, {}, fuel)
+    assert fuel.remaining == 1000 - 28
 
 
 # ---------------------------------------------------------------------------

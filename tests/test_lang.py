@@ -233,6 +233,17 @@ end"""
     assert t.args[0].sym.name == "i_I"
 
 
+def test_interval_operand_meets_real_operand_through_i_I():
+    # an interval variable compared with a real one, on either side, is
+    # embedded by i_I (Parser._coerce_interval)
+    src = ("algebra IN\nfunc f in x: interval, y: real out b: bool, c: bool\n"
+           "begin\n  b := x < y;\n  c := y < x\nend")
+    assert pretty_program(parse_program(src)) == (
+        "algebra IN\n\nfunc f\nin x: interval, y: real\nout b: bool, c: bool\n"
+        "begin\n  b, c := false, false;\n  b := (i_I(x) < y);\n"
+        "  c := (y < i_I(x))\nend\n")
+
+
 # The four choose forms, rational or plain, with one binder or two, each as
 # the parser desugared it before its four cases were folded into one path.
 # The expected texts pin the fresh names ch_k/ch_z/ch_pair and their order.

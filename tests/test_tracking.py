@@ -245,6 +245,23 @@ def test_lift_levels_are_paid_for_by_the_caller():
     assert e.value.level == 8 and fuel.remaining == 10**6 - 100
 
 
+def test_lifted_approx_spends_as_recorded():
+    # n = 5 runs level 7 on a budget carved from the caller's and the rest
+    # repaid; the caller is charged the recorded spend. The cached level
+    # costs nothing
+    reg = CodeRegistry()
+    calg = code_algebra(get_algebra("IN"), reg)
+    p, _ = load("exp_approx")
+    x = NatV(reg.mint(ConstCode(Fraction(1, 4))))
+    lifted = soundness_lift(p, calg, reg, (x,))
+    fuel = Fuel(10**6)
+    assert lifted.approx(5, fuel) == exp_partial_sum(Fraction(1, 4), 2 ** 8)
+    assert fuel.remaining == 995_308
+    fuel = Fuel(10**6)
+    lifted.approx(5, fuel)
+    assert fuel.remaining == 10**6
+
+
 def test_lift_aborts_with_level_on_divergence(rn_codes):
     rn, calg, reg = rn_codes
     p = parse("algebra RN\nfunc d in n: nat, x: real out y: real begin div end")
@@ -384,6 +401,19 @@ def test_adequacy_g_identity_tracking(square_setup):
                      rat_value(Fraction(5, 8)), 8, Dovetail(), fuel=Fuel(500_000))
     assert out is not DIV and out is not FUEL_OUT
     assert abs(out.code.value - Fraction(5, 8)) < Fraction(1, 256)
+
+
+@pytest.mark.parametrize("xq, n, y, left", [
+    (Fraction(1, 3), 6, Fraction(1, 9), 499_897),
+    (Fraction(-7, 8), 2, Fraction(49, 64), 486_884)])
+def test_adequacy_g_spends_as_recorded(square_setup, xq, n, y, left):
+    # each index's f-run gets a budget carved from the caller's and the rest
+    # repaid; the caller's remaining fuel is the recorded spend
+    alpha, reg, cover, sq = square_setup
+    fuel = Fuel(500_000)
+    out = adequacy_g(sq, cover, alpha, reg, rat_value(xq), n, Dovetail(),
+                     fuel=fuel)
+    assert out.code.value == y and fuel.remaining == left
 
 
 def test_adequacy_g_outside_domain_exhausts(square_setup):
