@@ -75,6 +75,15 @@ class NatV(Value):
         return f"NatV({self.n})"
 
 
+SHARED_NATS = 1 << 12
+_NATS = [NatV(i) for i in range(SHARED_NATS)]
+
+
+def nat_value(i: int) -> NatV:
+    """NatV(i), one shared object for each i below SHARED_NATS."""
+    return _NATS[i] if i < SHARED_NATS else NatV(i)
+
+
 class RealV(Value):
     """A real carried by a fast Cauchy code (constant codes stay exact)."""
 
@@ -101,7 +110,7 @@ class ArrV(Value):
 
 
 def rat_value(q) -> RealV:
-    return RealV(ConstCode(Fraction(q)))
+    return RealV(ConstCode(q))
 
 
 def value_key(v: Value):
@@ -292,15 +301,15 @@ def _bool_rules() -> dict:
 
     def and_(fuel, a, b):
         fuel.take()
-        return BoolV(a.b and b.b)
+        return TT if a.b and b.b else FF
 
     def or_(fuel, a, b):
         fuel.take()
-        return BoolV(a.b or b.b)
+        return TT if a.b or b.b else FF
 
     def not_(fuel, a):
         fuel.take()
-        return BoolV(not a.b)
+        return FF if a.b else TT
 
     return {"true": true, "false": false, "and": and_, "or": or_,
             "not": not_, "if_bool": _if}
@@ -309,19 +318,19 @@ def _bool_rules() -> dict:
 def _nat_rules() -> dict:
     def zero_nat(fuel):
         fuel.take()
-        return NatV(0)
+        return _NATS[0]
 
     def succ(fuel, a):
         fuel.take()
-        return NatV(a.n + 1)
+        return nat_value(a.n + 1)
 
     def eq_nat(fuel, a, b):
         fuel.take()
-        return BoolV(a.n == b.n)
+        return TT if a.n == b.n else FF
 
     def less_nat(fuel, a, b):
         fuel.take()
-        return BoolV(a.n < b.n)
+        return TT if a.n < b.n else FF
 
     return {"zero_nat": zero_nat, "succ": succ, "eq_nat": eq_nat,
             "less_nat": less_nat, "if_nat": _if}

@@ -7,17 +7,19 @@ within 2^-n of the limit (and within 2^-n of every later entry, exactly):
 
 Constant codes (`ConstCode`) carry an exact rational as an integer pair,
 `numerator` over `denominator` > 0, and all arithmetic between constants
-stays exact. Two results keep the pair unreduced and leave their `value`
-Fraction unset until its first read, which reduces the pair in place:
+stays exact and works on the pairs alone: no result builds a Fraction, and
+the first read of `value` builds it. Two results keep the pair unreduced
+until that read, which reduces the pair in place:
 - a sum of two constants whose denominators nest (one divides the other),
   as a numerator over the larger denominator, so a chain of such sums never
   stores a denominator larger than the largest one among its operands;
 - the distance |a - b| of two constants, over lcm(da, db).
-So the stored denominator is a multiple of the reduced one. Every other
-constant is made in lowest terms, with its Fraction. Comparisons of two
-constants cross-multiply the stored pairs and never reduce them. Derived
-codes (sum, product, inverse, ...) re-query their children at shifted
-precisions chosen so the fast Cauchy bound is preserved.
+So the stored denominator is a multiple of the reduced one. A negation keeps
+its operand's pair reduced or not; every other result is made in lowest
+terms, with gcds on component-sized integers, after its operands are reduced
+in place. Comparisons of two constants cross-multiply the stored pairs and
+never reduce them. Derived codes (sum, product, inverse, ...) re-query their
+children at shifted precisions chosen so the fast Cauchy bound is preserved.
 The module also hosts the Cantor pairing utilities and the rational codecs
 used by enumerations, plus the append-only code registry.
 
@@ -39,46 +41,6 @@ if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12
 else:
     def _coprime(n: int, d: int) -> Fraction:
         return Fraction(n, d, _normalize=False)
-
-
-# rat_add, rat_mul and rat_inv read `numerator`/`denominator` in lowest
-# terms: of Fractions, or of constant codes whose `value` has been read.
-
-
-def rat_add(a: Fraction, b: Fraction) -> Fraction:
-    """Exact a+b with gcds on component-sized integers (Henrici)."""
-    na, da = a.numerator, a.denominator
-    nb, db = b.numerator, b.denominator
-    g = gcd(da, db)
-    if g == 1:
-        return _coprime(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return _coprime(t, s * db)
-    return _coprime(t // g2, s * (db // g2))
-
-
-def rat_mul(a: Fraction, b: Fraction) -> Fraction:
-    na, da = a.numerator, a.denominator
-    nb, db = b.numerator, b.denominator
-    g1 = gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return _coprime(na * nb, db * da)
-
-
-def rat_inv(a: Fraction) -> Fraction:
-    n, d = a.numerator, a.denominator
-    if n == 0:
-        raise ZeroDivisionError("rational inverse of zero")
-    return _coprime(d, n) if n > 0 else _coprime(-d, -n)
 
 
 def rat_dist(a: Fraction, b: Fraction) -> Fraction:
@@ -271,25 +233,41 @@ class ECode:
         return v - h, v + h
 
 
+_LOWEST = object()  # ConstCode._value of a pair in lowest terms, unread
+
+
 class ConstCode(ECode):
     """Constant sequence: the exact-rational shortcut. Like a Fraction it has
-    a `numerator` and a `denominator` > 0. An unreduced pair has no Fraction
-    yet; the first read of `value` reduces the pair and caches it."""
+    a `numerator` and a `denominator` > 0, and arithmetic works on this pair.
+    `_value` marks how far the pair is known: None while it may be
+    unreduced, `_LOWEST` once it is in lowest terms, and the Fraction once
+    `value` has been read. The first read of `value` reduces an unreduced
+    pair in place and builds the Fraction; nothing else builds it."""
 
     __slots__ = ("numerator", "denominator", "_value")
     is_const = True
 
     def __init__(self, value):
-        v = self._value = Fraction(value)
-        self.numerator, self.denominator = v.numerator, v.denominator
+        if type(value) is int:
+            self.numerator, self.denominator, self._value = value, 1, _LOWEST
+        else:
+            v = self._value = Fraction(value)
+            self.numerator, self.denominator = v.numerator, v.denominator
+
+    def _reduce(self) -> None:
+        """Bring an unreduced pair to lowest terms in place."""
+        g = gcd(self.numerator, self.denominator)
+        if g > 1:
+            self.numerator //= g
+            self.denominator //= g
+        self._value = _LOWEST
 
     @property
     def value(self) -> Fraction:
         v = self._value
-        if v is None:
-            g = gcd(self.numerator, self.denominator)
-            self.numerator //= g
-            self.denominator //= g
+        if v is None or v is _LOWEST:
+            if v is None:
+                self._reduce()
             v = self._value = _coprime(self.numerator, self.denominator)
         return v
 
@@ -415,19 +393,44 @@ class DiagonalCode(ECode):
         return code.approx(m, fuel)
 
 
-def _const(value: Fraction) -> ConstCode:
-    """A constant in lowest terms, with its Fraction."""
+def _pair_const(num: int, den: int, mark=None) -> ConstCode:
+    """The constant num/den (den > 0) with no Fraction; `mark` is None for a
+    pair that may be unreduced, `_LOWEST` for one in lowest terms."""
     c = ConstCode.__new__(ConstCode)
-    c._value = value
-    c.numerator, c.denominator = value.numerator, value.denominator
+    c.numerator, c.denominator, c._value = num, den, mark
     return c
 
 
-def _pair_const(num: int, den: int) -> ConstCode:
-    """A constant over an unreduced pair; `value` is read on demand."""
-    c = ConstCode.__new__(ConstCode)
-    c.numerator, c.denominator, c._value = num, den, None
-    return c
+# Sum and product of two constants in lowest terms, with gcds on
+# component-sized integers (Henrici; Knuth, TAOCP vol. 2, 4.5.1). They take
+# and give integer pairs only: the result is in lowest terms, and its
+# Fraction is built on the first read of `value`.
+
+
+def _add_pairs(na: int, da: int, nb: int, db: int) -> ConstCode:
+    """na/da + nb/db for pairs in lowest terms, as a pair in lowest terms."""
+    g = gcd(da, db)
+    if g == 1:
+        return _pair_const(na * db + da * nb, da * db, _LOWEST)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _pair_const(t, s * db, _LOWEST)
+    return _pair_const(t // g2, s * (db // g2), _LOWEST)
+
+
+def _mul_pairs(na: int, da: int, nb: int, db: int) -> ConstCode:
+    """na/da * nb/db for pairs in lowest terms, as a pair in lowest terms."""
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _pair_const(na * nb, db * da, _LOWEST)
 
 
 def add_codes(x: ECode, y: ECode) -> ECode:
@@ -438,8 +441,11 @@ def add_codes(x: ECode, y: ECode) -> ECode:
             return _pair_const(na * (db // da) + nb, db)
         if da % db == 0:
             return _pair_const(nb * (da // db) + na, da)
-        x.value, y.value  # reduce unreduced pairs in place
-        return _const(rat_add(x, y))
+        if x._value is None:
+            x._reduce()
+        if y._value is None:
+            y._reduce()
+        return _add_pairs(x.numerator, x.denominator, y.numerator, y.denominator)
     return SumCode(x, y)
 
 
@@ -456,14 +462,18 @@ def _dist_pair(a, b) -> ConstCode:
 
 def neg_code(x: ECode) -> ECode:
     if x.is_const:
-        return _const(-x.value)
+        return _pair_const(-x.numerator, x.denominator,
+                           None if x._value is None else _LOWEST)
     return NegCode(x)
 
 
 def mul_codes(x: ECode, y: ECode) -> ECode:
     if x.is_const and y.is_const:
-        x.value, y.value  # reduce unreduced pairs in place
-        return _const(rat_mul(x, y))
+        if x._value is None:
+            x._reduce()
+        if y._value is None:
+            y._reduce()
+        return _mul_pairs(x.numerator, x.denominator, y.numerator, y.denominator)
     return MulCode(x, y)
 
 
@@ -496,8 +506,12 @@ def inv_code(x: ECode, fuel: Fuel) -> tuple[Optional[ECode], str]:
     if x.is_const:
         if x.numerator == 0:
             return None, "zero"
-        x.value  # reduce an unreduced pair in place
-        return _const(rat_inv(x)), "ok"
+        if x._value is None:
+            x._reduce()
+        n, d = x.numerator, x.denominator
+        if n < 0:
+            n, d = -n, -d
+        return _pair_const(d, n, _LOWEST), "ok"
     m = separation_witness(x, fuel)
     if m is None:
         return None, "fuel"

@@ -48,19 +48,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import (PartialAlgebra, Value, BoolV, NatV, DIV, FUEL_OUT,
-                      value_key, AlgebraError)
+from .algebra import (PartialAlgebra, Value, BoolV, DIV, FUEL_OUT, value_key,
+                      nat_value, AlgebraError)
 from .codes import Fuel
 from .lang.ast import (Term, Var, Lit, App, Choose, Stmt, Skip, Div, Assign,
                        Seq, If, While, Procedure, is_atomic, subst_term)
 from .signature import NAT
-
-
-_NATS = [NatV(i) for i in range(1 << 12)]
-
-
-def nat_value(i: int) -> NatV:
-    return _NATS[i] if i < len(_NATS) else NatV(i)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from importlib import resources
 from typing import Callable, Optional
 
 from ..algebra import (PartialAlgebra, Value, NatV, RealV, ArrV, get_algebra,
-                       rat_value, interval_value)
+                       rat_value, nat_value, interval_value)
 from ..codes import Fuel, ConstCode
-from ..interp import Dovetail, Enumerate, Oracle, eval_proc, nat_value, OutcomeSet
+from ..interp import Dovetail, Enumerate, Oracle, eval_proc, OutcomeSet
 from ..lang import parse_program, Procedure
 from ..report import Report
 from . import oracles

@@ -23,11 +23,11 @@ from typing import Callable, Optional
 
 from .algebra import (PartialAlgebra, Value, BoolV, NatV, RealV, ArrV, DIV,
                       FUEL_OUT, Failure, TT, FF, InterpRule, compare_codes,
-                      rat_value, array_rules, AlgebraError)
+                      rat_value, nat_value, array_rules, AlgebraError)
 from .codes import (Fuel, ECode, ConstCode, CodeRegistry, CodeProducerError,
                     OutOfFuel, add_codes, neg_code, mul_codes, abs_diff_code,
                     inv_code, prog_rat_decode)
-from .interp import Dovetail, eval_proc, nat_value
+from .interp import Dovetail, eval_proc
 from .lang.ast import Procedure
 from .reals import Enumeration, diagonal_code, ecode_eval
 from .report import Report

@@ -33,6 +33,26 @@ def test_naturals(N):
     assert apply(N, "succ", (NatV(41),), F()).n == 42
 
 
+def test_nat_and_bool_rules_return_shared_values(N):
+    from whilecc.algebra import SHARED_NATS, nat_value
+    three = NatV(3)
+    for rule, args, want in (("and", (TT, TT), TT), ("and", (TT, FF), FF),
+                             ("or", (FF, FF), FF), ("or", (FF, TT), TT),
+                             ("not", (TT,), FF), ("not", (FF,), TT),
+                             ("eq_nat", (three, NatV(3)), TT),
+                             ("eq_nat", (three, NatV(4)), FF),
+                             ("less_nat", (three, NatV(7)), TT),
+                             ("less_nat", (three, three), FF)):
+        assert apply(N, rule, args, F()) is want, (rule, args)
+    assert apply(N, "zero_nat", (), F()) is nat_value(0)
+    for n in (0, 41, SHARED_NATS - 2):
+        assert apply(N, "succ", (NatV(n),), F()) is nat_value(n + 1)
+    for n in (SHARED_NATS - 1, 10 ** 6):  # past the table: a new, equal NatV
+        r = apply(N, "succ", (NatV(n),), F())
+        assert type(r) is NatV and r.n == n + 1
+        assert nat_value(n + 1).n == n + 1
+
+
 def test_total_algebras_never_fail(B, N):
     # even at a dead budget the discrete total operations complete
     assert isinstance(apply(B, "and", (TT, TT), Fuel(0)), Value)

@@ -126,18 +126,20 @@ def test_const_arithmetic_exact(a, b):
 @given(st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6))
 @settings(max_examples=200, derandomize=True)
 def test_fast_rational_helpers_agree_with_operators(a, b):
-    from whilecc.codes import rat_add, rat_mul, rat_inv, rat_dist
-    assert rat_add(a, b) == a + b
+    from whilecc.codes import rat_dist
+    # the pair functions take pairs in lowest terms and give one, like a
+    # Fraction's (positive denominator), with no Fraction built
+    pairs = (a.numerator, a.denominator, b.numerator, b.denominator)
+    for c, r in ((codes._add_pairs(*pairs), a + b),
+                 (codes._mul_pairs(*pairs), a * b)):
+        assert (_pair(c), _state(c)) == (_pair(r), "lowest")
+    if a != 0:
+        c, _ = inv_code(ConstCode(a), Fuel(0))
+        assert (_pair(c), _state(c)) == (_pair(1 / a), "lowest")
     d = rat_dist(a, b)
     assert d == abs(a - b)  # Fraction equality is canonical
     assert type(d) is Fraction and d.denominator > 0
     assert gcd(d.numerator, d.denominator) == 1
-    assert rat_mul(a, b) == a * b
-    if a != 0:
-        assert rat_inv(a) == 1 / a
-    # results are normalized (lowest terms, positive denominator)
-    r = rat_add(a, b)
-    assert r.denominator > 0 and Fraction(r.numerator, r.denominator) == r
 
 
 def test_coprime_builds_without_reducing():
@@ -168,9 +170,24 @@ def const_chains(draw):
     return leaves, steps
 
 
-def _unread(*cs: ConstCode) -> list[ConstCode]:
-    """The constants whose Fraction is not built yet (unreduced pairs)."""
-    return [c for c in cs if c._value is None]
+def _state(c: ConstCode) -> str:
+    """How far a constant's pair is known, by the marker in `_value`."""
+    v = c._value
+    if v is None:
+        return "unreduced"
+    if v is codes._LOWEST:
+        return "lowest"
+    assert type(v) is Fraction
+    return "read"
+
+
+def _pair(c) -> tuple[int, int]:
+    return c.numerator, c.denominator
+
+
+def _unreduced(*cs: ConstCode) -> list[ConstCode]:
+    """The constants whose pair may be unreduced."""
+    return [c for c in cs if _state(c) == "unreduced"]
 
 
 def _check_compare(x: ConstCode, y: ConstCode, a: Fraction, b: Fraction):
@@ -209,9 +226,9 @@ def test_const_chains_read_canonical_values(chain):
             continue
         dx, dy = x.denominator, y.denominator
         # comparisons and distances read the stored pairs, never reduce them
-        unread = _unread(x, y)
+        states = [_state(x), _state(y)]
         _check_compare(x, y, a, b)
-        assert _unread(*unread) == unread
+        assert [_state(x), _state(y)] == states
         if op == "add":
             c, r = add_codes(x, y), a + b
         elif op == "neg":
@@ -227,11 +244,12 @@ def test_const_chains_read_canonical_values(chain):
                 continue
             r = 1 / a
         stored = c.denominator
-        if op == "add" and _unread(c):
+        assert _state(c) != "read"  # no arithmetic builds a Fraction
+        if op == "add" and _unreduced(c):
             assert stored <= max(dx, dy)  # an unreduced sum never grows
         if op == "absdiff":
             assert stored == dx * dy // gcd(dx, dy)
-            assert _unread(*unread) == unread
+            assert [_state(x), _state(y)] == states
         if read:
             _check_canonical(c, r, stored)
         pool.append((c, r, stored))
@@ -247,7 +265,7 @@ def test_constants_are_one_type():
     nested, dist = add_codes(third, sixth), abs_diff_code(half, sixth)
     assert (nested.numerator, nested.denominator) == (3, 6)
     assert (dist.numerator, dist.denominator) == (2, 6)
-    assert _unread(nested, dist) == [nested, dist]
+    assert _unreduced(nested, dist) == [nested, dist]
     consts = [(ConstCode(Fraction(-4, 6)), Fraction(-2, 3)), (nested, HALF),
               (add_codes(half, ConstCode(Fraction(1, 5))), Fraction(7, 10)),
               (mul_codes(half, third), Fraction(1, 6)),
@@ -256,13 +274,52 @@ def test_constants_are_one_type():
               (dist, Fraction(1, 3))]
     for c, q in consts:
         assert type(c) is ConstCode and c.is_const
-        unread = _unread(c)
+        state = _state(c)
         assert c.numerator * q.denominator == q.numerator * c.denominator
-        assert _unread(c) == unread  # reading the pair reduces nothing
+        assert _state(c) == state  # reading the pair reduces nothing
         assert c.value == q
         assert (c.numerator, c.denominator) == (q.numerator, q.denominator)
     # a class attribute on every code, not a property
     assert (ECode.is_const, ConstCode.is_const) == (False, True)
+
+
+def test_constant_arithmetic_builds_no_fraction():
+    # an int needs no Fraction, as a code or as a real value
+    three = ConstCode(3)
+    assert _pair(three) == (3, 1) and _state(three) == "lowest"
+    assert _state(rat_value(-2).code) == "lowest"
+    # add over unrelated denominators (both Henrici branches), mul, neg and
+    # inv of reduced constants give reduced pairs with no Fraction
+    q = {d: ConstCode(Fraction(1, d)) for d in (3, 4, 6, 10)}
+    results = [(add_codes(q[3], q[4]), (7, 12)),
+               (add_codes(q[6], q[10]), (4, 15)),  # 8/30 over lcm 30
+               (mul_codes(ConstCode(Fraction(2, 3)), ConstCode(Fraction(9, 4))),
+                (3, 2)),
+               (mul_codes(three, q[6]), (1, 2)),
+               (neg_code(q[4]), (-1, 4)),
+               (inv_code(ConstCode(Fraction(-3, 4)), Fuel(0))[0], (-4, 3)),
+               (inv_code(three, Fuel(0))[0], (1, 3))]
+    for c, pair_ in results:
+        assert (_pair(c), _state(c)) == (pair_, "lowest")
+    # the first read of a reduced constant builds its Fraction from the pair
+    c = results[1][0]
+    v = c.value
+    assert v == Fraction(4, 15) and _pair(c) == (4, 15) and _state(c) == "read"
+    assert c.value is v
+    # an unreduced operand is reduced in place, with no Fraction either;
+    # a negation keeps it unreduced
+    for op, want in ((lambda u: add_codes(u, q[4]), (7, 12)),
+                     (lambda u: mul_codes(q[4], u), (1, 12)),
+                     (lambda u: inv_code(u, Fuel(0))[0], (3, 1))):
+        u = add_codes(q[6], q[6])
+        assert (_pair(u), _state(u)) == ((2, 6), "unreduced")
+        n = neg_code(u)
+        assert (_pair(n), _state(n)) == ((-2, 6), "unreduced")
+        c = op(u)
+        assert (_pair(u), _state(u)) == ((1, 3), "lowest")
+        assert (_pair(c), _state(c)) == (want, "lowest")
+        n = neg_code(u)
+        assert (_pair(n), _state(n)) == ((-1, 3), "lowest")
 
 
 def test_certified_deviation_is_in_lowest_terms():
@@ -277,7 +334,7 @@ def test_constant_codes_allocate_no_approx_cache():
     quarter = ConstCode(Fraction(1, 4))
     consts = (ConstCode(HALF), add_codes(ConstCode(HALF), quarter),
               mul_codes(quarter, quarter), neg_code(quarter), reg.parse_code("const:-7/3"))
-    assert _unread(consts[1])
+    assert _unreduced(consts[1])
     for c in consts:
         assert not hasattr(c, "_cache")
         assert c.approx(5, Fuel(0)) == c.value
