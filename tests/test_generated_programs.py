@@ -3,6 +3,8 @@
 Hypothesis draws small well-sorted procedures over N and RN: bounded `for`
 loops, `if`, strict and short-circuit booleans, `choose` whose witnesses lie
 below the Enumerate bound, and now and then `inv` of 0 or a `div` branch.
+A body ends in the output assignment, or in an `if`, a `while` or a `skip`
+with the output assigned before it or inside it.
 Each procedure is printed with `pretty_program`, and the tests check that
 
   * parsing the printed text gives the same procedure back;
@@ -11,6 +13,10 @@ Each procedure is printed with `pretty_program`, and the tests check that
   * more fuel never removes an Enumerate value, nor the proven-divergence
     flag;
   * the stage-n computation tree is a prefix of the stage-(n+1) tree;
+  * the computation tree, read off the statements as written, agrees with
+    the compiled node walk under Enumerate: the same terminated states, a
+    div leaf exactly when the run is proven divergent, and a truncated node
+    exactly when it is truncated;
   * over N, where every guard converges, a procedure that Enumerate shows
     deterministic gives the same value after choose elimination as under
     Dovetail;
@@ -19,30 +25,43 @@ Each procedure is printed with `pretty_program`, and the tests check that
     outputs equal the value outputs. Half the real outputs are a `dist` of
     the drawn output term and another term, so a wrong `dist` tracker shows.
 
+Generated terms, assigned one or two at a time, are also run under
+Enumerate against `reference_values`, a set-valued term semantics read off
+the AST with no compilation and no fuel: where neither side is truncated,
+the states reached assign exactly every combination of reference values.
+
 Draws are derandomized, so every run checks the same programs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from whilecc.algebra import get_algebra, rat_value, value_key
+from whilecc.algebra import (DIV, FF, FUEL_OUT, TT, get_algebra,
+                             rat_value, value_key)
 from whilecc.codes import CodeRegistry, Fuel
-from whilecc.interp import (Dovetail, Enumerate, Oracle, choose_eliminate,
-                            comp_tree_stage, eval_proc, initial_state,
-                            nat_value, tree_is_prefix)
+from whilecc.interp import (Dovetail, Enumerate, Oracle, State,
+                            choose_eliminate, comp_tree_stage, eval_proc,
+                            eval_stmt, initial_state, nat_value,
+                            tree_is_prefix)
 from whilecc.lang import parse_program
 from whilecc.lang.ast import (App, Assign, Choose, Div, If, Lit, Procedure,
-                              Program, Var, While, normalize_seq, seq_all)
+                              Program, Skip, Var, While, normalize_seq,
+                              seq_all)
 from whilecc.lang.parser import auto_init, pretty_program
 from whilecc.tracking import a0_square_check, code_algebra
 
 MAX_NAT = 4  # Enumerate's choose bound; every choose guard implies z <= it
 FUELS = (30, 60, 120, 250, 6_000)  # rising; strategies run on the last
+# the computation tree against the compiled walker: bounds no draw reaches,
+# so neither side is cut where the other goes on
+TREE_STAGES, TREE_FUEL, TREE_NODES = 2_000, 2_000_000, 200_000
 SQUARE_EXAMPLES = 150
 REAL_LITS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 4))
+REAL_INPUTS = (Fraction(0), Fraction(1, 2), Fraction(-3, 4), Fraction(2))
 
 
 def _settings(examples):
@@ -156,22 +175,26 @@ class _Gen:
                    else self.block(depth - 1, loops))
             return If(self.term("bool", 2), self.block(depth - 1, loops), els)
         if kind == "for":
-            # the parser's desugaring of `for i := lo to hi do S od`
-            nat = self.sort("nat")
-            i, e = Var(f"i{loops}", nat), Var(f"e{loops}", nat)
-            hi = self.pick([Lit(0, nat), Lit(1, nat), Lit(2, nat), Var("n", nat)])
-            inc = Assign((i.name,), (self.app("succ", i),))
-            return seq_all([
-                Assign((i.name,), (Lit(self.pick([0, 1]), nat),)),
-                Assign((e.name,), (hi,)),
-                While(self.app("not", self.app("less_nat", e, i)),
-                      seq_all([self.block(depth - 1, loops + 1), inc]))])
+            return self.for_loop(depth, loops)
         targets = [(v, s) for s in ("nat", "bool", "real")
                    for v in self.vars[s] if v not in ("n", "x")]
         count = self.pick([1, 1, 2])
         chosen = self.draw(st.permutations(targets))[:count]
         return Assign(tuple(v for v, _ in chosen),
                       tuple(self.term(s, 3) for _, s in chosen))
+
+    def for_loop(self, depth, loops, tail=()):
+        """The parser's desugaring of `for i := lo to hi do S od`, with the
+        statements tail run at the end of S."""
+        nat = self.sort("nat")
+        i, e = Var(f"i{loops}", nat), Var(f"e{loops}", nat)
+        hi = self.pick([Lit(0, nat), Lit(1, nat), Lit(2, nat), Var("n", nat)])
+        inc = Assign((i.name,), (self.app("succ", i),))
+        return seq_all([
+            Assign((i.name,), (Lit(self.pick([0, 1]), nat),)),
+            Assign((e.name,), (hi,)),
+            While(self.app("not", self.app("less_nat", e, i)),
+                  seq_all([self.block(depth - 1, loops + 1), *tail, inc]))])
 
     def block(self, depth, loops):
         return seq_all([self.stmt(depth, loops)
@@ -198,14 +221,29 @@ def programs(draw, algebras=("N", "RN")):
         if isinstance(out, Lit) and isinstance(other, Lit):
             other = Var("x", sig.sort("real"))
         out = gen.app("dist", out, other)
-    body = seq_all([block, Assign(("r",), (out,))])
+    # the body ends in the output assignment, or in an `if`, a `while` or a
+    # `skip` with the output assigned before it or inside it; a `while` at
+    # the end leaves the body from its guard
+    set_r = Assign(("r",), (out,))
+    end = draw(st.sampled_from(["assign", "if", "while", "skip"]))
+    inside = end in ("if", "while") and draw(st.booleans())
+    tail = [] if inside else [set_r]
+    if end == "if":
+        then = gen.block(1, 0)
+        tail.append(If(gen.term("bool", 2),
+                       seq_all([then, set_r]) if inside else then,
+                       gen.block(1, 0)))
+    elif end == "while":
+        tail.append(gen.for_loop(1, 0, (set_r,) if inside else ()))
+    elif end == "skip":
+        tail.append(Skip())
+    body = seq_all([block, *tail])
     out_vars = [("r", sig.sort(out_sort)), ("k", nat)]
     proc = auto_init(Procedure("gen", alg_name, in_vars, out_vars, aux,
                                normalize_seq(body)), sig)
     args = [nat_value(draw(st.integers(0, 2)))]
     if gen.has_real:
-        args.append(rat_value(draw(st.sampled_from(
-            [Fraction(0), Fraction(1, 2), Fraction(-3, 4), Fraction(2)]))))
+        args.append(rat_value(draw(st.sampled_from(REAL_INPUTS))))
     return Program(alg_name, {"gen": proc}), proc, args
 
 
@@ -297,3 +335,103 @@ def test_code_algebra_run_tracks_the_value_run(case):
     rep = a0_square_check(proc, rn, code_algebra(rn, registry), registry,
                           [tuple(args)], fuel_steps=FUELS[-1])
     assert rep.ok, (pretty_program(prog), rep.failures)
+
+
+@_settings(200)
+@given(programs())
+def test_computation_tree_agrees_with_the_compiled_walker(case):
+    prog, proc, args = case
+    alg = get_algebra(proc.algebra_name)
+    sigma = initial_state(proc, alg, args)
+    strat = Enumerate(MAX_NAT, TREE_NODES)
+    tree = comp_tree_stage(proc.body, sigma, TREE_STAGES, alg, strat,
+                           fuel=Fuel(TREE_FUEL))
+    run = eval_stmt(proc.body, sigma, alg, strat, Fuel(TREE_FUEL))
+    nodes, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        todo.extend(node.children)
+    text = pretty_program(prog)
+    assert not any(n.frontier for n in nodes), text
+    ends = {n.state.key() for n in nodes if not n.children
+            and not (n.div_leaf or n.truncated)}
+    assert ends == {st.key() for st in run.values}, text
+    assert any(n.div_leaf for n in nodes) == run.proven_divergent, text
+    assert any(n.truncated for n in nodes) == run.truncated, text
+
+
+# A reference semantics of terms, read directly off the AST with no
+# compilation and no budget to thread (McKeeman's differential testing):
+# choose ranges over 0..MAX_NAT, and a strict application takes every
+# combination of argument values. Each rule application runs on a budget of
+# its own, ample for exact constants; FUEL_OUT there is an undecided
+# comparison, and the result is then marked undecided.
+
+def reference_values(t, b: dict, alg) -> tuple[list, bool]:
+    """(the values of t under the bindings b, whether any was undecided)."""
+    if isinstance(t, Var):
+        return [b[t.name]], False
+    if isinstance(t, Lit):
+        if t.sort.kind == "nat":
+            return [nat_value(t.value)], False
+        return [alg.real_literal(Fraction(t.value))], False
+    if isinstance(t, Choose):
+        values, undecided = [], False
+        for cand in range(MAX_NAT + 1):
+            guard, u = reference_values(t.body, {**b, t.var: nat_value(cand)},
+                                        alg)
+            undecided |= u
+            if any(v.b for v in guard):
+                values.append(nat_value(cand))
+        return values, undecided
+    if t.sym.conditional:
+        guard, undecided = reference_values(t.args[0], b, alg)
+        values = []
+        for g in guard:
+            vs, u = reference_values(t.args[1] if g.b else t.args[2], b, alg)
+            values += vs
+            undecided |= u
+        return values, undecided
+    args = [reference_values(a, b, alg) for a in t.args]
+    undecided = any(u for _, u in args)
+    values = []
+    for combo in product(*(vs for vs, _ in args)):
+        r = alg.interp[t.sym.name](Fuel(1_000), *combo)
+        if r is FUEL_OUT:
+            undecided = True
+        elif r is not DIV:
+            values.append(r)
+    return values, undecided
+
+
+@st.composite
+def assignments(draw, algebras=("N", "RN")):
+    """(algebra, a concurrent assignment of one or two generated terms to
+    fresh variables, bindings of the variables the terms read)."""
+    alg = get_algebra(draw(st.sampled_from(algebras)))
+    gen = _Gen(draw, alg.signature)
+    sorts = ["nat", "bool"] + (["real"] if gen.has_real else [])
+    rhs = tuple(gen.term(draw(st.sampled_from(sorts)), 3)
+                for _ in range(draw(st.integers(1, 2))))
+    b = {"n": nat_value(draw(st.integers(0, 3))),
+         "k": nat_value(draw(st.integers(0, 3))),
+         "b": draw(st.sampled_from([TT, FF]))}
+    if gen.has_real:
+        for name in ("x", "u"):
+            b[name] = rat_value(draw(st.sampled_from(REAL_INPUTS)))
+    return alg, Assign(("o0", "o1")[:len(rhs)], rhs), b
+
+
+@_settings(400)
+@given(assignments())
+def test_enumerate_assigns_every_combination_of_reference_values(case):
+    alg, s, b = case
+    run = eval_stmt(s, State(b), alg, Enumerate(MAX_NAT, 400), Fuel(100_000))
+    refs = [reference_values(t, b, alg) for t in s.rhs]
+    if run.truncated or any(u for _, u in refs):
+        return
+    want = {tuple(value_key(v) for v in combo)
+            for combo in product(*(vs for vs, _ in refs))}
+    got = {tuple(value_key(st.get(n)) for n in s.lhs) for st in run.values}
+    assert got == want, s

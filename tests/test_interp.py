@@ -1,6 +1,7 @@
 """Operational semantics: term/statement/procedure evaluation, trees,
 strategies, and choose elimination."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from whilecc.interp import (Enumerate, Oracle, Dovetail, State, eval_term,
 from whilecc.lang import parse
 from whilecc.lang.ast import (Var, Lit, App, Choose, Skip, Div, Assign, Seq,
                               If, While)
-from whilecc.programs import load
+from whilecc.programs import load, real_array
 from whilecc.signature import NAT
 
 
@@ -123,6 +124,181 @@ def test_choose_in_choose_body_branches():
     assert out.truncated and not out.proven_divergent
     assert out.diagnostics == ["choose candidates 0..5 all rejected; "
                                "rest unexplored"]
+
+
+# Every operand shape a strict application reads in place (a variable or a
+# nat literal, beside another one or beside any other term), and terms whose
+# failing operand, `inv(0)` giving DIV or a comparison giving FUEL_OUT on a
+# 1-step budget, stands on either side. Enumerate evaluates both operands and
+# records every failure, so its flags, notes and fuel differ from the other
+# strategies' there. Rows recorded before operands were read in place.
+SHAPE_TERMS = {
+    "n < k": "bool", "x + z": "real", "x < x": "bool", "w < x": "bool",
+    "7 < n": "bool", "k = 1": "bool", "k < 2": "bool",
+    "k < succ(n)": "bool", "succ(n) < k": "bool",
+    "x + (z * x)": "real", "x + inv(y)": "real",
+    "x + (if w < x then x else z fi)": "real",
+    "(z * x) + x": "real", "inv(y) + x": "real",
+    "(if w < x then x else z fi) + x": "real",
+    "succ(n)": "nat", "inv(y)": "real", "x + 1/2": "real",
+    "(if w < x then x else z fi) + inv(y)": "real",
+    "inv(y) + (if w < x then x else z fi)": "real",
+    "(if x < x then x else z fi) + inv(y)": "real",
+    "choose j : (j = 2) andthen (x < nat2real(j))": "nat",
+}
+SHAPE_STRATEGIES = {"oracle": lambda: Oracle(1),
+                    "dovetail": lambda: Dovetail(1),
+                    "enumerate": lambda: Enumerate(4)}
+SHAPE_ROWS = [
+    ("n < k", "oracle", 1, ["ff"], False, False, [], 0),
+    ("n < k", "oracle", 200, ["ff"], False, False, [], 199),
+    ("n < k", "dovetail", 1, ["ff"], False, False, [], 0),
+    ("n < k", "dovetail", 200, ["ff"], False, False, [], 199),
+    ("n < k", "enumerate", 1, ["ff"], False, False, [], 0),
+    ("n < k", "enumerate", 200, ["ff"], False, False, [], 199),
+    ("x + z", "oracle", 1, ["RealV(-1/4)"], False, False, [], 0),
+    ("x + z", "oracle", 200, ["RealV(-1/4)"], False, False, [], 199),
+    ("x + z", "dovetail", 1, ["RealV(-1/4)"], False, False, [], 0),
+    ("x + z", "dovetail", 200, ["RealV(-1/4)"], False, False, [], 199),
+    ("x + z", "enumerate", 1, ["RealV(-1/4)"], False, False, [], 0),
+    ("x + z", "enumerate", 200, ["RealV(-1/4)"], False, False, [], 199),
+    ("x < x", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("x < x", "oracle", 200, [], False, True, ["term evaluation: fuel exhausted"], 199),
+    ("x < x", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("x < x", "dovetail", 200, [], False, True, ["term evaluation: fuel exhausted"], 199),
+    ("x < x", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("x < x", "enumerate", 200, [], False, True, ["less_real: fuel exhausted"], 199),
+    ("w < x", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x", "oracle", 200, ["ff"], False, False, [], 194),
+    ("w < x", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x", "dovetail", 200, ["ff"], False, False, [], 194),
+    ("w < x", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("w < x", "enumerate", 200, ["ff"], False, False, [], 194),
+    ("7 < n", "oracle", 1, ["ff"], False, False, [], 0),
+    ("7 < n", "oracle", 200, ["ff"], False, False, [], 199),
+    ("7 < n", "dovetail", 1, ["ff"], False, False, [], 0),
+    ("7 < n", "dovetail", 200, ["ff"], False, False, [], 199),
+    ("7 < n", "enumerate", 1, ["ff"], False, False, [], 0),
+    ("7 < n", "enumerate", 200, ["ff"], False, False, [], 199),
+    ("k = 1", "oracle", 1, ["tt"], False, False, [], 0),
+    ("k = 1", "oracle", 200, ["tt"], False, False, [], 199),
+    ("k = 1", "dovetail", 1, ["tt"], False, False, [], 0),
+    ("k = 1", "dovetail", 200, ["tt"], False, False, [], 199),
+    ("k = 1", "enumerate", 1, ["tt"], False, False, [], 0),
+    ("k = 1", "enumerate", 200, ["tt"], False, False, [], 199),
+    ("k < 2", "oracle", 1, ["tt"], False, False, [], 0),
+    ("k < 2", "oracle", 200, ["tt"], False, False, [], 199),
+    ("k < 2", "dovetail", 1, ["tt"], False, False, [], 0),
+    ("k < 2", "dovetail", 200, ["tt"], False, False, [], 199),
+    ("k < 2", "enumerate", 1, ["tt"], False, False, [], 0),
+    ("k < 2", "enumerate", 200, ["tt"], False, False, [], 199),
+    ("k < succ(n)", "oracle", 1, ["tt"], False, False, [], 0),
+    ("k < succ(n)", "oracle", 200, ["tt"], False, False, [], 198),
+    ("k < succ(n)", "dovetail", 1, ["tt"], False, False, [], 0),
+    ("k < succ(n)", "dovetail", 200, ["tt"], False, False, [], 198),
+    ("k < succ(n)", "enumerate", 1, ["tt"], False, False, [], 0),
+    ("k < succ(n)", "enumerate", 200, ["tt"], False, False, [], 198),
+    ("succ(n) < k", "oracle", 1, ["ff"], False, False, [], 0),
+    ("succ(n) < k", "oracle", 200, ["ff"], False, False, [], 198),
+    ("succ(n) < k", "dovetail", 1, ["ff"], False, False, [], 0),
+    ("succ(n) < k", "dovetail", 200, ["ff"], False, False, [], 198),
+    ("succ(n) < k", "enumerate", 1, ["ff"], False, False, [], 0),
+    ("succ(n) < k", "enumerate", 200, ["ff"], False, False, [], 198),
+    ("x + (z * x)", "oracle", 1, ["RealV(1/8)"], False, False, [], 0),
+    ("x + (z * x)", "oracle", 200, ["RealV(1/8)"], False, False, [], 198),
+    ("x + (z * x)", "dovetail", 1, ["RealV(1/8)"], False, False, [], 0),
+    ("x + (z * x)", "dovetail", 200, ["RealV(1/8)"], False, False, [], 198),
+    ("x + (z * x)", "enumerate", 1, ["RealV(1/8)"], False, False, [], 0),
+    ("x + (z * x)", "enumerate", 200, ["RealV(1/8)"], False, False, [], 198),
+    ("x + inv(y)", "oracle", 1, [], True, False, [], 1),
+    ("x + inv(y)", "oracle", 200, [], True, False, [], 200),
+    ("x + inv(y)", "dovetail", 1, [], True, False, [], 1),
+    ("x + inv(y)", "dovetail", 200, [], True, False, [], 200),
+    ("x + inv(y)", "enumerate", 1, [], True, False, [], 1),
+    ("x + inv(y)", "enumerate", 200, [], True, False, [], 200),
+    ("x + (if w < x then x else z fi)", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("x + (if w < x then x else z fi)", "oracle", 200, ["RealV(-1/4)"], False, False, [], 193),
+    ("x + (if w < x then x else z fi)", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("x + (if w < x then x else z fi)", "dovetail", 200, ["RealV(-1/4)"], False, False, [], 193),
+    ("x + (if w < x then x else z fi)", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("x + (if w < x then x else z fi)", "enumerate", 200, ["RealV(-1/4)"], False, False, [], 193),
+    ("(z * x) + x", "oracle", 1, ["RealV(1/8)"], False, False, [], 0),
+    ("(z * x) + x", "oracle", 200, ["RealV(1/8)"], False, False, [], 198),
+    ("(z * x) + x", "dovetail", 1, ["RealV(1/8)"], False, False, [], 0),
+    ("(z * x) + x", "dovetail", 200, ["RealV(1/8)"], False, False, [], 198),
+    ("(z * x) + x", "enumerate", 1, ["RealV(1/8)"], False, False, [], 0),
+    ("(z * x) + x", "enumerate", 200, ["RealV(1/8)"], False, False, [], 198),
+    ("inv(y) + x", "oracle", 1, [], True, False, [], 1),
+    ("inv(y) + x", "oracle", 200, [], True, False, [], 200),
+    ("inv(y) + x", "dovetail", 1, [], True, False, [], 1),
+    ("inv(y) + x", "dovetail", 200, [], True, False, [], 200),
+    ("inv(y) + x", "enumerate", 1, [], True, False, [], 1),
+    ("inv(y) + x", "enumerate", 200, [], True, False, [], 200),
+    ("(if w < x then x else z fi) + x", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("(if w < x then x else z fi) + x", "oracle", 200, ["RealV(-1/4)"], False, False, [], 193),
+    ("(if w < x then x else z fi) + x", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("(if w < x then x else z fi) + x", "dovetail", 200, ["RealV(-1/4)"], False, False, [], 193),
+    ("(if w < x then x else z fi) + x", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("(if w < x then x else z fi) + x", "enumerate", 200, ["RealV(-1/4)"], False, False, [], 193),
+    ("succ(n)", "oracle", 1, ["NatV(3)"], False, False, [], 0),
+    ("succ(n)", "oracle", 200, ["NatV(3)"], False, False, [], 199),
+    ("succ(n)", "dovetail", 1, ["NatV(3)"], False, False, [], 0),
+    ("succ(n)", "dovetail", 200, ["NatV(3)"], False, False, [], 199),
+    ("succ(n)", "enumerate", 1, ["NatV(3)"], False, False, [], 0),
+    ("succ(n)", "enumerate", 200, ["NatV(3)"], False, False, [], 199),
+    ("inv(y)", "oracle", 1, [], True, False, [], 1),
+    ("inv(y)", "oracle", 200, [], True, False, [], 200),
+    ("inv(y)", "dovetail", 1, [], True, False, [], 1),
+    ("inv(y)", "dovetail", 200, [], True, False, [], 200),
+    ("inv(y)", "enumerate", 1, [], True, False, [], 1),
+    ("inv(y)", "enumerate", 200, [], True, False, [], 200),
+    ("x + 1/2", "oracle", 1, ["RealV(1)"], False, False, [], 0),
+    ("x + 1/2", "oracle", 200, ["RealV(1)"], False, False, [], 199),
+    ("x + 1/2", "dovetail", 1, ["RealV(1)"], False, False, [], 0),
+    ("x + 1/2", "dovetail", 200, ["RealV(1)"], False, False, [], 199),
+    ("x + 1/2", "enumerate", 1, ["RealV(1)"], False, False, [], 0),
+    ("x + 1/2", "enumerate", 200, ["RealV(1)"], False, False, [], 199),
+    ("(if w < x then x else z fi) + inv(y)", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("(if w < x then x else z fi) + inv(y)", "oracle", 200, [], True, False, [], 194),
+    ("(if w < x then x else z fi) + inv(y)", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("(if w < x then x else z fi) + inv(y)", "dovetail", 200, [], True, False, [], 194),
+    ("(if w < x then x else z fi) + inv(y)", "enumerate", 1, [], True, True, ["less_real: fuel exhausted"], 0),
+    ("(if w < x then x else z fi) + inv(y)", "enumerate", 200, [], True, False, [], 194),
+    ("inv(y) + (if w < x then x else z fi)", "oracle", 1, [], True, False, [], 1),
+    ("inv(y) + (if w < x then x else z fi)", "oracle", 200, [], True, False, [], 200),
+    ("inv(y) + (if w < x then x else z fi)", "dovetail", 1, [], True, False, [], 1),
+    ("inv(y) + (if w < x then x else z fi)", "dovetail", 200, [], True, False, [], 200),
+    ("inv(y) + (if w < x then x else z fi)", "enumerate", 1, [], True, True, ["less_real: fuel exhausted"], 0),
+    ("inv(y) + (if w < x then x else z fi)", "enumerate", 200, [], True, False, [], 194),
+    ("(if x < x then x else z fi) + inv(y)", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("(if x < x then x else z fi) + inv(y)", "oracle", 200, [], False, True, ["term evaluation: fuel exhausted"], 199),
+    ("(if x < x then x else z fi) + inv(y)", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("(if x < x then x else z fi) + inv(y)", "dovetail", 200, [], False, True, ["term evaluation: fuel exhausted"], 199),
+    ("(if x < x then x else z fi) + inv(y)", "enumerate", 1, [], True, True, ["less_real: fuel exhausted"], 0),
+    ("(if x < x then x else z fi) + inv(y)", "enumerate", 200, [], True, True, ["less_real: fuel exhausted"], 199),
+    ("choose j : (j = 2) andthen (x < nat2real(j))", "oracle", 1, [], True, False, [], 0),
+    ("choose j : (j = 2) andthen (x < nat2real(j))", "oracle", 200, [], True, False, [], 198),
+    ("choose j : (j = 2) andthen (x < nat2real(j))", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("choose j : (j = 2) andthen (x < nat2real(j))", "dovetail", 200, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("choose j : (j = 2) andthen (x < nat2real(j))", "enumerate", 1, ["NatV(2)"], False, False, [], 0),
+    ("choose j : (j = 2) andthen (x < nat2real(j))", "enumerate", 200, ["NatV(2)"], False, False, [], 189),
+]
+
+
+@pytest.mark.parametrize("src, strategy, budget, values, div, truncated, "
+                         "notes, left", SHAPE_ROWS)
+def test_operand_shapes_evaluate_as_recorded(src, strategy, budget, values,
+                                             div, truncated, notes, left):
+    t = term(src, frame="n: nat, k: nat, x: real, y: real, z: real, w: real",
+             assign_to=("o", SHAPE_TERMS[src]))
+    sigma = state(n=NatV(2), k=NatV(1), x=rat_value(Fraction(1, 2)),
+                  y=rat_value(0), z=rat_value(Fraction(-3, 4)),
+                  w=RealV(sqrt_code(2)))
+    fuel = Fuel(budget)
+    out = eval_term(t, sigma, RN, SHAPE_STRATEGIES[strategy](), fuel)
+    assert [repr(v) for v in out.values] == values
+    assert (out.proven_divergent, out.truncated) == (div, truncated)
+    assert out.diagnostics == notes and fuel.remaining == left
 
 
 # Recorded values: a guard's budget is carved out of the caller's and the
@@ -386,6 +562,28 @@ def test_pivot_examples():
     assert {v.n for v in out.values} == {1, 2}
     out = run((0, 0, 0))
     assert out.values == [] and out.maybe_divergent
+
+
+def test_a_run_leaves_no_cyclic_garbage():
+    # closures hold no reference to the Ctx whose map holds them, so a run's
+    # closures, nodes and states are freed without the cyclic collector
+    near = (rat_value(Fraction(1, 3)), NatV(2))
+    runs = [("pivot3", (rat_value(0), rat_value(Fraction(3, 2)), rat_value(0)),
+             Enumerate(8)),
+            ("choose_near", near, Dovetail(1)),
+            ("choose_near", near, Enumerate(40)),
+            ("root_bisect", (NatV(2), real_array([-2, 0, 1])), Dovetail(1))]
+    jobs = [(name, *load(name), args, strat) for name, args, strat in runs]
+    gc.collect()
+    gc.disable()
+    try:
+        for name, p, alg, args, strat in jobs:
+            out = eval_proc(p, args, alg, strat, Fuel(2_000_000))
+            assert out.values, name
+            del out
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_initialisation_independence():
