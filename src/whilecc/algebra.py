@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from .codes import (Fuel, ECode, ConstCode, OutOfFuel, add_codes, neg_code,
                     mul_codes, abs_diff_code, inv_code, prog_rat_decode, pair,
                     unpair)
-from .signature import (Signature, Sort, FuncSymbol, ClosedTerm, ProductType,
+from .signature import (Signature, Sort, FuncSymbol, ProductType,
                         make_signature, standardise, n_standardise,
                         star_signature, default_term, REAL, INTERVAL, NAT)
 
@@ -222,23 +222,15 @@ class PartialAlgebra:
         return rule(v1, v2, n, fuel)
 
     def default_value(self, sort: Sort) -> Value:
-        v = apply_closed(self, default_term(self.signature, sort), Fuel(1000))
+        # a default term is a nullary constant, which takes one step
+        sym = default_term(self.signature, sort).sym
+        v = self.apply(sym, (), Fuel(1))
         if v is DIV or v is FUEL_OUT:
             raise AlgebraError(f"default term for {sort.name} did not converge")
         return v
 
 
 apply = PartialAlgebra.apply  # apply(algebra, f, args, fuel)
-
-
-def apply_closed(a: PartialAlgebra, t: ClosedTerm, fuel: Fuel):
-    vals = []
-    for arg in t.args:
-        v = apply_closed(a, arg, fuel)
-        if v is DIV or v is FUEL_OUT:
-            return v
-        vals.append(v)
-    return a.apply(t.sym, tuple(vals), fuel)
 
 
 def product_metric(a: PartialAlgebra, u, xs, ys, n: int, fuel: Fuel) -> Fraction:

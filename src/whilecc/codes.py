@@ -568,7 +568,7 @@ def check_fast_cauchy_prefix(code: ECode, fuel: Fuel,
     """Exact-rational check of |v(k) - v(n)| < 2^-n on a finite prefix."""
     vals = [code.approx(i, fuel) for i in range(upto + 1)]
     bad = []
-    for n in range(min(12, upto)):
+    for n in range(upto):
         for k in range(n + 1, upto + 1):
             if abs(vals[k] - vals[n]) >= Fraction(1, 1 << n):
                 bad.append((n, k))
@@ -586,7 +586,6 @@ class CodeRegistry:
 
     def __init__(self):
         self._codes: list[ECode] = []
-        self._programs: dict[str, Callable[[int, int, Fuel], Fraction]] = {}
         self._named: dict[str, int] = {}
         self.mint(ConstCode(0))  # index 0: the default real
 
@@ -621,39 +620,3 @@ class CodeRegistry:
                 raise KeyError(f"unknown named code {name!r}")
             self._named[name] = idx
         return idx
-
-    # stored program rules ({e}(n) realized by a WhileCC* program over N)
-
-    def add_program(self, program_id: str,
-                    runner: Callable[[int, int, Fuel], Fraction]) -> None:
-        """runner(arg, n, fuel) -> n-th rational of the sequence."""
-        self._programs[program_id] = runner
-
-    def program_code(self, program_id: str, arg: int) -> ECode:
-        runner = self._programs[program_id]
-
-        class _ProgCode(ECode):
-            __slots__ = ()
-
-            def _compute(self, n, fuel):
-                return runner(arg, n, fuel)
-
-        c = _ProgCode()
-        return c
-
-    # serialization for test fixtures
-
-    def parse_code(self, text: str) -> ECode:
-        kind, _, rest = text.partition(":")
-        if kind == "const":
-            return ConstCode(Fraction(rest))
-        if kind == "prog":
-            pid, _, arg = rest.rpartition(":")
-            return self.program_code(pid, int(arg))
-        raise ValueError(f"unparseable code literal {text!r}")
-
-    @staticmethod
-    def format_code(code: ECode) -> str:
-        if code.is_const:
-            return f"const:{code.value}"
-        raise ValueError("only constant codes have a canonical serialization")

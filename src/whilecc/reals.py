@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .codes import (Fuel, ECode, ConstCode, DiagonalCode, CodeRegistry,
+from .codes import (Fuel, ECode, ConstCode, CodeRegistry,
                     FastCauchyError, check_fast_cauchy_prefix,
                     pair, unpair, rat_decode, rat_encode)
 from .algebra import (PartialAlgebra, Value, NatV, RealV, TT, FF, DIV,
@@ -121,13 +121,6 @@ def c_to_e(c: CCode, alpha: Enumeration, fuel: Fuel, sort: str = "real") -> ECod
     if bad:
         raise FastCauchyError(bad)
     return code
-
-
-def diagonal_code(levels: Callable[[int, Fuel], ECode]) -> ECode:
-    """Diagonal over level codes whose limits approach a common target at
-    rate 2^-level; the result is shifted by two to restore fast Cauchy.
-    `levels(m, fuel)` runs on the budget of the `approx` call needing it."""
-    return DiagonalCode(levels)
 
 
 def computable_closure(alpha: Enumeration, registry: CodeRegistry) -> Enumeration:
@@ -260,11 +253,6 @@ class CanonicalEnumeration(Enumeration):
         if v is None:
             raise EnumerationError(f"index {k} is outside the domain at {sort}")
         return v
-
-
-def canonical_enum(sig: Signature, algebra: PartialAlgebra,
-                   gens: GeneratorSystem, fuel_per_eval: int = 2_000) -> CanonicalEnumeration:
-    return CanonicalEnumeration(sig, algebra, gens, fuel_per_eval)
 
 
 def goedel_number(text: str) -> int:

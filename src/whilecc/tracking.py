@@ -25,38 +25,16 @@ from .algebra import (PartialAlgebra, Value, BoolV, NatV, RealV, ArrV, DIV,
                       FUEL_OUT, Failure, TT, FF, InterpRule, compare_codes,
                       rat_value, nat_value, array_rules, AlgebraError)
 from .codes import (Fuel, ECode, ConstCode, CodeRegistry, CodeProducerError,
-                    OutOfFuel, add_codes, neg_code, mul_codes, abs_diff_code,
-                    inv_code, prog_rat_decode)
+                    DiagonalCode, OutOfFuel, add_codes, neg_code, mul_codes,
+                    abs_diff_code, inv_code, prog_rat_decode)
 from .interp import Dovetail, eval_proc
 from .lang.ast import Procedure
-from .reals import Enumeration, diagonal_code, ecode_eval
+from .reals import Enumeration, ecode_eval
 from .report import Report
 from .signature import Sort
 
 
 EQUALITY_CHECK_BITS = 20
-
-
-@dataclass
-class TrackingFn:
-    """A rule fn(fuel, *codes) on code naturals, with its declared index
-    domain noted."""
-
-    fn: InterpRule
-    domain_note: str = "all registered codes"
-
-    def __call__(self, fuel: Fuel, *args):
-        return self.fn(fuel, *args)
-
-
-@dataclass
-class EffectivityCert:
-    """Tracking functions for every basic symbol."""
-
-    trackers: dict[str, TrackingFn]
-
-    def covers(self, signature) -> list[str]:
-        return [name for name in signature.symbols if name not in self.trackers]
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +74,12 @@ def _add_equality_row(rep: Report, name: str, sample: str, pairs, fuel: Fuel,
     rep.add(ok, name, sample, detail)
 
 
-def builtin_certs(base: PartialAlgebra, registry: CodeRegistry) -> EffectivityCert:
-    """Strict tracking functions for every symbol of the built-in real /
+def code_algebra(base: PartialAlgebra, registry: CodeRegistry) -> PartialAlgebra:
+    """An algebra whose carriers are code naturals and whose operations are
+    strict tracking functions for every symbol of the built-in real /
     interval algebras (starred or not). Codes travel as nat values holding
-    registry indices; bool and nat are tracked identically."""
+    registry indices; bool and nat are tracked identically. Running the
+    generic interpreter over it is concrete computation on codes."""
     sig = base.signature
 
     def code_of(v: NatV) -> ECode:
@@ -170,36 +150,18 @@ def builtin_certs(base: PartialAlgebra, registry: CodeRegistry) -> EffectivityCe
     for s in sig.sorts.values():
         if s.kind == "array" and f"Null_{s.elem.name}" in sig.symbols:
             trackers.update(array_rules(s.elem, _code_default))
-    missing = [n for n in sig.symbols if n not in trackers]
-    if missing:
-        raise AlgebraError(f"no tracking functions for {missing}")
-    return EffectivityCert({n: TrackingFn(trackers[n]) for n in sig.symbols})
+    # a symbol with no tracker is left out, and PartialAlgebra rejects it
+    interp = {n: trackers[n] for n in sig.symbols if n in trackers}
+    metrics = {k: base.metrics[k] for k in ("bool", "nat") if k in base.metrics}
+    return PartialAlgebra("codes(" + base.name + ")", sig, interp, metrics,
+                          total=False, carrier_check=_accepts_code,
+                          real_literal=lambda q: NatV(registry.mint(ConstCode(q))))
 
 
 def _code_default(elem: Sort) -> Value:
     if elem.kind == "bool":
         return FF
     return NatV(0)  # nat zero, or the index of the constant-zero code
-
-
-def code_algebra(base: PartialAlgebra, registry: CodeRegistry,
-                 certs: Optional[EffectivityCert] = None) -> PartialAlgebra:
-    """An algebra whose carriers are code naturals and whose operations are
-    the certified tracking functions. Running the generic interpreter over
-    it is concrete computation on codes."""
-    if certs is None:
-        certs = builtin_certs(base, registry)
-    uncovered = certs.covers(base.signature)
-    if uncovered:
-        raise AlgebraError(f"effectivity certificate misses {uncovered}")
-    interp = {name: tf.fn if isinstance(tf, TrackingFn) else tf
-              for name, tf in certs.trackers.items()}
-    metrics = {"bool": base.metrics.get("bool"), "nat": base.metrics.get("nat")}
-    metrics = {k: v for k, v in metrics.items() if v is not None}
-
-    return PartialAlgebra("codes(" + base.name + ")", base.signature, interp,
-                          metrics, total=False, carrier_check=_accepts_code,
-                          real_literal=lambda q: NatV(registry.mint(ConstCode(q))))
 
 
 def _accepts_code(sort: Sort, v: Value) -> bool:
@@ -241,7 +203,7 @@ def encode_input(v: Value, sort: Sort, registry: CodeRegistry) -> Value:
 # tracking checks
 
 
-def check_tracking(F: InterpRule, f, samples,
+def check_tracking(F: InterpRule, f: InterpRule, samples,
                    decode: Callable[[int, int], tuple],
                    decode_out: Optional[Callable[[Value], Value]] = None,
                    strict: bool = False, fuel_steps: int = 100_000,
@@ -352,7 +314,7 @@ def soundness_lift(P: Procedure, code_alg: PartialAlgebra,
             cache[m] = c
         return c
 
-    code = diagonal_code(levels)
+    code = DiagonalCode(levels)
     registry.mint(code)
     return LiftedCode(code, code_alg, registry)
 
@@ -407,8 +369,9 @@ class LUCModulus:
 
 @dataclass
 class EffOpenCover:
-    cover: Callable[[int], tuple[int, int]]
-    relation: str = "equal"  # to dom(F): "equal" (strong) or "superset"
+    """Ball cover whose union is the domain of the tracked function."""
+
+    cover: Callable[[int], tuple[int, int]]  # i -> (center index, radius exp)
     cover_size_hint: int = 64
 
 
@@ -469,9 +432,9 @@ def adequacy_mc(F_cover: LUCModulus, alpha: Enumeration, x: Value, n: int,
     return _scan_cover(F_cover, alpha, fuel, probe)
 
 
-def adequacy_g(f: TrackingFn, F_cover: LUCModulus, alpha: Enumeration,
+def adequacy_g(f: InterpRule, F_cover: LUCModulus, alpha: Enumeration,
                registry: CodeRegistry, x: Value, n: int,
-               strat=None, *, fuel: Fuel):
+               strat: Optional[Dovetail] = None, *, fuel: Fuel):
     """The approximant G_n(x): within 2^-n of F(x) for x in the domain.
 
     Steps: modulus M at precision n+1; Dovetail search (strat, or an
@@ -485,7 +448,6 @@ def adequacy_g(f: TrackingFn, F_cover: LUCModulus, alpha: Enumeration,
         return mc
     M = mc.n
     eps = Fraction(1, 1 << M)
-    dovetail = strat if isinstance(strat, Dovetail) else Dovetail()
     e_cons: dict[Fraction, int] = {}
 
     def attempt(k: int, stage: int):
@@ -507,7 +469,7 @@ def adequacy_g(f: TrackingFn, F_cover: LUCModulus, alpha: Enumeration,
             return run
         return rat_value(ecode_eval(registry.code(run.n), n + 1, fuel))
 
-    return dovetail.search(fuel, attempt)
+    return (strat or Dovetail()).search(fuel, attempt)
 
 
 def effective_open_membership(cover: EffOpenCover, e: ECode,
@@ -523,10 +485,10 @@ def effective_open_membership(cover: EffOpenCover, e: ECode,
     return _scan_cover(cover, alpha, fuel, probe)
 
 
-def strictify_tracking(f: TrackingFn, cover: EffOpenCover,
-                       alpha: Enumeration, registry: CodeRegistry) -> TrackingFn:
+def strictify_tracking(f: InterpRule, cover: EffOpenCover,
+                       alpha: Enumeration, registry: CodeRegistry) -> InterpRule:
     """f'(e) = f(e) after semi-deciding that the coded point lies in the
-    (declared-equal-to-domain) cover; strict by construction."""
+    cover, whose union is dom(F); strict by construction."""
 
     def rule(fuel: Fuel, *args):
         member = effective_open_membership(cover, registry.code(args[0].n),
@@ -535,4 +497,4 @@ def strictify_tracking(f: TrackingFn, cover: EffOpenCover,
             return member
         return f(fuel, *args)
 
-    return TrackingFn(rule, domain_note=f"cover {cover.relation} to dom(F)")
+    return rule

@@ -25,7 +25,7 @@ from whilecc.programs.oracles import (exp_partial_sums_at, exp_enclosure,
                                       least_divisor_oracle, piv_omega)
 from whilecc.reals import alpha_rat, ecode_eval
 from whilecc.tracking import (code_algebra, soundness_lift,
-                              a0_square_check, TrackingFn, LUCModulus,
+                              a0_square_check, LUCModulus,
                               adequacy_g)
 
 
@@ -206,7 +206,6 @@ def test_criterion_7_theorem_b_construction():
         c = reg.code(a.n)
         return NatV(reg.mint(mul_codes(c, c)))
 
-    f = TrackingFn(sq)
     rationals = [Fraction(n, d) for d in (1, 2, 3, 4, 8)
                  for n in (-7, -3, -1, 0, 1, 2, 5)
                  if abs(Fraction(n, d)) < 2][:14]
@@ -223,7 +222,7 @@ def test_criterion_7_theorem_b_construction():
         xq = (x.code.value if x.code.is_const
               else x.code.approx(40, Fuel(10**6)))
         for n in ((10,) if i % 3 else (4, 10)):
-            out = adequacy_g(f, cover, alpha, reg, x, n, Dovetail(),
+            out = adequacy_g(sq, cover, alpha, reg, x, n, Dovetail(),
                              fuel=Fuel(2_000_000))
             ok &= out is not DIV and out is not FUEL_OUT
             if out is not DIV and out is not FUEL_OUT:

@@ -212,7 +212,6 @@ def _check_canonical(c: ConstCode, r: Fraction, stored: int) -> None:
     direct = rat_value(r)
     assert value_key(RealV(c)) == value_key(direct)
     assert hash(value_key(RealV(c))) == hash(value_key(direct))
-    assert CodeRegistry.format_code(c) == f"const:{r}"
 
 
 @given(const_chains())
@@ -330,17 +329,16 @@ def test_certified_deviation_is_in_lowest_terms():
 
 
 def test_constant_codes_allocate_no_approx_cache():
-    reg = CodeRegistry()
     quarter = ConstCode(Fraction(1, 4))
     consts = (ConstCode(HALF), add_codes(ConstCode(HALF), quarter),
-              mul_codes(quarter, quarter), neg_code(quarter), reg.parse_code("const:-7/3"))
+              mul_codes(quarter, quarter), neg_code(quarter),
+              ConstCode(Fraction(-7, 3)))
     assert _unreduced(consts[1])
     for c in consts:
         assert not hasattr(c, "_cache")
         assert c.approx(5, Fuel(0)) == c.value
         assert c.interval(2, Fuel(0)) == (c.value - quarter.value,
                                           c.value + quarter.value)
-        assert reg.parse_code(reg.format_code(c)).value == c.value
     memo = SumCode(ConstCode(HALF), e_code())
     memo.approx(3, Fuel(10**6))
     assert 3 in memo._cache
@@ -385,14 +383,14 @@ def test_separation_witness_runs_out_of_fuel_near_zero():
     assert separation_witness(zeroish, Fuel(60)) is None
 
 
-def test_diagonal_code_constant_levels():
+def test_diagonal_constant_levels():
     q = Fraction(5, 9)
     d = DiagonalCode(lambda n, fuel: ConstCode(q))
     for n in (0, 3, 9):
         assert d.approx(n, Fuel(10**6)) == q
 
 
-def test_diagonal_code_taylor_levels():
+def test_diagonal_taylor_levels():
     # level n: the factorial series truncated so the tail is below 2^-n
     def level(n, fuel):
         s, t = Fraction(1), Fraction(1)
@@ -409,7 +407,7 @@ def test_diagonal_code_taylor_levels():
     assert check_fast_cauchy_prefix(d, Fuel(10**6)) == []
 
 
-def test_diagonal_code_sqrt_levels():
+def test_diagonal_sqrt_levels():
     s2 = sqrt_code(2)
     d = DiagonalCode(lambda n, fuel: ConstCode(s2.approx(n, fuel)))
     lo, hi = sqrt2_oracle_enclosure()
@@ -427,23 +425,18 @@ def test_registry_validation_flags_non_cauchy():
     assert reg.code(ok).value == 1
 
 
-def test_registry_serialization():
-    reg = CodeRegistry()
-    c = reg.parse_code("const:-7/3")
-    assert c.value == Fraction(-7, 3)
-    assert reg.format_code(c) == "const:-7/3"
-    reg.add_program("taylor", lambda arg, n, fuel:
-                    sum(Fraction(1, _fact(i)) for i in range(n + 3)))
-    pc = reg.parse_code("prog:taylor:0")
-    fuel = Fuel(10**6)
-    assert abs(pc.approx(8, fuel) - e_code().approx(12, fuel)) < Fraction(1, 1 << 7)
-
-
-def _fact(i):
-    out = 1
-    for j in range(2, i + 1):
-        out *= j
-    return out
+def test_fast_cauchy_prefix_checks_every_level_below_upto():
+    # entries 12 and 13 differ by 2^-12, and the step after 15 is 2^-15:
+    # each breaks the bound only at a level of 12 or more
+    late = RuleCode(lambda n: Fraction(1, 1 << 12) if n > 12 else Fraction(0),
+                    name="late")
+    with pytest.raises(FastCauchyError) as err:
+        CodeRegistry().register(late, Fuel(10**6))
+    assert err.value.violations == [(12, 13), (12, 14)]
+    step = RuleCode(lambda n: Fraction(1, 1 << 15) if n > 15 else Fraction(0),
+                    name="step")
+    assert check_fast_cauchy_prefix(step, Fuel(10**6), upto=20) == [
+        (15, k) for k in range(16, 21)]
 
 
 def test_named_codes():

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from whilecc.algebra import get_algebra, rat_value, FF
-from whilecc.codes import (ConstCode, CodeRegistry, FastCauchyError, Fuel,
-                           rat_encode, sqrt_code)
+from whilecc.codes import (ConstCode, CodeRegistry, DiagonalCode,
+                           FastCauchyError, Fuel, rat_encode, sqrt_code)
 from whilecc.reals import (alpha_rat, ecode_eval, const_code,
-                           CCode, c_to_e, diagonal_code, computable_closure,
-                           canonical_enum, GeneratorSystem, goedel_number,
-                           EnumerationError)
+                           CCode, c_to_e, computable_closure,
+                           CanonicalEnumeration, GeneratorSystem,
+                           goedel_number, EnumerationError)
 from whilecc.signature import ClosedTerm
 
 
@@ -101,7 +101,7 @@ def test_closure_is_computationally_closed_on_samples():
     reg = CodeRegistry()
     levels = [reg.mint(ConstCode(Fraction(1, 3) + Fraction(1, 1 << (n + 4))))
               for n in range(16)]
-    diag = diagonal_code(lambda n, fuel: reg.code(levels[min(n, 15)]))
+    diag = DiagonalCode(lambda n, fuel: reg.code(levels[min(n, 15)]))
     idx = reg.register(diag, Fuel(10**6))
     closure = computable_closure(alpha, reg)
     assert closure.member("real", idx)
@@ -112,7 +112,7 @@ def test_closure_is_computationally_closed_on_samples():
 def test_diagonal_limit_bound_on_constructed_instance():
     # levels approximate sqrt2 at rate 2^-level; diagonal lands within 2^-(n-1)
     s2 = sqrt_code(2)
-    diag = diagonal_code(lambda n, fuel: ConstCode(s2.approx(n, fuel)))
+    diag = DiagonalCode(lambda n, fuel: ConstCode(s2.approx(n, fuel)))
     for n in (1, 4, 8):
         truth = s2.approx(40, Fuel(10**6))
         assert abs(ecode_eval(diag, n, Fuel(10**6)) - truth) < Fraction(1, 1 << (n - 1))
@@ -135,10 +135,10 @@ def rn_enum():
     rn = get_algebra("RN")
     gens = GeneratorSystem(constants={"real": [ClosedTerm("zero_real"),
                                                ClosedTerm("one_real")]})
-    return rn, canonical_enum(rn.signature, rn, gens)
+    return rn, CanonicalEnumeration(rn.signature, rn, gens)
 
 
-def test_canonical_enum_decode_encode_roundtrip(rn_enum):
+def test_term_enumeration_decode_encode_roundtrip(rn_enum):
     _, ce = rn_enum
     for k in range(0, 400, 7):
         t = ce.decode_term("real", k)
@@ -147,14 +147,14 @@ def test_canonical_enum_decode_encode_roundtrip(rn_enum):
         assert ce.decode_term("real", k2) == t
 
 
-def test_canonical_enum_one_plus_one(rn_enum):
+def test_term_enumeration_one_plus_one(rn_enum):
     _, ce = rn_enum
     t = ClosedTerm("add", (ClosedTerm("one_real"), ClosedTerm("one_real")))
     k = ce.encode_term("real", t)
     assert ce.decode("real", k).code.value == 2
 
 
-def test_canonical_enum_excludes_division_by_zero(rn_enum):
+def test_term_enumeration_excludes_division_by_zero(rn_enum):
     _, ce = rn_enum
     t = ClosedTerm("inv", (ClosedTerm("zero_real"),))
     k = ce.encode_term("real", t)
@@ -163,7 +163,7 @@ def test_canonical_enum_excludes_division_by_zero(rn_enum):
         ce.decode("real", k)
 
 
-def test_canonical_enum_reaches_sampled_rationals(rn_enum):
+def test_term_enumeration_reaches_sampled_rationals(rn_enum):
     _, ce = rn_enum
 
     def rat_term(q: Fraction) -> ClosedTerm:

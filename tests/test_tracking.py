@@ -8,8 +8,9 @@ import pytest
 
 from whilecc.algebra import (get_algebra, rat_value, value_key, NatV, RealV,
                              ArrV, TT, FF, DIV, FUEL_OUT)
-from whilecc.codes import (Fuel, CodeRegistry, ConstCode, OutOfFuel, sqrt_code,
-                           mul_codes, add_codes, inv_code, rat_encode)
+from whilecc.codes import (Fuel, CodeRegistry, ConstCode, RuleCode, SumCode,
+                           OutOfFuel, sqrt_code, mul_codes, add_codes, inv_code,
+                           rat_encode, check_fast_cauchy_prefix)
 from whilecc.interp import Dovetail, eval_proc, nat_value
 from whilecc.lang import parse
 from whilecc.programs import load
@@ -17,7 +18,7 @@ from whilecc.programs.oracles import (exp_enclosure, exp_partial_sum,
                                       sqrt_enclosure)
 from whilecc.reals import (Enumeration, SortEnumeration, alpha_rat,
                            ecode_eval)
-from whilecc.tracking import (TrackingFn, code_algebra, decode_code_value,
+from whilecc.tracking import (code_algebra, decode_code_value,
                               encode_input, check_tracking,
                               soundness_lift, a0_square_check, LiftError,
                               LUCModulus, EffOpenCover, adequacy_mc,
@@ -131,7 +132,7 @@ def test_check_tracking_addition(rn_codes):
         return NatV(reg.mint(add_codes(c1, c2)))
 
     rep = check_tracking(lambda fuel, *args: rn.apply("add", args, fuel),
-                         TrackingFn(f), ks, decode,
+                         f, ks, decode,
                          decode_out=lambda v: RealV(reg.code(v.n)),
                          name="add-tracking")
     assert rep.ok
@@ -148,7 +149,7 @@ def test_check_tracking_strictness_failure_reported(rn_codes):
 
     ks = [(rat_encode(Fraction(1, 2)),), (rat_encode(Fraction(0)),)]
     rep = check_tracking(lambda fuel, *args: rn.apply("inv", args, fuel),
-                         TrackingFn(bad_inv), ks,
+                         bad_inv, ks,
                          lambda _i, k: alpha.decode("real", k),
                          decode_out=lambda v: RealV(reg.code(v.n)),
                          strict=True, name="inv-strictness")
@@ -169,7 +170,7 @@ def test_check_tracking_row_fails_when_the_comparison_runs_out_of_fuel(rn_codes)
             while drain and fuel.take():
                 pass
             return NatV(reg.mint(sqrt_code(2)))
-        return TrackingFn(f)
+        return f
 
     for drain, ok, detail in [
             (False, True, "square commutes (equality unrefuted at 2^-20)"),
@@ -183,7 +184,7 @@ def test_check_tracking_row_fails_when_the_comparison_runs_out_of_fuel(rn_codes)
 
 def test_check_tracking_eq_nat_identity():
     n_alg = get_algebra("N")
-    f = TrackingFn(n_alg.interp["eq_nat"])
+    f = n_alg.interp["eq_nat"]
     rep = check_tracking(lambda fuel, *args: n_alg.apply("eq_nat", args, fuel),
                          f, [(3, 3), (2, 7)],
                          lambda _i, k: NatV(k), name="eq_nat")
@@ -306,6 +307,63 @@ def test_exp_lift_desk_check(rn_codes):
         assert lo - tol < v < hi + tol, (n, v)
 
 
+# A lift is a fast Cauchy code for the approximated value: |v(n) - F(x)| is
+# at most 2^-n. ALT_APPROX spends its whole 2^-n error budget at every level,
+# on alternate sides of x, so a diagonal taken at level n instead of n + 2
+# puts entries n and n + 1 3 * 2^-(n+1) apart.
+ALT_APPROX = """algebra RN
+func alt_approx
+in n: nat, x: real
+out y: real
+aux e: real, k: nat
+begin
+  e := 1;
+  k := 0;
+  while k < n do e := e * (0 - 1/2); k := succ(k) od;
+  y := x + e
+end"""
+
+
+def _within(v: Fraction, enclosure: tuple[Fraction, Fraction], n: int) -> bool:
+    """|v - F| <= 2^-n for every F in the closed enclosure, exactly."""
+    lo, hi = enclosure
+    eps = Fraction(1, 1 << n)
+    return v - eps <= lo and hi <= v + eps
+
+
+def _approximating(name: str):
+    """ALT_APPROX over RN, or a shipped program, with its algebra."""
+    if name == "alt_approx":
+        return parse(ALT_APPROX), get_algebra("RN")
+    return load(name)
+
+
+# exp_approx's level m sums 2^(m+1) terms, so its prefix stays short
+@pytest.mark.parametrize("program, code_in, enclosure, upto", [
+    ("alt_approx", ConstCode(Fraction(1, 3)), (Fraction(1, 3),) * 2, 16),
+    ("alt_approx", ConstCode(Fraction(-7, 2)), (Fraction(-7, 2),) * 2, 16),
+    ("alt_approx", sqrt_code(2), sqrt_enclosure(2), 16),
+    ("alt_approx", SumCode(sqrt_code(2), ConstCode(-1)),
+     tuple(b - 1 for b in sqrt_enclosure(2)), 12),
+    ("sq1_approx", ConstCode(Fraction(1, 3)), (Fraction(10, 9),) * 2, 14),
+    ("sq1_approx", ConstCode(Fraction(-5, 2)), (Fraction(29, 4),) * 2, 14),
+    ("sq1_approx", sqrt_code(2), (Fraction(3),) * 2, 14),
+    ("exp_approx", ConstCode(0), exp_enclosure(0), 8),
+    ("exp_approx", ConstCode(Fraction(1, 3)), exp_enclosure(Fraction(1, 3)), 8),
+    ("exp_approx", ConstCode(1), exp_enclosure(1), 8),
+])
+def test_lift_is_a_fast_cauchy_code_for_the_approximated_value(
+        program, code_in, enclosure, upto):
+    p, alg = _approximating(program)
+    reg = CodeRegistry()
+    lifted = soundness_lift(p, code_algebra(alg, reg), reg,
+                            (NatV(reg.mint(code_in)),))
+    fuel = Fuel(10**8)
+    assert check_fast_cauchy_prefix(lifted, fuel, upto=upto) == []
+    for n in range(upto + 1):
+        assert _within(lifted.approx(n, fuel), enclosure, n), n
+
+
 def _const_lift(rn):
     reg = CodeRegistry()
     calg = code_algebra(rn, reg)
@@ -362,7 +420,7 @@ def square_setup(registry):
         c = registry.code(a.n)
         return NatV(registry.mint(mul_codes(c, c)))
 
-    return alpha, registry, cover, TrackingFn(sq)
+    return alpha, registry, cover, sq
 
 
 def test_adequacy_mc_formula_case(square_setup):
@@ -397,7 +455,7 @@ def test_adequacy_g_identity_tracking(square_setup):
         fuel.take()
         return a
 
-    out = adequacy_g(TrackingFn(ident), cover, alpha, reg,
+    out = adequacy_g(ident, cover, alpha, reg,
                      rat_value(Fraction(5, 8)), 8, Dovetail(), fuel=Fuel(500_000))
     assert out is not DIV and out is not FUEL_OUT
     assert abs(out.code.value - Fraction(5, 8)) < Fraction(1, 256)
@@ -416,6 +474,38 @@ def test_adequacy_g_spends_as_recorded(square_setup, xq, n, y, left):
     assert out.code.value == y and fuel.remaining == left
 
 
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(-7, 5)])
+def test_adequacy_g_is_within_its_bound_at_full_budget(registry, x, side):
+    # F is the identity, whose modulus lu(i, p) = p is tight. The tracker
+    # maps the code of a to n -> a + side * 2^-n, 2^-n from its limit at
+    # every n. alpha(k) = x + side * 3 * 2^-(k+2) puts the first index within
+    # 2^-M of x at 3/4 of that window, on the tracker's side. With M = n + 1
+    # and the code read at n + 1, G_n(x) lies 7/8 * 2^-n from F(x) = x; a
+    # modulus taken at a lower precision, or the code read at n, exceeds 2^-n.
+    def decode(k):
+        return rat_value(x + side * Fraction(3, 1 << (k + 2)))
+
+    alpha = Enumeration({"real": SortEnumeration(member=lambda k: True,
+                                                 decode=decode)})
+    cover = LUCModulus(cover=lambda i: (0, -4), lu=lambda i, p: p,
+                       cover_size_hint=1)
+
+    def full_budget(fuel, a):
+        fuel.take()
+        q = registry.code(a.n).value
+        return NatV(registry.mint(
+            RuleCode(lambda n: q + side * Fraction(1, 1 << n), name="slow")))
+
+    code = registry.code(full_budget(Fuel(1), NatV(registry.mint(ConstCode(x)))).n)
+    assert check_fast_cauchy_prefix(code, Fuel(10**6), upto=20) == []
+    for n in (0, 1, 3, 8, 12):
+        out = adequacy_g(full_budget, cover, alpha, registry, rat_value(x), n,
+                         fuel=Fuel(200_000))
+        err = abs(out.code.value - x)
+        assert Fraction(1, 1 << (n + 1)) < err <= Fraction(1, 1 << n), (n, err)
+
+
 def test_adequacy_g_outside_domain_exhausts(square_setup):
     alpha, reg, cover, _ = square_setup
 
@@ -431,7 +521,7 @@ def test_adequacy_g_outside_domain_exhausts(square_setup):
     pairs = [(rat_encode(Fraction(0)), 0)]
     inv_cover = LUCModulus(cover=lambda i: pairs[0], lu=lambda i, n: n + 6,
                            cover_size_hint=1)
-    out = adequacy_g(TrackingFn(inv_track), inv_cover, alpha, reg,
+    out = adequacy_g(inv_track, inv_cover, alpha, reg,
                      rat_value(0), 3, Dovetail(), fuel=Fuel(4000))
     assert out is FUEL_OUT
 
@@ -452,7 +542,7 @@ def test_adequacy_g_never_retries_a_divergent_index(registry):
         seen.append(registry.code(a.n).value)
         return DIV
 
-    out = adequacy_g(TrackingFn(divergent), cover, alpha, registry,
+    out = adequacy_g(divergent, cover, alpha, registry,
                      rat_value(0), 3, Dovetail(), fuel=Fuel(20_000))
     assert out is FUEL_OUT
     assert seen and len(seen) == len(set(seen))
@@ -469,7 +559,7 @@ def test_adequacy_g_mints_one_code_per_rational(square_setup):
         return FUEL_OUT
 
     before = len(reg)
-    out = adequacy_g(TrackingFn(undecided), cover, alpha, reg, rat_value(0), 3,
+    out = adequacy_g(undecided, cover, alpha, reg, rat_value(0), 3,
                      Dovetail(), fuel=Fuel(20_000))
     assert out is FUEL_OUT
     assert len(tried) > len(set(tried))
@@ -504,7 +594,7 @@ def test_strictify_tracking(registry):
         fuel.take()
         return a
 
-    f = TrackingFn(ident)
+    f = ident
     f2 = strictify_tracking(f, cover, alpha, registry)
     idx = registry.mint(ConstCode(Fraction(1, 2)))
     a = f(Fuel(1000), NatV(idx))
