@@ -75,7 +75,9 @@ class NatV(Value):
         return f"NatV({self.n})"
 
 
-SHARED_NATS = 1 << 12
+# one Dovetail block (interp.Dovetail.BLOCK_BITS): a seeded search scans a
+# block in a permuted order, so a search in block 0 allocates no NatV
+SHARED_NATS = 1 << 13
 _NATS = [NatV(i) for i in range(SHARED_NATS)]
 
 

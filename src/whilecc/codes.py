@@ -72,6 +72,9 @@ class FastCauchyError(Exception):
 # fuel
 
 
+_new = object.__new__
+
+
 class Fuel:
     """Mutable step budget: one counter, and a step is one decrement.
 
@@ -102,8 +105,13 @@ class Fuel:
         return self.remaining <= 0
 
     def spawn(self, cap: int) -> "Fuel":
-        child = Fuel(cap if cap < self.remaining else self.remaining)
-        self.remaining -= child.remaining
+        """A plain Fuel holding min(cap, remaining) steps carved out of this
+        one. cap is never negative and neither is remaining, so the child is
+        built without `__init__`'s check."""
+        n = cap if cap < self.remaining else self.remaining
+        self.remaining -= n
+        child = _new(Fuel)
+        child.remaining = n
         return child
 
     def repay(self, child: "Fuel") -> None:

@@ -19,7 +19,9 @@ contains a choose to the set-valued `_enum_term`. Every rule is called as
 `rule(fuel, *values)` and returns a Value, DIV or FUEL_OUT (see `algebra`);
 applications of no, one and two arguments get closures of their own that
 build no argument list, and in the common shapes read an operand that is
-a variable or a nat literal in place, with no call. Under Enumerate a choose
+a variable or a nat literal in place, with no call. A conditional calls the
+rule of a constant branch in place, and beside one reads a guard of such a
+shape in place too (`_cond`). Under Enumerate a choose
 tests each candidate's guard with one call and no outcome set of its own,
 unless the guard holds a nested choose.
 
@@ -113,28 +115,27 @@ class Dovetail:
     """
 
     BLOCK_BITS = 13
+    MASK = (1 << BLOCK_BITS) - 1
 
     def __init__(self, seed: Optional[int] = None):
         self.seed = seed
         self._strides: dict[int, int] = {}
 
     def _stride(self, block: int) -> int:
-        s = self._strides.get(block)
-        if s is None:
-            mask = (1 << self.BLOCK_BITS) - 1
-            s = random.Random((self.seed << 24) ^ block).randrange(1 << self.BLOCK_BITS) | 1
-            s &= mask
-            self._strides[block] = s
+        s = random.Random((self.seed << 24) ^ block).randrange(1 << self.BLOCK_BITS) | 1
+        self._strides[block] = s
         return s
 
     def visit(self, stage: int) -> int:
-        """The candidate given its first budget at this stage."""
+        """The candidate given its first budget at this stage: the stage
+        itself without a seed, else its position in its block times the
+        block's stride, mod the block size. A block's stride is drawn once
+        (`_stride`) and read from `_strides` after; strides are odd, never 0."""
         if self.seed is None:
             return stage
-        mask = (1 << self.BLOCK_BITS) - 1
         block = stage >> self.BLOCK_BITS
-        pos = stage & mask
-        return (block << self.BLOCK_BITS) | ((pos * self._stride(block)) & mask)
+        s = self._strides.get(block) or self._stride(block)
+        return (block << self.BLOCK_BITS) | ((stage * s) & self.MASK)
 
     def search(self, fuel: Fuel, attempt: Callable[[int, int], object]):
         """The first result of attempt(candidate, stage), or FUEL_OUT once
@@ -296,15 +297,7 @@ def _compile(ctx: Ctx, t: Term) -> Optional[Callable]:
     if any(f is None for f in fs):
         return None
     if t.sym.conditional:
-        guard, then, els = fs
-
-        def cond(b, fuel, out):
-            g = guard(b, fuel, out)
-            if g is DIV or g is FUEL_OUT:
-                return g
-            return (then if g.b else els)(b, fuel, out)
-
-        return cond
+        return _cond(ctx, t.args, fs)
     return _strict(ctx.alg.interp[t.sym.name], t.args, fs, ctx.enum,
                    t.sym.name)
 
@@ -451,6 +444,60 @@ def _strict_all(rule, args: tuple, fs: list, name: str) -> Callable:
     return all_n
 
 
+def _cond(ctx: Ctx, args: tuple, fs: list) -> Callable:
+    """The closure of a conditional (guard, then, else). A branch that is a
+    nullary application, such as the true and false that andthen and orelse
+    leave, has its rule called in place. Beside such a branch, a guard that
+    is a two-operand application in the shape "vv", "cv" or "vc" (see
+    `_operands`) is read in place too. Under Enumerate (out is not None) a
+    rule called in place records its failure as its own closure would."""
+    guard, then, els = fs
+    then_k, else_k = (type(a) is App and not a.args for a in args[1:])
+    if not (then_k or else_k):
+        def cond(b, fuel, out):
+            g = guard(b, fuel, out)
+            if g is DIV or g is FUEL_OUT:
+                return g
+            return (then if g.b else els)(b, fuel, out)
+
+        return cond
+    side = not else_k  # the guard's value that picks the constant branch
+    kname = args[2 - side].sym.name
+    krule, other = ctx.alg.interp[kname], (els if side else then)
+    g = args[0]
+    shape, leaves = _operands(g.args) if type(g) is App else ("", ())
+    if shape in ("vv", "cv", "vc"):
+        gname = g.sym.name
+        grule, (x0, x1) = ctx.alg.interp[gname], leaves
+        v0, v1 = shape[0] == "v", shape[1] == "v"
+
+        def cond_in_place(b, fuel, out):
+            r = grule(fuel, b[x0] if v0 else x0, b[x1] if v1 else x1)
+            if r is DIV or r is FUEL_OUT:
+                return r if out is None else _failed(out, r, gname)
+            if r.b is not side:
+                return other(b, fuel, out)
+            r = krule(fuel)
+            if out is None or (r is not DIV and r is not FUEL_OUT):
+                return r
+            return _failed(out, r, kname)
+
+        return cond_in_place
+
+    def cond_const(b, fuel, out):
+        r = guard(b, fuel, out)
+        if r is DIV or r is FUEL_OUT:
+            return r
+        if r.b is not side:
+            return other(b, fuel, out)
+        r = krule(fuel)
+        if out is None or (r is not DIV and r is not FUEL_OUT):
+            return r
+        return _failed(out, r, kname)
+
+    return cond_const
+
+
 def _operands(args: tuple) -> tuple[str, list]:
     """How a closure reads the operands args: one letter each, "v" for a
     variable, "c" for a nat literal and "t" for any other term, and what
@@ -499,7 +546,7 @@ def _dovetail_choose(strat, var: str, body, b: dict, fuel: Fuel):
     b2 = dict(b)
 
     def attempt(cand: int, stage: int):
-        b2[var] = nat_value(cand)
+        b2[var] = v = nat_value(cand)
         guard_fuel = fuel.spawn(stage + 1)
         try:
             g = body(b2, guard_fuel, None)
@@ -507,7 +554,7 @@ def _dovetail_choose(strat, var: str, body, b: dict, fuel: Fuel):
             fuel.repay(guard_fuel)
         if g is FUEL_OUT or g is DIV:
             return g
-        return nat_value(cand) if g.b else DIV  # a ff guard is refuted
+        return v if g.b else DIV  # a ff guard is refuted
 
     return strat.search(fuel, attempt)
 

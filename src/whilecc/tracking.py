@@ -284,6 +284,8 @@ def soundness_lift(P: Procedure, code_alg: PartialAlgebra,
     code, and that cycle would leave each lift to the cyclic garbage
     collector. The returned code holds all three.
     """
+    if fuel_per_level < 0:
+        raise ValueError("fuel must be non-negative")
     strat = strat or Dovetail()
     cache: dict[int, ECode] = {}
     alg_ref, reg_ref = weakref.ref(code_alg), weakref.ref(registry)

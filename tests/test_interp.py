@@ -289,16 +289,380 @@ SHAPE_ROWS = [
                          "notes, left", SHAPE_ROWS)
 def test_operand_shapes_evaluate_as_recorded(src, strategy, budget, values,
                                              div, truncated, notes, left):
+    assert _shape_outcome(src, SHAPE_TERMS[src], strategy, budget) == (
+        values, div, truncated, notes, left)
+
+
+def _shape_outcome(src, sort, strategy, budget):
+    """Values, both flags, diagnostics and fuel left of the term src of the
+    given sort, on fixed bindings, under the strategy and budget."""
     t = term(src, frame="n: nat, k: nat, x: real, y: real, z: real, w: real",
-             assign_to=("o", SHAPE_TERMS[src]))
+             assign_to=("o", sort))
     sigma = state(n=NatV(2), k=NatV(1), x=rat_value(Fraction(1, 2)),
                   y=rat_value(0), z=rat_value(Fraction(-3, 4)),
                   w=RealV(sqrt_code(2)))
     fuel = Fuel(budget)
     out = eval_term(t, sigma, RN, SHAPE_STRATEGIES[strategy](), fuel)
-    assert [repr(v) for v in out.values] == values
-    assert (out.proven_divergent, out.truncated) == (div, truncated)
-    assert out.diagnostics == notes and fuel.remaining == left
+    return ([repr(v) for v in out.values], out.proven_divergent,
+            out.truncated, out.diagnostics, fuel.remaining)
+
+
+# Conditionals in every form the compiler tells apart: andthen and orelse
+# (a constant false or true branch), if ... fi with constant and
+# non-constant branches, and guards in the shapes "vv", "cv", "vc" and "t",
+# some giving DIV (inv(0)) or FUEL_OUT (a comparison with sqrt(2)), inside
+# a choose too. Recorded values; at budget 0 a constant branch still returns
+# its value, since the nullary rules ignore what fuel.take() says.
+COND_TERMS = {
+    "n < k andthen x < z": "bool",
+    "k < n andthen w < x": "bool",
+    "x < z andthen k < n": "bool",
+    "w < x andthen k < n": "bool",
+    "7 < n andthen x < z": "bool",
+    "1 < n andthen z < x": "bool",
+    "k = 1 andthen n < 3": "bool",
+    "n = 1 andthen inv(y) < x": "bool",
+    "k = 1 andthen inv(y) < x": "bool",
+    "n < k orelse x < z": "bool",
+    "x < x orelse k = 1": "bool",
+    "1 < n orelse w < x": "bool",
+    "n = 1 orelse w < x": "bool",
+    "k = 1 orelse inv(y) < x": "bool",
+    "succ(n) < k orelse k = 1": "bool",
+    "inv(y) < x andthen k = 1": "bool",
+    "w < x orelse k = 1": "bool",
+    "(k = 1 andthen n < 3) orelse w < x": "bool",
+    "(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)": "bool",
+    "if n < k then x else z fi": "real",
+    "if 1 < n then x + z else inv(y) fi": "real",
+    "if k = 1 then true else false fi": "bool",
+    "if w < x then false else k < n fi": "bool",
+    "if inv(y) < x then true else false fi": "bool",
+    "choose j : (1 < j) andthen (j < 4)": "nat",
+    "choose j : (1 < j) andthen (j < 5000)": "nat",
+}
+COND_ROWS = [
+    ("n < k andthen x < z", "oracle", 0, ["ff"], False, False, [], 0),
+    ("n < k andthen x < z", "oracle", 1, ["ff"], False, False, [], 0),
+    ("n < k andthen x < z", "oracle", 2, ["ff"], False, False, [], 0),
+    ("n < k andthen x < z", "oracle", 200, ["ff"], False, False, [], 198),
+    ("n < k andthen x < z", "dovetail", 0, ["ff"], False, False, [], 0),
+    ("n < k andthen x < z", "dovetail", 1, ["ff"], False, False, [], 0),
+    ("n < k andthen x < z", "dovetail", 2, ["ff"], False, False, [], 0),
+    ("n < k andthen x < z", "dovetail", 200, ["ff"], False, False, [], 198),
+    ("n < k andthen x < z", "enumerate", 0, ["ff"], False, False, [], 0),
+    ("n < k andthen x < z", "enumerate", 1, ["ff"], False, False, [], 0),
+    ("n < k andthen x < z", "enumerate", 2, ["ff"], False, False, [], 0),
+    ("n < k andthen x < z", "enumerate", 200, ["ff"], False, False, [], 198),
+    ("k < n andthen w < x", "oracle", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("k < n andthen w < x", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("k < n andthen w < x", "oracle", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("k < n andthen w < x", "oracle", 200, ["ff"], False, False, [], 193),
+    ("k < n andthen w < x", "dovetail", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("k < n andthen w < x", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("k < n andthen w < x", "dovetail", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("k < n andthen w < x", "dovetail", 200, ["ff"], False, False, [], 193),
+    ("k < n andthen w < x", "enumerate", 0, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("k < n andthen w < x", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("k < n andthen w < x", "enumerate", 2, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("k < n andthen w < x", "enumerate", 200, ["ff"], False, False, [], 193),
+    ("x < z andthen k < n", "oracle", 0, ["ff"], False, False, [], 0),
+    ("x < z andthen k < n", "oracle", 1, ["ff"], False, False, [], 0),
+    ("x < z andthen k < n", "oracle", 2, ["ff"], False, False, [], 0),
+    ("x < z andthen k < n", "oracle", 200, ["ff"], False, False, [], 198),
+    ("x < z andthen k < n", "dovetail", 0, ["ff"], False, False, [], 0),
+    ("x < z andthen k < n", "dovetail", 1, ["ff"], False, False, [], 0),
+    ("x < z andthen k < n", "dovetail", 2, ["ff"], False, False, [], 0),
+    ("x < z andthen k < n", "dovetail", 200, ["ff"], False, False, [], 198),
+    ("x < z andthen k < n", "enumerate", 0, ["ff"], False, False, [], 0),
+    ("x < z andthen k < n", "enumerate", 1, ["ff"], False, False, [], 0),
+    ("x < z andthen k < n", "enumerate", 2, ["ff"], False, False, [], 0),
+    ("x < z andthen k < n", "enumerate", 200, ["ff"], False, False, [], 198),
+    ("w < x andthen k < n", "oracle", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x andthen k < n", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x andthen k < n", "oracle", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x andthen k < n", "oracle", 200, ["ff"], False, False, [], 193),
+    ("w < x andthen k < n", "dovetail", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x andthen k < n", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x andthen k < n", "dovetail", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x andthen k < n", "dovetail", 200, ["ff"], False, False, [], 193),
+    ("w < x andthen k < n", "enumerate", 0, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("w < x andthen k < n", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("w < x andthen k < n", "enumerate", 2, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("w < x andthen k < n", "enumerate", 200, ["ff"], False, False, [], 193),
+    ("7 < n andthen x < z", "oracle", 0, ["ff"], False, False, [], 0),
+    ("7 < n andthen x < z", "oracle", 1, ["ff"], False, False, [], 0),
+    ("7 < n andthen x < z", "oracle", 2, ["ff"], False, False, [], 0),
+    ("7 < n andthen x < z", "oracle", 200, ["ff"], False, False, [], 198),
+    ("7 < n andthen x < z", "dovetail", 0, ["ff"], False, False, [], 0),
+    ("7 < n andthen x < z", "dovetail", 1, ["ff"], False, False, [], 0),
+    ("7 < n andthen x < z", "dovetail", 2, ["ff"], False, False, [], 0),
+    ("7 < n andthen x < z", "dovetail", 200, ["ff"], False, False, [], 198),
+    ("7 < n andthen x < z", "enumerate", 0, ["ff"], False, False, [], 0),
+    ("7 < n andthen x < z", "enumerate", 1, ["ff"], False, False, [], 0),
+    ("7 < n andthen x < z", "enumerate", 2, ["ff"], False, False, [], 0),
+    ("7 < n andthen x < z", "enumerate", 200, ["ff"], False, False, [], 198),
+    ("1 < n andthen z < x", "oracle", 0, ["tt"], False, False, [], 0),
+    ("1 < n andthen z < x", "oracle", 1, ["tt"], False, False, [], 0),
+    ("1 < n andthen z < x", "oracle", 2, ["tt"], False, False, [], 0),
+    ("1 < n andthen z < x", "oracle", 200, ["tt"], False, False, [], 198),
+    ("1 < n andthen z < x", "dovetail", 0, ["tt"], False, False, [], 0),
+    ("1 < n andthen z < x", "dovetail", 1, ["tt"], False, False, [], 0),
+    ("1 < n andthen z < x", "dovetail", 2, ["tt"], False, False, [], 0),
+    ("1 < n andthen z < x", "dovetail", 200, ["tt"], False, False, [], 198),
+    ("1 < n andthen z < x", "enumerate", 0, ["tt"], False, False, [], 0),
+    ("1 < n andthen z < x", "enumerate", 1, ["tt"], False, False, [], 0),
+    ("1 < n andthen z < x", "enumerate", 2, ["tt"], False, False, [], 0),
+    ("1 < n andthen z < x", "enumerate", 200, ["tt"], False, False, [], 198),
+    ("k = 1 andthen n < 3", "oracle", 0, ["tt"], False, False, [], 0),
+    ("k = 1 andthen n < 3", "oracle", 1, ["tt"], False, False, [], 0),
+    ("k = 1 andthen n < 3", "oracle", 2, ["tt"], False, False, [], 0),
+    ("k = 1 andthen n < 3", "oracle", 200, ["tt"], False, False, [], 198),
+    ("k = 1 andthen n < 3", "dovetail", 0, ["tt"], False, False, [], 0),
+    ("k = 1 andthen n < 3", "dovetail", 1, ["tt"], False, False, [], 0),
+    ("k = 1 andthen n < 3", "dovetail", 2, ["tt"], False, False, [], 0),
+    ("k = 1 andthen n < 3", "dovetail", 200, ["tt"], False, False, [], 198),
+    ("k = 1 andthen n < 3", "enumerate", 0, ["tt"], False, False, [], 0),
+    ("k = 1 andthen n < 3", "enumerate", 1, ["tt"], False, False, [], 0),
+    ("k = 1 andthen n < 3", "enumerate", 2, ["tt"], False, False, [], 0),
+    ("k = 1 andthen n < 3", "enumerate", 200, ["tt"], False, False, [], 198),
+    ("n = 1 andthen inv(y) < x", "oracle", 0, ["ff"], False, False, [], 0),
+    ("n = 1 andthen inv(y) < x", "oracle", 1, ["ff"], False, False, [], 0),
+    ("n = 1 andthen inv(y) < x", "oracle", 2, ["ff"], False, False, [], 0),
+    ("n = 1 andthen inv(y) < x", "oracle", 200, ["ff"], False, False, [], 198),
+    ("n = 1 andthen inv(y) < x", "dovetail", 0, ["ff"], False, False, [], 0),
+    ("n = 1 andthen inv(y) < x", "dovetail", 1, ["ff"], False, False, [], 0),
+    ("n = 1 andthen inv(y) < x", "dovetail", 2, ["ff"], False, False, [], 0),
+    ("n = 1 andthen inv(y) < x", "dovetail", 200, ["ff"], False, False, [], 198),
+    ("n = 1 andthen inv(y) < x", "enumerate", 0, ["ff"], False, False, [], 0),
+    ("n = 1 andthen inv(y) < x", "enumerate", 1, ["ff"], False, False, [], 0),
+    ("n = 1 andthen inv(y) < x", "enumerate", 2, ["ff"], False, False, [], 0),
+    ("n = 1 andthen inv(y) < x", "enumerate", 200, ["ff"], False, False, [], 198),
+    ("k = 1 andthen inv(y) < x", "oracle", 0, [], True, False, [], 0),
+    ("k = 1 andthen inv(y) < x", "oracle", 1, [], True, False, [], 0),
+    ("k = 1 andthen inv(y) < x", "oracle", 2, [], True, False, [], 1),
+    ("k = 1 andthen inv(y) < x", "oracle", 200, [], True, False, [], 199),
+    ("k = 1 andthen inv(y) < x", "dovetail", 0, [], True, False, [], 0),
+    ("k = 1 andthen inv(y) < x", "dovetail", 1, [], True, False, [], 0),
+    ("k = 1 andthen inv(y) < x", "dovetail", 2, [], True, False, [], 1),
+    ("k = 1 andthen inv(y) < x", "dovetail", 200, [], True, False, [], 199),
+    ("k = 1 andthen inv(y) < x", "enumerate", 0, [], True, False, [], 0),
+    ("k = 1 andthen inv(y) < x", "enumerate", 1, [], True, False, [], 0),
+    ("k = 1 andthen inv(y) < x", "enumerate", 2, [], True, False, [], 1),
+    ("k = 1 andthen inv(y) < x", "enumerate", 200, [], True, False, [], 199),
+    ("n < k orelse x < z", "oracle", 0, ["ff"], False, False, [], 0),
+    ("n < k orelse x < z", "oracle", 1, ["ff"], False, False, [], 0),
+    ("n < k orelse x < z", "oracle", 2, ["ff"], False, False, [], 0),
+    ("n < k orelse x < z", "oracle", 200, ["ff"], False, False, [], 198),
+    ("n < k orelse x < z", "dovetail", 0, ["ff"], False, False, [], 0),
+    ("n < k orelse x < z", "dovetail", 1, ["ff"], False, False, [], 0),
+    ("n < k orelse x < z", "dovetail", 2, ["ff"], False, False, [], 0),
+    ("n < k orelse x < z", "dovetail", 200, ["ff"], False, False, [], 198),
+    ("n < k orelse x < z", "enumerate", 0, ["ff"], False, False, [], 0),
+    ("n < k orelse x < z", "enumerate", 1, ["ff"], False, False, [], 0),
+    ("n < k orelse x < z", "enumerate", 2, ["ff"], False, False, [], 0),
+    ("n < k orelse x < z", "enumerate", 200, ["ff"], False, False, [], 198),
+    ("x < x orelse k = 1", "oracle", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("x < x orelse k = 1", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("x < x orelse k = 1", "oracle", 2, [], False, True, ["term evaluation: fuel exhausted"], 1),
+    ("x < x orelse k = 1", "oracle", 200, [], False, True, ["term evaluation: fuel exhausted"], 199),
+    ("x < x orelse k = 1", "dovetail", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("x < x orelse k = 1", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("x < x orelse k = 1", "dovetail", 2, [], False, True, ["term evaluation: fuel exhausted"], 1),
+    ("x < x orelse k = 1", "dovetail", 200, [], False, True, ["term evaluation: fuel exhausted"], 199),
+    ("x < x orelse k = 1", "enumerate", 0, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("x < x orelse k = 1", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("x < x orelse k = 1", "enumerate", 2, [], False, True, ["less_real: fuel exhausted"], 1),
+    ("x < x orelse k = 1", "enumerate", 200, [], False, True, ["less_real: fuel exhausted"], 199),
+    ("1 < n orelse w < x", "oracle", 0, ["tt"], False, False, [], 0),
+    ("1 < n orelse w < x", "oracle", 1, ["tt"], False, False, [], 0),
+    ("1 < n orelse w < x", "oracle", 2, ["tt"], False, False, [], 0),
+    ("1 < n orelse w < x", "oracle", 200, ["tt"], False, False, [], 198),
+    ("1 < n orelse w < x", "dovetail", 0, ["tt"], False, False, [], 0),
+    ("1 < n orelse w < x", "dovetail", 1, ["tt"], False, False, [], 0),
+    ("1 < n orelse w < x", "dovetail", 2, ["tt"], False, False, [], 0),
+    ("1 < n orelse w < x", "dovetail", 200, ["tt"], False, False, [], 198),
+    ("1 < n orelse w < x", "enumerate", 0, ["tt"], False, False, [], 0),
+    ("1 < n orelse w < x", "enumerate", 1, ["tt"], False, False, [], 0),
+    ("1 < n orelse w < x", "enumerate", 2, ["tt"], False, False, [], 0),
+    ("1 < n orelse w < x", "enumerate", 200, ["tt"], False, False, [], 198),
+    ("n = 1 orelse w < x", "oracle", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("n = 1 orelse w < x", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("n = 1 orelse w < x", "oracle", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("n = 1 orelse w < x", "oracle", 200, ["ff"], False, False, [], 193),
+    ("n = 1 orelse w < x", "dovetail", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("n = 1 orelse w < x", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("n = 1 orelse w < x", "dovetail", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("n = 1 orelse w < x", "dovetail", 200, ["ff"], False, False, [], 193),
+    ("n = 1 orelse w < x", "enumerate", 0, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("n = 1 orelse w < x", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("n = 1 orelse w < x", "enumerate", 2, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("n = 1 orelse w < x", "enumerate", 200, ["ff"], False, False, [], 193),
+    ("k = 1 orelse inv(y) < x", "oracle", 0, ["tt"], False, False, [], 0),
+    ("k = 1 orelse inv(y) < x", "oracle", 1, ["tt"], False, False, [], 0),
+    ("k = 1 orelse inv(y) < x", "oracle", 2, ["tt"], False, False, [], 0),
+    ("k = 1 orelse inv(y) < x", "oracle", 200, ["tt"], False, False, [], 198),
+    ("k = 1 orelse inv(y) < x", "dovetail", 0, ["tt"], False, False, [], 0),
+    ("k = 1 orelse inv(y) < x", "dovetail", 1, ["tt"], False, False, [], 0),
+    ("k = 1 orelse inv(y) < x", "dovetail", 2, ["tt"], False, False, [], 0),
+    ("k = 1 orelse inv(y) < x", "dovetail", 200, ["tt"], False, False, [], 198),
+    ("k = 1 orelse inv(y) < x", "enumerate", 0, ["tt"], False, False, [], 0),
+    ("k = 1 orelse inv(y) < x", "enumerate", 1, ["tt"], False, False, [], 0),
+    ("k = 1 orelse inv(y) < x", "enumerate", 2, ["tt"], False, False, [], 0),
+    ("k = 1 orelse inv(y) < x", "enumerate", 200, ["tt"], False, False, [], 198),
+    ("succ(n) < k orelse k = 1", "oracle", 0, ["tt"], False, False, [], 0),
+    ("succ(n) < k orelse k = 1", "oracle", 1, ["tt"], False, False, [], 0),
+    ("succ(n) < k orelse k = 1", "oracle", 2, ["tt"], False, False, [], 0),
+    ("succ(n) < k orelse k = 1", "oracle", 200, ["tt"], False, False, [], 197),
+    ("succ(n) < k orelse k = 1", "dovetail", 0, ["tt"], False, False, [], 0),
+    ("succ(n) < k orelse k = 1", "dovetail", 1, ["tt"], False, False, [], 0),
+    ("succ(n) < k orelse k = 1", "dovetail", 2, ["tt"], False, False, [], 0),
+    ("succ(n) < k orelse k = 1", "dovetail", 200, ["tt"], False, False, [], 197),
+    ("succ(n) < k orelse k = 1", "enumerate", 0, ["tt"], False, False, [], 0),
+    ("succ(n) < k orelse k = 1", "enumerate", 1, ["tt"], False, False, [], 0),
+    ("succ(n) < k orelse k = 1", "enumerate", 2, ["tt"], False, False, [], 0),
+    ("succ(n) < k orelse k = 1", "enumerate", 200, ["tt"], False, False, [], 197),
+    ("inv(y) < x andthen k = 1", "oracle", 0, [], True, False, [], 0),
+    ("inv(y) < x andthen k = 1", "oracle", 1, [], True, False, [], 1),
+    ("inv(y) < x andthen k = 1", "oracle", 2, [], True, False, [], 2),
+    ("inv(y) < x andthen k = 1", "oracle", 200, [], True, False, [], 200),
+    ("inv(y) < x andthen k = 1", "dovetail", 0, [], True, False, [], 0),
+    ("inv(y) < x andthen k = 1", "dovetail", 1, [], True, False, [], 1),
+    ("inv(y) < x andthen k = 1", "dovetail", 2, [], True, False, [], 2),
+    ("inv(y) < x andthen k = 1", "dovetail", 200, [], True, False, [], 200),
+    ("inv(y) < x andthen k = 1", "enumerate", 0, [], True, False, [], 0),
+    ("inv(y) < x andthen k = 1", "enumerate", 1, [], True, False, [], 1),
+    ("inv(y) < x andthen k = 1", "enumerate", 2, [], True, False, [], 2),
+    ("inv(y) < x andthen k = 1", "enumerate", 200, [], True, False, [], 200),
+    ("w < x orelse k = 1", "oracle", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x orelse k = 1", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x orelse k = 1", "oracle", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x orelse k = 1", "oracle", 200, ["tt"], False, False, [], 193),
+    ("w < x orelse k = 1", "dovetail", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x orelse k = 1", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x orelse k = 1", "dovetail", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("w < x orelse k = 1", "dovetail", 200, ["tt"], False, False, [], 193),
+    ("w < x orelse k = 1", "enumerate", 0, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("w < x orelse k = 1", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("w < x orelse k = 1", "enumerate", 2, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("w < x orelse k = 1", "enumerate", 200, ["tt"], False, False, [], 193),
+    ("(k = 1 andthen n < 3) orelse w < x", "oracle", 0, ["tt"], False, False, [], 0),
+    ("(k = 1 andthen n < 3) orelse w < x", "oracle", 1, ["tt"], False, False, [], 0),
+    ("(k = 1 andthen n < 3) orelse w < x", "oracle", 2, ["tt"], False, False, [], 0),
+    ("(k = 1 andthen n < 3) orelse w < x", "oracle", 200, ["tt"], False, False, [], 197),
+    ("(k = 1 andthen n < 3) orelse w < x", "dovetail", 0, ["tt"], False, False, [], 0),
+    ("(k = 1 andthen n < 3) orelse w < x", "dovetail", 1, ["tt"], False, False, [], 0),
+    ("(k = 1 andthen n < 3) orelse w < x", "dovetail", 2, ["tt"], False, False, [], 0),
+    ("(k = 1 andthen n < 3) orelse w < x", "dovetail", 200, ["tt"], False, False, [], 197),
+    ("(k = 1 andthen n < 3) orelse w < x", "enumerate", 0, ["tt"], False, False, [], 0),
+    ("(k = 1 andthen n < 3) orelse w < x", "enumerate", 1, ["tt"], False, False, [], 0),
+    ("(k = 1 andthen n < 3) orelse w < x", "enumerate", 2, ["tt"], False, False, [], 0),
+    ("(k = 1 andthen n < 3) orelse w < x", "enumerate", 200, ["tt"], False, False, [], 197),
+    ("(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)", "oracle", 0, ["ff"], False, False, [], 0),
+    ("(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)", "oracle", 1, ["ff"], False, False, [], 0),
+    ("(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)", "oracle", 2, ["ff"], False, False, [], 0),
+    ("(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)", "oracle", 200, ["ff"], False, False, [], 196),
+    ("(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)", "dovetail", 0, ["ff"], False, False, [], 0),
+    ("(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)", "dovetail", 1, ["ff"], False, False, [], 0),
+    ("(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)", "dovetail", 2, ["ff"], False, False, [], 0),
+    ("(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)", "dovetail", 200, ["ff"], False, False, [], 196),
+    ("(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)", "enumerate", 0, ["ff"], False, False, [], 0),
+    ("(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)", "enumerate", 1, ["ff"], False, False, [], 0),
+    ("(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)", "enumerate", 2, ["ff"], False, False, [], 0),
+    ("(n = 1 andthen k = 1) orelse (k = 1 andthen x < z)", "enumerate", 200, ["ff"], False, False, [], 196),
+    ("if n < k then x else z fi", "oracle", 0, ["RealV(-3/4)"], False, False, [], 0),
+    ("if n < k then x else z fi", "oracle", 1, ["RealV(-3/4)"], False, False, [], 0),
+    ("if n < k then x else z fi", "oracle", 2, ["RealV(-3/4)"], False, False, [], 1),
+    ("if n < k then x else z fi", "oracle", 200, ["RealV(-3/4)"], False, False, [], 199),
+    ("if n < k then x else z fi", "dovetail", 0, ["RealV(-3/4)"], False, False, [], 0),
+    ("if n < k then x else z fi", "dovetail", 1, ["RealV(-3/4)"], False, False, [], 0),
+    ("if n < k then x else z fi", "dovetail", 2, ["RealV(-3/4)"], False, False, [], 1),
+    ("if n < k then x else z fi", "dovetail", 200, ["RealV(-3/4)"], False, False, [], 199),
+    ("if n < k then x else z fi", "enumerate", 0, ["RealV(-3/4)"], False, False, [], 0),
+    ("if n < k then x else z fi", "enumerate", 1, ["RealV(-3/4)"], False, False, [], 0),
+    ("if n < k then x else z fi", "enumerate", 2, ["RealV(-3/4)"], False, False, [], 1),
+    ("if n < k then x else z fi", "enumerate", 200, ["RealV(-3/4)"], False, False, [], 199),
+    ("if 1 < n then x + z else inv(y) fi", "oracle", 0, ["RealV(-1/4)"], False, False, [], 0),
+    ("if 1 < n then x + z else inv(y) fi", "oracle", 1, ["RealV(-1/4)"], False, False, [], 0),
+    ("if 1 < n then x + z else inv(y) fi", "oracle", 2, ["RealV(-1/4)"], False, False, [], 0),
+    ("if 1 < n then x + z else inv(y) fi", "oracle", 200, ["RealV(-1/4)"], False, False, [], 198),
+    ("if 1 < n then x + z else inv(y) fi", "dovetail", 0, ["RealV(-1/4)"], False, False, [], 0),
+    ("if 1 < n then x + z else inv(y) fi", "dovetail", 1, ["RealV(-1/4)"], False, False, [], 0),
+    ("if 1 < n then x + z else inv(y) fi", "dovetail", 2, ["RealV(-1/4)"], False, False, [], 0),
+    ("if 1 < n then x + z else inv(y) fi", "dovetail", 200, ["RealV(-1/4)"], False, False, [], 198),
+    ("if 1 < n then x + z else inv(y) fi", "enumerate", 0, ["RealV(-1/4)"], False, False, [], 0),
+    ("if 1 < n then x + z else inv(y) fi", "enumerate", 1, ["RealV(-1/4)"], False, False, [], 0),
+    ("if 1 < n then x + z else inv(y) fi", "enumerate", 2, ["RealV(-1/4)"], False, False, [], 0),
+    ("if 1 < n then x + z else inv(y) fi", "enumerate", 200, ["RealV(-1/4)"], False, False, [], 198),
+    ("if k = 1 then true else false fi", "oracle", 0, ["tt"], False, False, [], 0),
+    ("if k = 1 then true else false fi", "oracle", 1, ["tt"], False, False, [], 0),
+    ("if k = 1 then true else false fi", "oracle", 2, ["tt"], False, False, [], 0),
+    ("if k = 1 then true else false fi", "oracle", 200, ["tt"], False, False, [], 198),
+    ("if k = 1 then true else false fi", "dovetail", 0, ["tt"], False, False, [], 0),
+    ("if k = 1 then true else false fi", "dovetail", 1, ["tt"], False, False, [], 0),
+    ("if k = 1 then true else false fi", "dovetail", 2, ["tt"], False, False, [], 0),
+    ("if k = 1 then true else false fi", "dovetail", 200, ["tt"], False, False, [], 198),
+    ("if k = 1 then true else false fi", "enumerate", 0, ["tt"], False, False, [], 0),
+    ("if k = 1 then true else false fi", "enumerate", 1, ["tt"], False, False, [], 0),
+    ("if k = 1 then true else false fi", "enumerate", 2, ["tt"], False, False, [], 0),
+    ("if k = 1 then true else false fi", "enumerate", 200, ["tt"], False, False, [], 198),
+    ("if w < x then false else k < n fi", "oracle", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("if w < x then false else k < n fi", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("if w < x then false else k < n fi", "oracle", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("if w < x then false else k < n fi", "oracle", 200, ["tt"], False, False, [], 193),
+    ("if w < x then false else k < n fi", "dovetail", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("if w < x then false else k < n fi", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("if w < x then false else k < n fi", "dovetail", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("if w < x then false else k < n fi", "dovetail", 200, ["tt"], False, False, [], 193),
+    ("if w < x then false else k < n fi", "enumerate", 0, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("if w < x then false else k < n fi", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("if w < x then false else k < n fi", "enumerate", 2, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("if w < x then false else k < n fi", "enumerate", 200, ["tt"], False, False, [], 193),
+    ("if inv(y) < x then true else false fi", "oracle", 0, [], True, False, [], 0),
+    ("if inv(y) < x then true else false fi", "oracle", 1, [], True, False, [], 1),
+    ("if inv(y) < x then true else false fi", "oracle", 2, [], True, False, [], 2),
+    ("if inv(y) < x then true else false fi", "oracle", 200, [], True, False, [], 200),
+    ("if inv(y) < x then true else false fi", "dovetail", 0, [], True, False, [], 0),
+    ("if inv(y) < x then true else false fi", "dovetail", 1, [], True, False, [], 1),
+    ("if inv(y) < x then true else false fi", "dovetail", 2, [], True, False, [], 2),
+    ("if inv(y) < x then true else false fi", "dovetail", 200, [], True, False, [], 200),
+    ("if inv(y) < x then true else false fi", "enumerate", 0, [], True, False, [], 0),
+    ("if inv(y) < x then true else false fi", "enumerate", 1, [], True, False, [], 1),
+    ("if inv(y) < x then true else false fi", "enumerate", 2, [], True, False, [], 2),
+    ("if inv(y) < x then true else false fi", "enumerate", 200, [], True, False, [], 200),
+    ("choose j : (1 < j) andthen (j < 4)", "oracle", 0, [], True, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "oracle", 1, [], True, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "oracle", 2, [], True, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "oracle", 200, [], True, False, [], 198),
+    ("choose j : (1 < j) andthen (j < 4)", "dovetail", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "dovetail", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "dovetail", 200, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "enumerate", 0, ["NatV(2)", "NatV(3)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "enumerate", 1, ["NatV(2)", "NatV(3)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "enumerate", 2, ["NatV(2)", "NatV(3)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "enumerate", 200, ["NatV(2)", "NatV(3)"], False, False, [], 190),
+    ("choose j : (1 < j) andthen (j < 5000)", "oracle", 0, ["NatV(5)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 5000)", "oracle", 1, ["NatV(5)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 5000)", "oracle", 2, ["NatV(5)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 5000)", "oracle", 200, ["NatV(5)"], False, False, [], 198),
+    ("choose j : (1 < j) andthen (j < 5000)", "dovetail", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("choose j : (1 < j) andthen (j < 5000)", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("choose j : (1 < j) andthen (j < 5000)", "dovetail", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("choose j : (1 < j) andthen (j < 5000)", "dovetail", 200, ["NatV(4702)"], False, False, [], 168),
+    ("choose j : (1 < j) andthen (j < 5000)", "enumerate", 0, ["NatV(2)", "NatV(3)", "NatV(4)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 5000)", "enumerate", 1, ["NatV(2)", "NatV(3)", "NatV(4)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 5000)", "enumerate", 2, ["NatV(2)", "NatV(3)", "NatV(4)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 5000)", "enumerate", 200, ["NatV(2)", "NatV(3)", "NatV(4)"], False, False, [], 190),
+]
+
+
+@pytest.mark.parametrize("src, strategy, budget, values, div, truncated, "
+                         "notes, left", COND_ROWS)
+def test_conditional_shapes_evaluate_as_recorded(src, strategy, budget, values,
+                                                 div, truncated, notes, left):
+    assert _shape_outcome(src, COND_TERMS[src], strategy, budget) == (
+        values, div, truncated, notes, left)
 
 
 # Recorded values: a guard's budget is carved out of the caller's and the
@@ -337,6 +701,121 @@ def test_a_raising_guard_charges_its_caller_only_the_steps_taken():
     with pytest.raises(Boom):
         _dovetail_choose(Dovetail(), "z", guard, {}, fuel)
     assert fuel.remaining == 1000 - 28
+
+
+# The contract a harness relies on when it subclasses the library's budget
+# and search: a Fuel subclass that overrides spawn sees one call per
+# Dovetail guard attempt, and a Dovetail subclass that overrides visit (and
+# fresh, for the copy eval_proc takes) sees one call per stage, whose
+# candidate is the stage's first attempt.
+
+
+class SpawnCountingFuel(Fuel):
+    __slots__ = ("spawns",)
+
+    def __init__(self, steps):
+        super().__init__(steps)
+        self.spawns = 0
+
+    def spawn(self, cap):
+        self.spawns += 1
+        return super().spawn(cap)
+
+
+class LoggingDovetail(Dovetail):
+    """Logs each stage's visit and each attempt as (search, stage, cand)."""
+
+    def __init__(self, seed=None, log=None):
+        super().__init__(seed)
+        self.log = log if log is not None else {"visits": [], "attempts": [],
+                                                "searches": 0}
+
+    def visit(self, stage):
+        cand = super().visit(stage)
+        self.log["visits"].append((self.log["searches"], stage, cand))
+        return cand
+
+    def search(self, fuel, attempt):
+        self.log["searches"] += 1
+        search = self.log["searches"]
+
+        def logged(cand, stage):
+            self.log["attempts"].append((search, stage, cand))
+            return attempt(cand, stage)
+
+        return super().search(fuel, logged)
+
+    def fresh(self):
+        return LoggingDovetail(self.seed, self.log)
+
+
+# (program, inputs, seed, value, guard attempts, stages, fuel left), as
+# recorded
+@pytest.mark.parametrize("name, args, seed, value, attempts, stages, left", [
+    ("root_bisect", (NatV(2), real_array([-2, 0, 1])), None,
+     "RealV(227/162)", 1267, 1021, 1_987_618),
+    ("root_bisect", (NatV(2), real_array([-2, 0, 1])), 5,
+     "RealV(-59833/41472)", 3687, 3626, 1_981_328),
+    ("choose_near", (rat_value(Fraction(1, 3)), NatV(4)), None,
+     "RealV(1/3)", 90, 90, 1_999_612),
+    ("choose_near", (rat_value(Fraction(1, 3)), NatV(4)), 5,
+     "RealV(2/7)", 66, 66, 1_999_708)])
+def test_harness_hooks_see_one_spawn_per_attempt_and_one_visit_per_stage(
+        name, args, seed, value, attempts, stages, left):
+    p, alg = load(name)
+    strat, fuel = LoggingDovetail(seed), SpawnCountingFuel(2_000_000)
+    res = eval_proc(p, args, alg, strat, fuel)
+    assert [repr(v) for v in res.values] == [value]
+    log = strat.log
+    assert fuel.spawns == len(log["attempts"]) == attempts
+    assert len(log["visits"]) == stages and fuel.remaining == left
+    firsts = {}
+    for search, stage, cand in log["attempts"]:
+        firsts.setdefault((search, stage), cand)
+    assert log["visits"] == [(s, k, c) for (s, k), c in firsts.items()]
+
+
+STAGES = [*range(21), *range(8190, 8201), *range(16380, 16391)]
+VISITS = {
+    None: STAGES,
+    0: [0, 6311, 4430, 2549, 668, 6979, 5098, 3217, 1336, 7647, 5766, 3885,
+        2004, 123, 6434, 4553, 2672, 791, 7102, 5221, 3340, 3762, 1881, 8192,
+        10393, 12594, 14795, 8804, 11005, 13206, 15407, 9416, 15772, 9781,
+        11982, 14183, 16384, 17311, 18238, 19165, 20092, 21019, 21946],
+    1: [0, 7843, 7494, 7145, 6796, 6447, 6098, 5749, 5400, 5051, 4702, 4353,
+        4004, 3655, 3306, 2957, 2608, 2259, 1910, 1561, 1212, 698, 349, 8192,
+        10895, 13598, 16301, 10812, 13515, 16218, 10729, 13432, 13764, 8275,
+        10978, 13681, 16384, 22543, 20510, 18477, 16444, 22603, 20570],
+    12345: [0, 4145, 98, 4243, 196, 4341, 294, 4439, 392, 4537, 490, 4635, 588,
+            4733, 686, 4831, 784, 4929, 882, 5027, 980, 8094, 4047, 8192,
+            15603, 14822, 14041, 13260, 12479, 11698, 10917, 10136, 11316,
+            10535, 9754, 8973, 16384, 23355, 22134, 20913, 19692, 18471,
+            17250],
+}
+
+
+@pytest.mark.parametrize("seed", list(VISITS))
+def test_dovetail_visits_as_recorded(seed):
+    # stages 0..20, both sides of the first block boundary (8 192) and of
+    # the second (16 384); a seeded search draws each block's stride once
+    d = Dovetail(seed)
+    assert [d.visit(k) for k in STAGES] == VISITS[seed]
+    assert [d.visit(k) for k in STAGES] == VISITS[seed]
+    assert len(d._strides) == (0 if seed is None else 3)
+
+
+@pytest.mark.parametrize("steps, cap", [(10, 3), (3, 10), (5, 5), (5, 0),
+                                        (0, 4), (0, 0)])
+def test_spawn_carves_a_plain_fuel_of_min_cap_remaining(steps, cap):
+    for parent in (Fuel(steps), SpawnCountingFuel(steps)):
+        child = parent.spawn(cap)
+        assert type(child) is Fuel
+        assert child.remaining == min(cap, steps)
+        assert parent.remaining == steps - min(cap, steps)
+        child.take()
+        parent.repay(child)
+        assert parent.remaining == steps - min(cap, steps, 1)
+        assert child.remaining == 0
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,9 @@ def test_lift_levels_are_paid_for_by_the_caller():
     with pytest.raises(LiftError) as e:
         ecode_eval(capped, 6, fuel)
     assert e.value.level == 8 and fuel.remaining == 10**6 - 100
+    # a negative cap is refused: a level run's budget is never negative
+    with pytest.raises(ValueError):
+        soundness_lift(p, calg, reg, (x,), fuel_per_level=-1)
 
 
 def test_lifted_approx_spends_as_recorded():
