@@ -427,11 +427,11 @@ def builtin_R_N() -> PartialAlgebra:
 
     def fst(fuel, a):
         fuel.take()
-        return NatV(unpair_of(a.n)[0])
+        return nat_value(unpair_of(a.n)[0])
 
     def snd(fuel, a):
         fuel.take()
-        return NatV(unpair_of(a.n)[1])
+        return nat_value(unpair_of(a.n)[1])
 
     def nat2real(fuel, a):
         fuel.take()

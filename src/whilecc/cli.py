@@ -38,23 +38,33 @@ class UsageError(Exception):
     pass
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from None
+
+
 def parse_strategy(spec: str, seed):
     parts = spec.split(":")
     kind = parts[0]
     if kind == "dovetail":
         if len(parts) == 2:
-            seed = int(parts[1])
+            seed = _int(parts[1], "the dovetail seed")
         elif len(parts) > 2:
             raise UsageError("strategy dovetail takes at most one seed field")
         return Dovetail(seed)
     if kind == "oracle":
         if len(parts) != 2:
             raise UsageError("strategy oracle needs a seed: oracle:<seed>")
-        return Oracle(int(parts[1]))
+        return Oracle(_int(parts[1], "the oracle seed"))
     if kind == "enumerate":
         if len(parts) != 3:
             raise UsageError("strategy enumerate:<maxnat>:<depth>")
-        return Enumerate(int(parts[1]), int(parts[2]))
+        try:
+            return Enumerate(_int(parts[1], "maxnat"), _int(parts[2], "depth"))
+        except ValueError as e:  # a bound that is not positive
+            raise UsageError(str(e)) from None
     raise UsageError(f"unknown strategy {spec!r}")
 
 
@@ -227,10 +237,10 @@ def _parse_int_list(spec: str) -> list[int]:
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            lo, hi = chunk.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, _, hi = chunk.partition("..")
+            out.extend(range(_int(lo, "a bound"), _int(hi, "a bound") + 1))
         elif chunk:
-            out.append(int(chunk))
+            out.append(_int(chunk, "a list entry"))
     if not out:
         raise UsageError(f"empty list {spec!r}")
     return out
@@ -285,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="whilecc", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-    default_fuel = int(os.environ.get(FUEL_ENV, DEFAULT_FUEL))
+    default_fuel = _int(os.environ.get(FUEL_ENV, str(DEFAULT_FUEL)), FUEL_ENV)
 
     def common(p):
         p.add_argument("--program", required=True,
@@ -314,15 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
-    except SystemExit as e:
-        return 1 if e.code not in (0, None) else 0
-    try:
+        ns = build_parser().parse_args(argv)
+        if ns.fuel < 0:
+            raise UsageError(f"the fuel budget must be non-negative, got {ns.fuel}")
         if ns.command == "run":
             return cmd_run(ns)
         return cmd_sweep(ns)
+    except SystemExit as e:  # argparse has printed its usage error or help
+        return 1 if e.code not in (0, None) else 0
     except (UsageError, WccError, StdlibError, AlgebraError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -11,10 +11,11 @@ diagnostics say which happened.
 Terms have one evaluator: a run compiles each term once into a closure
 (`_compile`) with its rules, nat literals and choose handler fixed; a real
 literal is minted on first evaluation, so a code algebra's registry grows in
-evaluation order. The strategy fixes how a strict operation treats a failed
-argument. Oracle and Dovetail stop at the first one. Enumerate evaluates
-every argument, since its operation applies to every combination of argument
-values, records each failure in the outcome set, and leaves a term that
+evaluation order. One closure serves every strategy; how a strict operation
+treats a failed argument follows its argument `out`. Oracle and Dovetail
+pass None and stop at the first one. Enumerate passes its outcome set,
+evaluates every argument, since its operation applies to every combination
+of argument values, records each failure in the set, and leaves a term that
 contains a choose to the set-valued `_enum_term`. Every rule is called as
 `rule(fuel, *values)` and returns a Value, DIV or FUEL_OUT (see `algebra`);
 applications of no, one and two arguments get closures of their own that
@@ -298,150 +299,136 @@ def _compile(ctx: Ctx, t: Term) -> Optional[Callable]:
         return None
     if t.sym.conditional:
         return _cond(ctx, t.args, fs)
-    return _strict(ctx.alg.interp[t.sym.name], t.args, fs, ctx.enum,
-                   t.sym.name)
+    return _strict(ctx.alg.interp[t.sym.name], t.args, fs, t.sym.name)
 
 
-def _strict(rule, args: tuple, fs: list, enum: bool, name: str) -> Callable:
-    """The closure of a strict application: rule(fuel, *values). Oracle and
-    Dovetail stop at the first failed argument and return the rule's result
-    as it is. Enumerate (`_strict_all`) evaluates every argument, returns the
-    last failure, and records a failed result of the rule in out. Arities
-    0, 1 and 2, nearly all applications, get closures that build no list.
-    Some operand shapes (see `_operands`) get closures that read a variable
-    as b[name] and a nat literal as its shared NatV, with no call: here "v",
-    "vv", "cv" and "vc", the shapes that measured faster on a benchmark
-    workload. The rest keep one closure per operand."""
-    if enum:
-        return _strict_all(rule, args, fs, name)
+def _strict(rule, args: tuple, fs: list, name: str) -> Callable:
+    """The closure of a strict application: rule(fuel, *values). One closure
+    serves every strategy, and its failure policy follows out. With out None
+    (Oracle, Dovetail) it stops at the first failed operand and returns the
+    rule's result as it is. With an outcome set (Enumerate) it evaluates
+    every operand, returns the last failure, and records a failed result of
+    the rule in out. Arities 0, 1 and 2, nearly all applications, get
+    closures that build no list. Some operand shapes (see `_operands`) get
+    closures that read a variable as b[name] and a nat literal as its shared
+    NatV, with no call: "v", "vv", "cv", "vc", "vt" and "tv". An operand
+    read in place cannot fail, so only the other one is tested."""
     if not fs:
-        return lambda b, fuel, out: rule(fuel)
+        def app0(b, fuel, out):
+            r = rule(fuel)
+            if out is None or (r is not DIV and r is not FUEL_OUT):
+                return r
+            return _failed(out, r, name)
+
+        return app0
     shape, leaves = _operands(args)
     if len(fs) == 1:
         f0, = fs
         if shape == "v":
             n0, = leaves
-            return lambda b, fuel, out: rule(fuel, b[n0])
+
+            def app_v(b, fuel, out):
+                r = rule(fuel, b[n0])
+                if out is None or (r is not DIV and r is not FUEL_OUT):
+                    return r
+                return _failed(out, r, name)
+
+            return app_v
 
         def app1(b, fuel, out):
             v = f0(b, fuel, out)
             if v is DIV or v is FUEL_OUT:
                 return v
-            return rule(fuel, v)
+            r = rule(fuel, v)
+            if out is None or (r is not DIV and r is not FUEL_OUT):
+                return r
+            return _failed(out, r, name)
 
         return app1
     if len(fs) == 2:
         f0, f1 = fs
         x0, x1 = leaves
         if shape == "vv":
-            return lambda b, fuel, out: rule(fuel, b[x0], b[x1])
+            def app_vv(b, fuel, out):
+                r = rule(fuel, b[x0], b[x1])
+                if out is None or (r is not DIV and r is not FUEL_OUT):
+                    return r
+                return _failed(out, r, name)
+
+            return app_vv
         if shape == "cv":
-            return lambda b, fuel, out: rule(fuel, x0, b[x1])
+            def app_cv(b, fuel, out):
+                r = rule(fuel, x0, b[x1])
+                if out is None or (r is not DIV and r is not FUEL_OUT):
+                    return r
+                return _failed(out, r, name)
+
+            return app_cv
         if shape == "vc":
-            return lambda b, fuel, out: rule(fuel, b[x0], x1)
-
-        def app2(b, fuel, out):
-            v = f0(b, fuel, out)
-            if v is DIV or v is FUEL_OUT:
-                return v
-            w = f1(b, fuel, out)
-            if w is DIV or w is FUEL_OUT:
-                return w
-            return rule(fuel, v, w)
-
-        return app2
-
-    def app(b, fuel, out):
-        vals = []
-        for f in fs:
-            v = f(b, fuel, out)
-            if v is DIV or v is FUEL_OUT:
-                return v
-            vals.append(v)
-        return rule(fuel, *vals)
-
-    return app
-
-
-def _strict_all(rule, args: tuple, fs: list, name: str) -> Callable:
-    """Enumerate's closure of a strict application (see `_strict`). The
-    shapes read in place are "v", "vc", "vt" and "tv"; an operand read in
-    place cannot fail, so only the other one is tested."""
-    if not fs:
-        def all0(b, fuel, out):
-            r = rule(fuel)
-            return _failed(out, r, name) if r is DIV or r is FUEL_OUT else r
-
-        return all0
-    shape, leaves = _operands(args)
-    if len(fs) == 1:
-        f0, = fs
-        if shape == "v":
-            n0, = leaves
-
-            def all1_v(b, fuel, out):
-                r = rule(fuel, b[n0])
-                return _failed(out, r, name) if r is DIV or r is FUEL_OUT else r
-
-            return all1_v
-
-        def all1(b, fuel, out):
-            v = f0(b, fuel, out)
-            if v is DIV or v is FUEL_OUT:
-                return v
-            r = rule(fuel, v)
-            return _failed(out, r, name) if r is DIV or r is FUEL_OUT else r
-
-        return all1
-    if len(fs) == 2:
-        f0, f1 = fs
-        x0, x1 = leaves
-        if shape == "vc":
-            def all_vc(b, fuel, out):
+            def app_vc(b, fuel, out):
                 r = rule(fuel, b[x0], x1)
-                return _failed(out, r, name) if r is DIV or r is FUEL_OUT else r
+                if out is None or (r is not DIV and r is not FUEL_OUT):
+                    return r
+                return _failed(out, r, name)
 
-            return all_vc
+            return app_vc
         if shape == "vt":
-            def all_vt(b, fuel, out):
+            def app_vt(b, fuel, out):
                 w = f1(b, fuel, out)
                 if w is DIV or w is FUEL_OUT:
                     return w
                 r = rule(fuel, b[x0], w)
-                return _failed(out, r, name) if r is DIV or r is FUEL_OUT else r
+                if out is None or (r is not DIV and r is not FUEL_OUT):
+                    return r
+                return _failed(out, r, name)
 
-            return all_vt
+            return app_vt
         if shape == "tv":
-            def all_tv(b, fuel, out):
+            def app_tv(b, fuel, out):
                 v = f0(b, fuel, out)
                 if v is DIV or v is FUEL_OUT:
                     return v
                 r = rule(fuel, v, b[x1])
-                return _failed(out, r, name) if r is DIV or r is FUEL_OUT else r
+                if out is None or (r is not DIV and r is not FUEL_OUT):
+                    return r
+                return _failed(out, r, name)
 
-            return all_tv
+            return app_tv
 
-        def all2(b, fuel, out):
+        def app2(b, fuel, out):
             v = f0(b, fuel, out)
+            if v is DIV or v is FUEL_OUT:
+                if out is None:
+                    return v
+                w = f1(b, fuel, out)
+                return w if w is DIV or w is FUEL_OUT else v
             w = f1(b, fuel, out)
             if w is DIV or w is FUEL_OUT:
                 return w
-            if v is DIV or v is FUEL_OUT:
-                return v
             r = rule(fuel, v, w)
-            return _failed(out, r, name) if r is DIV or r is FUEL_OUT else r
+            if out is None or (r is not DIV and r is not FUEL_OUT):
+                return r
+            return _failed(out, r, name)
 
-        return all2
+        return app2
 
-    def all_n(b, fuel, out):
-        vals = [f(b, fuel, out) for f in fs]
-        for v in reversed(vals):
+    def app(b, fuel, out):
+        vals, failed = [], None
+        for f in fs:
+            v = f(b, fuel, out)
             if v is DIV or v is FUEL_OUT:
-                return v
+                if out is None:
+                    return v
+                failed = v
+            vals.append(v)
+        if failed is not None:
+            return failed
         r = rule(fuel, *vals)
-        return _failed(out, r, name) if r is DIV or r is FUEL_OUT else r
+        if out is None or (r is not DIV and r is not FUEL_OUT):
+            return r
+        return _failed(out, r, name)
 
-    return all_n
+    return app
 
 
 def _cond(ctx: Ctx, args: tuple, fs: list) -> Callable:
@@ -1045,7 +1032,7 @@ def initial_state(p: Procedure, alg: PartialAlgebra, args,
 def eval_proc(p: Procedure, args, alg: PartialAlgebra, strat, fuel: Fuel,
               junk: Optional[dict] = None) -> OutcomeSet:
     """Run a procedure; outcome values are outputs (tuples if several)."""
-    strat = strat.fresh() if hasattr(strat, "fresh") else strat
+    strat = strat.fresh()
     sigma = initial_state(p, alg, args, junk)
     res = eval_stmt(p.body, sigma, alg, strat, fuel)
     out = OutcomeSet(proven_divergent=res.proven_divergent,

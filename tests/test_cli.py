@@ -74,6 +74,29 @@ def test_run_rejects_abbreviated_options(capsys):
     assert code == 0 and out.startswith("value 1/3 ")
 
 
+@pytest.mark.parametrize("argv, env, says", [
+    (("run", "--strategy", "oracle:x"), None, "'x'"),
+    (("run", "--strategy", "dovetail:x"), None, "'x'"),
+    (("run", "--strategy", "enumerate:a:b"), None, "'a'"),
+    (("run", "--strategy", "enumerate:0:5"), None, "positive"),
+    (("run", "--fuel", "-1"), None, "-1"),
+    (("sweep", "--seeds", "a..b"), None, "'a'"),
+    (("sweep", "--seeds", "0..1..2"), None, "'1..2'"),
+    (("sweep", "--ns", "x"), None, "'x'"),
+    (("run",), "lots", "WHILECC_FUEL_DEFAULT"),
+    (("run",), "-5", "-5"),
+])
+def test_bad_numbers_are_one_error_line(capsys, monkeypatch, argv, env, says):
+    # a malformed number is a usage error: one `error:` line and status 1,
+    # not a traceback
+    if env is not None:
+        monkeypatch.setenv("WHILECC_FUEL_DEFAULT", env)
+    code, out, err = run_cli(capsys, argv[0], "--program", "pivot3",
+                             "--input", "0, 3/2, 0", *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+
+
 def test_missing_program_exit_1(capsys):
     code, _, err = run_cli(capsys, "run", "--program", "no_such_prog",
                            "--input", "1")

@@ -22,6 +22,7 @@ from whilecc.signature import NAT
 
 
 RN = get_algebra("RN")
+RN_STAR = get_algebra("RN*")
 N = get_algebra("N")
 
 
@@ -293,18 +294,77 @@ def test_operand_shapes_evaluate_as_recorded(src, strategy, budget, values,
         values, div, truncated, notes, left)
 
 
-def _shape_outcome(src, sort, strategy, budget):
+def _shape_outcome(src, sort, strategy, budget, star=False):
     """Values, both flags, diagnostics and fuel left of the term src of the
-    given sort, on fixed bindings, under the strategy and budget."""
-    t = term(src, frame="n: nat, k: nat, x: real, y: real, z: real, w: real",
-             assign_to=("o", sort))
+    given sort, on fixed bindings, under the strategy and budget. With star
+    the term is over RN* and the bindings also hold xs = [1, 2, 3]."""
+    frame = "n: nat, k: nat, x: real, y: real, z: real, w: real"
     sigma = state(n=NatV(2), k=NatV(1), x=rat_value(Fraction(1, 2)),
                   y=rat_value(0), z=rat_value(Fraction(-3, 4)),
                   w=RealV(sqrt_code(2)))
+    if star:
+        frame += ", xs: real*"
+        sigma.bindings["xs"] = real_array([1, 2, 3])
+    t = term(src, algebra="RN*" if star else "RN", frame=frame,
+             assign_to=("o", sort))
     fuel = Fuel(budget)
-    out = eval_term(t, sigma, RN, SHAPE_STRATEGIES[strategy](), fuel)
+    out = eval_term(t, sigma, RN_STAR if star else RN,
+                    SHAPE_STRATEGIES[strategy](), fuel)
     return ([repr(v) for v in out.values], out.proven_divergent,
             out.truncated, out.diagnostics, fuel.remaining)
+
+
+# Three-operand applications, which take the generic n-ary closure: Update
+# on RN*, with operands that give DIV (inv(0)) or FUEL_OUT (a comparison
+# with sqrt(2) on a 1-step budget) in either order. Oracle and Dovetail stop
+# at the first failed operand; Enumerate evaluates all three and records
+# every failure. Rows recorded before the two closure families were merged.
+UPDATE_ROWS = [
+    ("Update(xs, k, x)", "oracle", 1, ["ArrV(real, [RealV(1), RealV(1/2), RealV(3)])"], False, False, [], 0),
+    ("Update(xs, k, x)", "oracle", 200, ["ArrV(real, [RealV(1), RealV(1/2), RealV(3)])"], False, False, [], 199),
+    ("Update(xs, k, x)", "dovetail", 1, ["ArrV(real, [RealV(1), RealV(1/2), RealV(3)])"], False, False, [], 0),
+    ("Update(xs, k, x)", "dovetail", 200, ["ArrV(real, [RealV(1), RealV(1/2), RealV(3)])"], False, False, [], 199),
+    ("Update(xs, k, x)", "enumerate", 1, ["ArrV(real, [RealV(1), RealV(1/2), RealV(3)])"], False, False, [], 0),
+    ("Update(xs, k, x)", "enumerate", 200, ["ArrV(real, [RealV(1), RealV(1/2), RealV(3)])"], False, False, [], 199),
+    ("Update(xs, 0, 1/2)", "oracle", 1, ["ArrV(real, [RealV(1/2), RealV(2), RealV(3)])"], False, False, [], 0),
+    ("Update(xs, 0, 1/2)", "oracle", 200, ["ArrV(real, [RealV(1/2), RealV(2), RealV(3)])"], False, False, [], 199),
+    ("Update(xs, 0, 1/2)", "dovetail", 1, ["ArrV(real, [RealV(1/2), RealV(2), RealV(3)])"], False, False, [], 0),
+    ("Update(xs, 0, 1/2)", "dovetail", 200, ["ArrV(real, [RealV(1/2), RealV(2), RealV(3)])"], False, False, [], 199),
+    ("Update(xs, 0, 1/2)", "enumerate", 1, ["ArrV(real, [RealV(1/2), RealV(2), RealV(3)])"], False, False, [], 0),
+    ("Update(xs, 0, 1/2)", "enumerate", 200, ["ArrV(real, [RealV(1/2), RealV(2), RealV(3)])"], False, False, [], 199),
+    ("Update(xs, k, inv(y))", "oracle", 1, [], True, False, [], 1),
+    ("Update(xs, k, inv(y))", "oracle", 200, [], True, False, [], 200),
+    ("Update(xs, k, inv(y))", "dovetail", 1, [], True, False, [], 1),
+    ("Update(xs, k, inv(y))", "dovetail", 200, [], True, False, [], 200),
+    ("Update(xs, k, inv(y))", "enumerate", 1, [], True, False, [], 1),
+    ("Update(xs, k, inv(y))", "enumerate", 200, [], True, False, [], 200),
+    ("Update(xs, n, if w < x then x else z fi)", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("Update(xs, n, if w < x then x else z fi)", "oracle", 200, ["ArrV(real, [RealV(1), RealV(2), RealV(-3/4)])"], False, False, [], 193),
+    ("Update(xs, n, if w < x then x else z fi)", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("Update(xs, n, if w < x then x else z fi)", "dovetail", 200, ["ArrV(real, [RealV(1), RealV(2), RealV(-3/4)])"], False, False, [], 193),
+    ("Update(xs, n, if w < x then x else z fi)", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
+    ("Update(xs, n, if w < x then x else z fi)", "enumerate", 200, ["ArrV(real, [RealV(1), RealV(2), RealV(-3/4)])"], False, False, [], 193),
+    ("Update(Update(xs, k, inv(y)), n, if w < x then x else z fi)", "oracle", 1, [], True, False, [], 1),
+    ("Update(Update(xs, k, inv(y)), n, if w < x then x else z fi)", "oracle", 200, [], True, False, [], 200),
+    ("Update(Update(xs, k, inv(y)), n, if w < x then x else z fi)", "dovetail", 1, [], True, False, [], 1),
+    ("Update(Update(xs, k, inv(y)), n, if w < x then x else z fi)", "dovetail", 200, [], True, False, [], 200),
+    ("Update(Update(xs, k, inv(y)), n, if w < x then x else z fi)", "enumerate", 1, [], True, True, ["less_real: fuel exhausted"], 0),
+    ("Update(Update(xs, k, inv(y)), n, if w < x then x else z fi)", "enumerate", 200, [], True, False, [], 194),
+    ("Update(Update(xs, n, if w < x then x else z fi), k, inv(y))", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("Update(Update(xs, n, if w < x then x else z fi), k, inv(y))", "oracle", 200, [], True, False, [], 193),
+    ("Update(Update(xs, n, if w < x then x else z fi), k, inv(y))", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("Update(Update(xs, n, if w < x then x else z fi), k, inv(y))", "dovetail", 200, [], True, False, [], 193),
+    ("Update(Update(xs, n, if w < x then x else z fi), k, inv(y))", "enumerate", 1, [], True, True, ["less_real: fuel exhausted"], 0),
+    ("Update(Update(xs, n, if w < x then x else z fi), k, inv(y))", "enumerate", 200, [], True, False, [], 193),
+]
+
+
+@pytest.mark.parametrize("src, strategy, budget, values, div, truncated, "
+                         "notes, left", UPDATE_ROWS)
+def test_three_operand_applications_evaluate_as_recorded(
+        src, strategy, budget, values, div, truncated, notes, left):
+    assert _shape_outcome(src, "real*", strategy, budget, star=True) == (
+        values, div, truncated, notes, left)
 
 
 # Conditionals in every form the compiler tells apart: andthen and orelse
