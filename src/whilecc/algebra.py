@@ -76,14 +76,15 @@ class NatV(Value):
 
 
 # one Dovetail block (interp.Dovetail.BLOCK_BITS): a seeded search scans a
-# block in a permuted order, so a search in block 0 allocates no NatV
+# block in a permuted order, so a search in block 0 allocates no NatV. The
+# Dovetail attempt and Enumerate's choose loop index NATS in place.
 SHARED_NATS = 1 << 13
-_NATS = [NatV(i) for i in range(SHARED_NATS)]
+NATS = [NatV(i) for i in range(SHARED_NATS)]
 
 
 def nat_value(i: int) -> NatV:
     """NatV(i), one shared object for each i below SHARED_NATS."""
-    return _NATS[i] if i < SHARED_NATS else NatV(i)
+    return NATS[i] if i < SHARED_NATS else NatV(i)
 
 
 class RealV(Value):
@@ -155,7 +156,8 @@ def compare_codes(x: ECode, y: ECode, fuel: Fuel, op: str):
     """op "less": tt if x<y, ff if x>y, undecided forever if x=y.
     op "eq": ff if x!=y, undecided forever if x=y. Undecided is FUEL_OUT."""
     if x.is_const and y.is_const:
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         # cross-multiply the stored pairs (denominators are positive)
         l, r = x.numerator * y.denominator, y.numerator * x.denominator
         if l == r:
@@ -276,33 +278,42 @@ def _array_metric(elem_rule: MetricRule) -> MetricRule:
 # built-in algebras
 
 
-# A total rule takes its one step itself and then builds its value.
+# A total rule takes its one step itself and then builds its value. A step is
+# `fuel.remaining` decremented when it is positive (what `Fuel.take` does),
+# spelled inline here as at every hot site, so `take` is not a hook; a
+# total rule completes even on an empty budget.
 
 
 def _if(fuel, b, x, y):
-    fuel.take()
+    if fuel.remaining:
+        fuel.remaining -= 1
     return x if b.b else y
 
 
 def _bool_rules() -> dict:
     def true(fuel):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return TT
 
     def false(fuel):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return FF
 
     def and_(fuel, a, b):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return TT if a.b and b.b else FF
 
     def or_(fuel, a, b):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return TT if a.b or b.b else FF
 
     def not_(fuel, a):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return FF if a.b else TT
 
     return {"true": true, "false": false, "and": and_, "or": or_,
@@ -311,19 +322,23 @@ def _bool_rules() -> dict:
 
 def _nat_rules() -> dict:
     def zero_nat(fuel):
-        fuel.take()
-        return _NATS[0]
+        if fuel.remaining:
+            fuel.remaining -= 1
+        return NATS[0]
 
     def succ(fuel, a):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return nat_value(a.n + 1)
 
     def eq_nat(fuel, a, b):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return TT if a.n == b.n else FF
 
     def less_nat(fuel, a, b):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return TT if a.n < b.n else FF
 
     return {"zero_nat": zero_nat, "succ": succ, "eq_nat": eq_nat,
@@ -356,23 +371,28 @@ def _real_base_signature() -> Signature:
 
 def _real_rules() -> dict:
     def zero_real(fuel):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return rat_value(0)
 
     def one_real(fuel):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return rat_value(1)
 
     def add(fuel, a, b):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return RealV(add_codes(a.code, b.code))
 
     def mul(fuel, a, b):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return RealV(mul_codes(a.code, b.code))
 
     def neg(fuel, a):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return RealV(neg_code(a.code))
 
     def inv(fuel, a):
@@ -422,27 +442,33 @@ def builtin_R_N() -> PartialAlgebra:
     unpair_of = cache(unpair)
 
     def rat(fuel, a):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return rat_of(a.n)
 
     def fst(fuel, a):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return nat_value(unpair_of(a.n)[0])
 
     def snd(fuel, a):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return nat_value(unpair_of(a.n)[1])
 
     def nat2real(fuel, a):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return rat_value(a.n)
 
     def dist(fuel, a, b):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return RealV(abs_diff_code(a.code, b.code))
 
     def pair_(fuel, a, b):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return NatV(pair(a.n, b.n))
 
     interp.update({"nat2real": nat2real, "rat": rat, "dist": dist,
@@ -493,7 +519,8 @@ def builtin_interval() -> PartialAlgebra:
                               INTERVAL, conditional=True))
 
     def i_I(fuel, a):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return RealV(a.code)
 
     interp = dict(base.interp)
@@ -510,25 +537,30 @@ def array_rules(elem: Sort, default: Callable[[Sort], Value]) -> dict:
     name = elem.name
 
     def null(fuel):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return ArrV(elem, ())
 
     def lgth(fuel, arr):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return NatV(len(arr.items))
 
     def ap(fuel, arr, i):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return arr.items[i.n] if i.n < len(arr.items) else default(elem)
 
     def update(fuel, arr, i, v):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         if i.n >= len(arr.items):
             return arr
         return ArrV(arr.elem_sort, arr.items[:i.n] + (v,) + arr.items[i.n + 1:])
 
     def newlength(fuel, arr, k):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         items = arr.items
         if k.n <= len(items):
             return ArrV(arr.elem_sort, items[:k.n])

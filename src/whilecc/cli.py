@@ -328,11 +328,17 @@ def main(argv=None) -> int:
         ns = build_parser().parse_args(argv)
         if ns.fuel < 0:
             raise UsageError(f"the fuel budget must be non-negative, got {ns.fuel}")
-        if ns.command == "run":
-            return cmd_run(ns)
-        return cmd_sweep(ns)
+        code = cmd_run(ns) if ns.command == "run" else cmd_sweep(ns)
+        if sys.stdout is not None:  # None when started with no stdout
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except SystemExit as e:  # argparse has printed its usage error or help
         return 1 if e.code not in (0, None) else 0
+    except BrokenPipeError:
+        # the reader closed standard output: end quietly, with stdout on
+        # devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, WccError, StdlibError, AlgebraError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -78,6 +78,14 @@ _new = object.__new__
 class Fuel:
     """Mutable step budget: one counter, and a step is one decrement.
 
+    A step is `remaining` decremented when it is positive; it never goes
+    below zero. `take` does that and says whether it did. The hot sites (the
+    rules, the statement walkers, the Dovetail stage loop) spell the step
+    inline, `if fuel.remaining: fuel.remaining -= 1`, and repay a guard's
+    budget inline too, so neither `take` nor `repay` is a hook: a harness
+    that counts the work overrides `spawn` (once per guard attempt) or
+    `Dovetail.visit` (once per stage).
+
     A capped budget for a guard or a level run is carved out of its parent:
     `spawn(cap)` moves min(cap, remaining) steps into a new child at once, and
     `repay(child)` gives back what the child left. The parent is thus charged

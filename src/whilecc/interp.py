@@ -54,8 +54,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import (PartialAlgebra, Value, DIV, FUEL_OUT, value_key,
-                      nat_value, AlgebraError)
+from .algebra import (PartialAlgebra, Value, NatV, DIV, FUEL_OUT, value_key,
+                      nat_value, AlgebraError, SHARED_NATS, NATS)
 from .codes import Fuel
 from .lang.ast import (Term, Var, Lit, App, Choose, Stmt, Skip, Div, Assign,
                        Seq, If, While, Procedure, is_atomic, subst_term)
@@ -146,7 +146,8 @@ class Dovetail:
         max(2k, k + 1)) or DIV (refuted for good)."""
         stage = 0
         retry: list[tuple[int, int]] = []  # (due stage, candidate)
-        while fuel.take():
+        while fuel.remaining:
+            fuel.remaining -= 1
             cand = self.visit(stage)
             while True:
                 r = attempt(cand, stage)
@@ -533,12 +534,13 @@ def _dovetail_choose(strat, var: str, body, b: dict, fuel: Fuel):
     b2 = dict(b)
 
     def attempt(cand: int, stage: int):
-        b2[var] = v = nat_value(cand)
+        b2[var] = v = NATS[cand] if cand < SHARED_NATS else NatV(cand)
         guard_fuel = fuel.spawn(stage + 1)
         try:
             g = body(b2, guard_fuel, None)
-        finally:
-            fuel.repay(guard_fuel)
+        finally:  # fuel.repay(guard_fuel), inline
+            fuel.remaining += guard_fuel.remaining
+            guard_fuel.remaining = 0
         if g is FUEL_OUT or g is DIV:
             return g
         return v if g.b else DIV  # a ff guard is refuted
@@ -604,7 +606,7 @@ def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
         clean_witness = False
         any_flag = False
         for cand in range(ctx.strat.max_nat + 1):
-            b2[var] = nat_value(cand)
+            b2[var] = v_cand = NATS[cand] if cand < SHARED_NATS else NatV(cand)
             if single is not None:
                 # a single-valued guard: one call, tested inline
                 v = single(b2, fuel, g)
@@ -616,7 +618,7 @@ def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
                     has_tt, has_ff = has_tt or v.b, has_ff or not v.b
             flagged = g.proven_divergent or g.truncated
             if has_tt:
-                out.add(nat_value(cand), seen)
+                out.add(v_cand, seen)
                 if not has_ff and not flagged:
                     clean_witness = True
             if flagged:
@@ -881,13 +883,13 @@ def _eval_stmt_det(ctx: Ctx, nodes: list, i: int, sigma: State) -> OutcomeSet:
     """Oracle and Dovetail: one path, run on one bindings dict."""
     b = dict(sigma.bindings)
     fuel = ctx.fuel
-    take = fuel.take
     out = OutcomeSet()
     while True:
-        if not take():
+        if not fuel.remaining:
             out.truncated = True
             out.note("statement evaluation: fuel exhausted")
             return out
+        fuel.remaining -= 1
         node = nodes[i]
         kind = node.kind
         if kind == _ASSIGN1:
@@ -958,7 +960,7 @@ def _eval_stmt_enum(ctx: Ctx, nodes: list, entry: int, sigma: State) -> OutcomeS
     fuel = ctx.fuel
     work = [(entry, sigma)]
     while work:
-        if fuel.dead:
+        if not fuel.remaining:
             out.truncated = True
             out.note("statement evaluation: fuel exhausted with frontier pending")
             return out
@@ -968,10 +970,7 @@ def _eval_stmt_enum(ctx: Ctx, nodes: list, entry: int, sigma: State) -> OutcomeS
             out.note("node budget exhausted with frontier pending")
             return out
         i, st = work.pop()
-        if not fuel.take():
-            out.truncated = True
-            out.note("statement evaluation: fuel exhausted with frontier pending")
-            return out
+        fuel.remaining -= 1  # positive: tested above, and nothing ran since
         node = nodes[i]
         kind = node.kind
         if kind == _GUARD:

@@ -89,23 +89,28 @@ def code_algebra(base: PartialAlgebra, registry: CodeRegistry) -> PartialAlgebra
         return NatV(registry.mint(c))
 
     def zero_real(fuel):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return NatV(0)  # index 0 is const 0
 
     def one_real(fuel):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return mint(ConstCode(1))
 
     def add(fuel, a, b):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return mint(add_codes(code_of(a), code_of(b)))
 
     def mul(fuel, a, b):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return mint(mul_codes(code_of(a), code_of(b)))
 
     def neg(fuel, a):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return mint(neg_code(code_of(a)))
 
     def inv(fuel, a):
@@ -123,19 +128,23 @@ def code_algebra(base: PartialAlgebra, registry: CodeRegistry) -> PartialAlgebra
         return compare_codes(code_of(a), code_of(b), fuel, "less")
 
     def nat2real(fuel, a):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return mint(ConstCode(a.n))
 
     def rat(fuel, a):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return mint(ConstCode(prog_rat_decode(a.n)))
 
     def dist(fuel, a, b):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return mint(abs_diff_code(code_of(a), code_of(b)))
 
     def i_I(fuel, a):
-        fuel.take()
+        if fuel.remaining:
+            fuel.remaining -= 1
         return a
 
     trackers = {"zero_real": zero_real, "one_real": one_real, "add": add,

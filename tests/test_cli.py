@@ -163,6 +163,41 @@ def test_named_code_runs_are_byte_identical_in_one_process(capsys):
     assert (fresh.returncode, fresh.stdout) == first[:2]
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("args", [
+    ("run", "--program", "choose_near", "--input", "1/3, 4"),
+    ("sweep", "--program", "exp_approx", "--input", "1", "--ns", "2",
+     "--seeds", "0..1")])
+def test_a_closed_stdout_ends_with_status_1_and_nothing_on_stderr(
+        args, unbuffered):
+    # stdout is a pipe whose read end is already closed, so the first write
+    # fails: in print when unbuffered, else in the flush before exit
+    src = os.path.dirname(os.path.dirname(whilecc.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        child = subprocess.run([sys.executable, "-m", "whilecc.cli", *args],
+                               stdout=w, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(w)
+    assert (child.returncode, child.stderr) == (1, b"")
+
+
+def test_a_run_started_with_no_stdout_completes_quietly():
+    # with file descriptor 1 closed, Python has no sys.stdout and print
+    # writes nothing: the run completes with its own status
+    src = os.path.dirname(os.path.dirname(whilecc.__file__))
+    child = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m",
+         "whilecc.cli", "run", "--program", "choose_near", "--input", "1/3, 4"],
+        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    assert (child.returncode, child.stderr) == (0, b"")
+
+
 def test_code_value_renders_on_what_the_run_left(capsys):
     # the run takes 17 steps and rendering sqrt2 + 1 to 2^-32 two more
     args = ("run", "--program", "scaled_sum", "--input", "sqrt2, 1")

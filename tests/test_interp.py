@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from whilecc.algebra import get_algebra, rat_value, NatV, RealV, FUEL_OUT
+from whilecc.algebra import (get_algebra, rat_value, NatV, RealV, FUEL_OUT,
+                             TT, FF, SHARED_NATS)
 from whilecc.codes import Fuel, sqrt_code
 from whilecc.interp import (Enumerate, Oracle, Dovetail, State, eval_term,
                             eval_atomic, first, rest, comp_step,
@@ -763,11 +764,46 @@ def test_a_raising_guard_charges_its_caller_only_the_steps_taken():
     assert fuel.remaining == 1000 - 28
 
 
+def test_a_guards_carved_budget_is_emptied_when_its_attempt_returns():
+    # no guard keeps its budget after it returns: the caller gets back what
+    # each guard left, and the guard's budget is left at 0. Stages 0..3 take
+    # a step each and their guards one each: 8 steps, as recorded
+    kept = []
+
+    def guard(b, fuel, out):
+        kept.append(fuel)
+        fuel.take()
+        return TT if b["z"].n == 3 else FF
+
+    fuel = Fuel(1000)
+    assert _dovetail_choose(Dovetail(), "z", guard, {}, fuel).n == 3
+    assert [f.remaining for f in kept] == [0, 0, 0, 0]
+    assert fuel.remaining == 1000 - 8
+
+
+# A witness past the shared NatV table (SHARED_NATS), as recorded:
+# (strategy, fuel left)
+@pytest.mark.parametrize("strat, left", [
+    (Dovetail(None), 81_996), (Dovetail(1), 68_076), (Enumerate(9000), 90_997)])
+def test_a_choose_witness_past_the_shared_nats_is_found_as_recorded(strat,
+                                                                    left):
+    p = parse("algebra N\nfunc t in w: nat out k: nat "
+              "begin k := choose z : z = w end")
+    assert 9000 >= SHARED_NATS
+    fuel = Fuel(100_000)
+    res = eval_proc(p, (NatV(9000),), N, strat, fuel)
+    assert [v.n for v in res.values] == [9000]
+    assert not res.proven_divergent and not res.truncated
+    assert fuel.remaining == left
+
+
 # The contract a harness relies on when it subclasses the library's budget
 # and search: a Fuel subclass that overrides spawn sees one call per
 # Dovetail guard attempt, and a Dovetail subclass that overrides visit (and
 # fresh, for the copy eval_proc takes) sees one call per stage, whose
-# candidate is the stage's first attempt.
+# candidate is the stage's first attempt. take and repay are not hooks: a
+# step is `remaining` decremented when positive, and the hot sites spell it,
+# and the attempt's repayment, inline.
 
 
 class SpawnCountingFuel(Fuel):
