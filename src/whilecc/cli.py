@@ -137,9 +137,20 @@ def to_value(lit, sort: Sort, registry: CodeRegistry) -> Value:
 
 def load_program(spec: str, proc_name):
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            prog = parse_program(fh.read())
-        return prog.proc(proc_name), get_algebra(prog.algebra_name)
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                prog = parse_program(fh.read())
+        except OSError as e:  # a directory, say
+            raise UsageError(f"cannot read {spec}: {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise UsageError(f"{spec} is not UTF-8 text: {e.reason} "
+                             f"at byte {e.start}") from None
+        try:
+            proc = prog.proc(proc_name)
+        except KeyError:
+            raise UsageError(f"{spec} defines no procedure {proc_name!r}; "
+                             f"it defines {', '.join(prog.procedures)}") from None
+        return proc, get_algebra(prog.algebra_name)
     try:
         entry = stdlib()[spec]
     except KeyError:

@@ -16,15 +16,17 @@ treats a failed argument follows its argument `out`. Oracle and Dovetail
 pass None and stop at the first one. Enumerate passes its outcome set,
 evaluates every argument, since its operation applies to every combination
 of argument values, records each failure in the set, and leaves a term that
-contains a choose to the set-valued `_enum_term`. Every rule is called as
-`rule(fuel, *values)` and returns a Value, DIV or FUEL_OUT (see `algebra`);
-applications of no, one and two arguments get closures of their own that
-build no argument list, and in the common shapes read an operand that is
-a variable or a nat literal in place, with no call. A conditional calls the
-rule of a constant branch in place, and beside one reads a guard of such a
-shape in place too (`_cond`). Under Enumerate a choose
-tests each candidate's guard with one call and no outcome set of its own,
-unless the guard holds a nested choose.
+contains a choose to the set-valued `_enum_term`. That runs the closures of
+its choose-free subterms, and applies an operation to the ordered product
+of its operands' values, cut at the node cap (`_combos`, which combines the
+right-hand sides of a concurrent assignment too). Every rule is called as `rule(fuel, *values)` and returns a
+Value, DIV or FUEL_OUT (see `algebra`); applications of one and two
+arguments get closures of their own that build no argument list, and in the
+common shapes read an operand that is a variable or a nat literal in place,
+with no call. A conditional calls the rule of a constant branch in place,
+and beside one reads a guard of such a shape in place too (`_cond`). Under
+Enumerate a choose tests each candidate's guard with one call and no
+outcome set of its own, unless the guard holds a nested choose.
 
 Statements are compiled too: a run turns a body once into a flat list of
 nodes (`_compile_stmt`), each an assignment, `skip`, `div` or the guard test
@@ -58,7 +60,8 @@ from .algebra import (PartialAlgebra, Value, NatV, DIV, FUEL_OUT, value_key,
                       nat_value, AlgebraError, SHARED_NATS, NATS)
 from .codes import Fuel
 from .lang.ast import (Term, Var, Lit, App, Choose, Stmt, Skip, Div, Assign,
-                       Seq, If, While, Procedure, is_atomic, subst_term)
+                       Seq, If, While, Procedure, is_atomic, seq_all,
+                       subst_term)
 from .signature import NAT
 
 
@@ -309,19 +312,13 @@ def _strict(rule, args: tuple, fs: list, name: str) -> Callable:
     (Oracle, Dovetail) it stops at the first failed operand and returns the
     rule's result as it is. With an outcome set (Enumerate) it evaluates
     every operand, returns the last failure, and records a failed result of
-    the rule in out. Arities 0, 1 and 2, nearly all applications, get
-    closures that build no list. Some operand shapes (see `_operands`) get
-    closures that read a variable as b[name] and a nat literal as its shared
-    NatV, with no call: "v", "vv", "cv", "vc", "vt" and "tv". An operand
-    read in place cannot fail, so only the other one is tested."""
-    if not fs:
-        def app0(b, fuel, out):
-            r = rule(fuel)
-            if out is None or (r is not DIV and r is not FUEL_OUT):
-                return r
-            return _failed(out, r, name)
-
-        return app0
+    the rule in out. Arities 1 and 2, nearly all applications, get closures
+    that build no list; any other arity, 0 included, takes the n-ary one.
+    Some operand shapes (see `_operands`) get closures that read a variable
+    as b[name] and a nat literal as its shared NatV, with no call: "v",
+    "vt", "tv" and "vv" one each, and the other pairs of in-place operands
+    ("cv", "vc", "cc") one together. An operand read in place cannot fail,
+    so only the other one is tested."""
     shape, leaves = _operands(args)
     if len(fs) == 1:
         f0, = fs
@@ -357,22 +354,16 @@ def _strict(rule, args: tuple, fs: list, name: str) -> Callable:
                 return _failed(out, r, name)
 
             return app_vv
-        if shape == "cv":
-            def app_cv(b, fuel, out):
-                r = rule(fuel, x0, b[x1])
+        if shape in _IN_PLACE_PAIRS:
+            v0, v1 = shape[0] == "v", shape[1] == "v"
+
+            def app_in_place(b, fuel, out):
+                r = rule(fuel, b[x0] if v0 else x0, b[x1] if v1 else x1)
                 if out is None or (r is not DIV and r is not FUEL_OUT):
                     return r
                 return _failed(out, r, name)
 
-            return app_cv
-        if shape == "vc":
-            def app_vc(b, fuel, out):
-                r = rule(fuel, b[x0], x1)
-                if out is None or (r is not DIV and r is not FUEL_OUT):
-                    return r
-                return _failed(out, r, name)
-
-            return app_vc
+            return app_in_place
         if shape == "vt":
             def app_vt(b, fuel, out):
                 w = f1(b, fuel, out)
@@ -436,9 +427,9 @@ def _cond(ctx: Ctx, args: tuple, fs: list) -> Callable:
     """The closure of a conditional (guard, then, else). A branch that is a
     nullary application, such as the true and false that andthen and orelse
     leave, has its rule called in place. Beside such a branch, a guard that
-    is a two-operand application in the shape "vv", "cv" or "vc" (see
-    `_operands`) is read in place too. Under Enumerate (out is not None) a
-    rule called in place records its failure as its own closure would."""
+    is an application of two in-place operands (`_IN_PLACE_PAIRS`) is read
+    in place too. Under Enumerate (out is not None) a rule called in place
+    records its failure as its own closure would."""
     guard, then, els = fs
     then_k, else_k = (type(a) is App and not a.args for a in args[1:])
     if not (then_k or else_k):
@@ -454,7 +445,7 @@ def _cond(ctx: Ctx, args: tuple, fs: list) -> Callable:
     krule, other = ctx.alg.interp[kname], (els if side else then)
     g = args[0]
     shape, leaves = _operands(g.args) if type(g) is App else ("", ())
-    if shape in ("vv", "cv", "vc"):
+    if shape in _IN_PLACE_PAIRS:
         gname = g.sym.name
         grule, (x0, x1) = ctx.alg.interp[gname], leaves
         v0, v1 = shape[0] == "v", shape[1] == "v"
@@ -484,6 +475,10 @@ def _cond(ctx: Ctx, args: tuple, fs: list) -> Callable:
         return _failed(out, r, kname)
 
     return cond_const
+
+
+# the shapes of two operands that are both read in place
+_IN_PLACE_PAIRS = frozenset(("vv", "cv", "vc", "cc"))
 
 
 def _operands(args: tuple) -> tuple[str, list]:
@@ -558,39 +553,21 @@ def _dovetail_choose(strat, var: str, body, b: dict, fuel: Fuel):
 
 
 def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
+    """The outcome set of t, which contains a choose, under Enumerate."""
     out = OutcomeSet()
-    f = ctx.compiled(t)
-    if f is not None:
-        v = f(b, ctx.fuel, out)
-        if v is not DIV and v is not FUEL_OUT:
-            out.values.append(v)
-        return out
     seen: set = set()
     if isinstance(t, App):
+        args = t.args
         if t.sym.conditional:
-            g = _enum_term(ctx, t.args[0], b)
-            out.merge_flags(g)
-            for v in g.values:
-                branch = t.args[1] if v.b else t.args[2]
-                sub = _enum_term(ctx, branch, b)
-                out.merge_flags(sub)
-                for w in sub.values:
+            for g in _enum_values(ctx, args[0], ctx.compiled(args[0]), b, out):
+                branch = args[1] if g.b else args[2]
+                for w in _enum_values(ctx, branch, ctx.compiled(branch), b, out):
                     out.add(w, seen)
             return out
-        arg_sets = []
-        for a in t.args:
-            s = _enum_term(ctx, a, b)
-            out.merge_flags(s)
-            arg_sets.append(s.values)
-        combos = [()]
-        for vs in arg_sets:
-            combos = [c + (v,) for c in combos for v in vs]
-            if len(combos) > ctx.node_cap:
-                out.truncated = True
-                out.note("application combination cap hit")
-                combos = combos[:ctx.node_cap]
+        value_lists = [_enum_values(ctx, a, ctx.compiled(a), b, out)
+                       for a in args]
         rule = ctx.alg.interp[t.sym.name]
-        for combo in combos:
+        for combo in _combos(ctx, value_lists, out):
             v = rule(ctx.fuel, *combo)
             if v is DIV or v is FUEL_OUT:
                 _failed(out, v, t.sym.name)
@@ -644,14 +621,15 @@ def eval_term(t: Term, sigma: State, alg: PartialAlgebra, strat,
 
 
 def _term_outcomes(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
-    if ctx.enum:
+    f = ctx.compiled(t)
+    if f is None:  # a choose under Enumerate
         return _enum_term(ctx, t, b)
     out = OutcomeSet()
-    r = ctx.compiled(t)(b, ctx.fuel, None)
-    if r is DIV or r is FUEL_OUT:
-        _failed(out, r, "term evaluation")
-    else:
+    r = f(b, ctx.fuel, out if ctx.enum else None)
+    if r is not DIV and r is not FUEL_OUT:
         out.values.append(r)
+    elif not ctx.enum:  # Enumerate's closure has recorded the failure
+        _failed(out, r, "term evaluation")
     return out
 
 
@@ -936,14 +914,25 @@ def _enum_values(ctx: Ctx, t: Term, f, b: dict, out: OutcomeSet):
     return vs.values
 
 
+def _combos(ctx: Ctx, value_lists: list, out: OutcomeSet) -> list:
+    """The ordered product of value_lists, cut at ctx.node_cap combinations;
+    each cut is a truncation noted in out."""
+    combos = [()]
+    for vs in value_lists:
+        combos = [c + (v,) for c in combos for v in vs]
+        if len(combos) > ctx.node_cap:
+            out.truncated = True
+            out.note("application combination cap hit")
+            del combos[ctx.node_cap:]
+    return combos
+
+
 def _enum_assign(ctx: Ctx, lhs: tuple, rhs: tuple, fs, sigma: State,
                  out: OutcomeSet) -> list:
     """The distinct states an assignment reaches under Enumerate. Every rhs
     is evaluated; failures are recorded in out."""
-    combos = [()]
-    for t, f in zip(rhs, fs):
-        vals = _enum_values(ctx, t, f, sigma.bindings, out)
-        combos = [c + (v,) for c in combos for v in vals]
+    combos = _combos(ctx, [_enum_values(ctx, t, f, sigma.bindings, out)
+                           for t, f in zip(rhs, fs)], out)
     if len(combos) == 1:  # nothing to deduplicate
         return [sigma.set_many(lhs, combos[0])]
     states = OutcomeSet()
@@ -1123,7 +1112,7 @@ def choose_eliminate(p: Procedure, alg: PartialAlgebra) -> Procedure:
             pre.append(Assign((z.name,), (Lit(0, NAT),)))
             pre.extend(guard_pre)
             pre.append(While(App(sig.symbol("not"), (body,)),
-                             _seq_as_stmt([step] + guard_pre)))
+                             seq_all([step] + guard_pre)))
             return z
         raise TypeError(f"not a term: {t!r}")
 
@@ -1147,7 +1136,7 @@ def choose_eliminate(p: Procedure, alg: PartialAlgebra) -> Procedure:
             body = strip_stmt(s.body)
             if pre:
                 # guard searches re-run before each re-evaluation of b
-                body = Seq(body, _seq_as_stmt(pre))
+                body = Seq(body, seq_all(pre))
                 return _seq_with_pre(pre, While(b, body))
             return While(b, body)
         raise TypeError(f"not a statement: {s!r}")
@@ -1162,14 +1151,7 @@ def _has_choose(t: Term) -> bool:
         isinstance(t, App) and any(_has_choose(a) for a in t.args))
 
 
-def _seq_as_stmt(stmts: list) -> Stmt:
-    out = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        out = Seq(s, out)
-    return out
-
-
 def _seq_with_pre(pre: list, body: Stmt) -> Stmt:
     if not pre:
         return body
-    return Seq(_seq_as_stmt(pre), body)
+    return Seq(seq_all(pre), body)

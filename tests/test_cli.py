@@ -104,6 +104,24 @@ def test_missing_program_exit_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, says", [
+    (lambda d: ("--program", str(d / "id.wcc"), "--proc", "nope"), "'nope'"),
+    (lambda d: ("--program", str(d)), "Is a directory"),
+    (lambda d: ("--program", str(d / "bin.wcc")), "not UTF-8 text"),
+], ids=["unknown-proc", "directory", "not-utf8"])
+def test_an_unknown_proc_or_an_unreadable_program_is_one_error_line(
+        capsys, tmp_path, argv, says):
+    # a procedure the file does not define, or a --program that names a
+    # directory or a file that is not UTF-8 text, is a usage error: one
+    # `error:` line, not a traceback
+    (tmp_path / "id.wcc").write_text(
+        "algebra N\nfunc id in x: nat out y: nat begin y := x end\n")
+    (tmp_path / "bin.wcc").write_bytes(b"algebra N\n\xd0\x00\n")
+    code, out, err = run_cli(capsys, "run", *argv(tmp_path), "--input", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+
+
 def test_bad_input_literal_exit_1(capsys):
     code, _, err = run_cli(capsys, "run", "--program", "pivot3",
                            "--input", "(zebra, 1, 2)")

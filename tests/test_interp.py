@@ -8,7 +8,7 @@ import pytest
 
 from whilecc.algebra import (get_algebra, rat_value, NatV, RealV, FUEL_OUT,
                              TT, FF, SHARED_NATS)
-from whilecc.codes import Fuel, sqrt_code
+from whilecc.codes import Fuel, sqrt_code, unpair
 from whilecc.interp import (Enumerate, Oracle, Dovetail, State, eval_term,
                             eval_atomic, first, rest, comp_step,
                             comp_tree_stage, tree_is_prefix, eval_stmt,
@@ -133,7 +133,8 @@ def test_choose_in_choose_body_branches():
 # failing operand, `inv(0)` giving DIV or a comparison giving FUEL_OUT on a
 # 1-step budget, stands on either side. Enumerate evaluates both operands and
 # records every failure, so its flags, notes and fuel differ from the other
-# strategies' there. Rows recorded before operands were read in place.
+# strategies' there. Rows recorded before operands were read in place; the
+# two-literal and nullary-operand rows, before their closures were folded.
 SHAPE_TERMS = {
     "n < k": "bool", "x + z": "real", "x < x": "bool", "w < x": "bool",
     "7 < n": "bool", "k = 1": "bool", "k < 2": "bool",
@@ -147,6 +148,7 @@ SHAPE_TERMS = {
     "inv(y) + (if w < x then x else z fi)": "real",
     "(if x < x then x else z fi) + inv(y)": "real",
     "choose j : (j = 2) andthen (x < nat2real(j))": "nat",
+    "less_nat(2, 7)": "bool", "(k < 2) and true": "bool",
 }
 SHAPE_STRATEGIES = {"oracle": lambda: Oracle(1),
                     "dovetail": lambda: Dovetail(1),
@@ -284,6 +286,18 @@ SHAPE_ROWS = [
     ("choose j : (j = 2) andthen (x < nat2real(j))", "dovetail", 200, [], False, True, ["term evaluation: fuel exhausted"], 0),
     ("choose j : (j = 2) andthen (x < nat2real(j))", "enumerate", 1, ["NatV(2)"], False, False, [], 0),
     ("choose j : (j = 2) andthen (x < nat2real(j))", "enumerate", 200, ["NatV(2)"], False, False, [], 189),
+    ("less_nat(2, 7)", "oracle", 1, ["tt"], False, False, [], 0),
+    ("less_nat(2, 7)", "oracle", 200, ["tt"], False, False, [], 199),
+    ("less_nat(2, 7)", "dovetail", 1, ["tt"], False, False, [], 0),
+    ("less_nat(2, 7)", "dovetail", 200, ["tt"], False, False, [], 199),
+    ("less_nat(2, 7)", "enumerate", 1, ["tt"], False, False, [], 0),
+    ("less_nat(2, 7)", "enumerate", 200, ["tt"], False, False, [], 199),
+    ("(k < 2) and true", "oracle", 1, ["tt"], False, False, [], 0),
+    ("(k < 2) and true", "oracle", 200, ["tt"], False, False, [], 197),
+    ("(k < 2) and true", "dovetail", 1, ["tt"], False, False, [], 0),
+    ("(k < 2) and true", "dovetail", 200, ["tt"], False, False, [], 197),
+    ("(k < 2) and true", "enumerate", 1, ["tt"], False, False, [], 0),
+    ("(k < 2) and true", "enumerate", 200, ["tt"], False, False, [], 197),
 ]
 
 
@@ -1323,6 +1337,25 @@ def test_deterministic_programs_agree_with_elimination_spot():
             a = eval_proc(p, (NatV(n),), alg, Dovetail(), Fuel(400_000))
             b = eval_proc(elim, (NatV(n),), alg, Dovetail(), Fuel(400_000))
             assert a.values[0].n == b.values[0].n == oracle(n), (name, n)
+
+
+@pytest.mark.parametrize("body, outs, steps", [
+    ("x, y := (choose z : z < n), (choose w : w < n)", "x: nat, y: nat", 84),
+    ("x := pair((choose z : z < n), (choose w : w < n))", "x: nat", 1_084),
+])
+def test_enumerate_cuts_a_product_of_choose_values_at_the_node_cap(
+        body, outs, steps):
+    # 40 * 40 combinations under a node cap of 1000, in an application and
+    # in a concurrent assignment alike: the first 1000 in order are kept,
+    # and the cut is a truncation with one note
+    p = parse(f"algebra RN\nfunc t in n: nat out {outs} begin {body} end")
+    fuel = Fuel(10**7)
+    out = eval_proc(p, (NatV(40),), RN, Enumerate(40, 1_000), fuel)
+    assert (out.proven_divergent, out.truncated) == (False, True)
+    assert out.diagnostics == ["application combination cap hit"]
+    assert 10**7 - fuel.remaining == steps
+    assert [(v[0].n, v[1].n) if isinstance(v, tuple) else unpair(v.n)
+            for v in out.values] == [divmod(i, 40) for i in range(1_000)]
 
 
 def test_enumerate_bounds_validation():
