@@ -45,6 +45,13 @@ def _int(text: str, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
+def _dovetail(seed) -> Dovetail:
+    try:
+        return Dovetail(seed)
+    except ValueError as e:  # a negative seed
+        raise UsageError(str(e)) from None
+
+
 def parse_strategy(spec: str, seed):
     parts = spec.split(":")
     kind = parts[0]
@@ -53,7 +60,7 @@ def parse_strategy(spec: str, seed):
             seed = _int(parts[1], "the dovetail seed")
         elif len(parts) > 2:
             raise UsageError("strategy dovetail takes at most one seed field")
-        return Dovetail(seed)
+        return _dovetail(seed)
     if kind == "oracle":
         if len(parts) != 2:
             raise UsageError("strategy oracle needs a seed: oracle:<seed>")
@@ -261,13 +268,14 @@ def cmd_sweep(ns) -> int:
     proc, alg = load_program(ns.program, ns.proc)
     base_lits = [parse_literal(t) for t in _split_top(ns.input)] if ns.input else []
     seeds = _parse_int_list(ns.seeds)
+    strats = [_dovetail(seed) for seed in seeds]  # every seed checked first
     ns_list = _parse_int_list(ns.ns) if ns.ns else [int(ns.n)] if ns.n is not None else [4]
     cells = []
     census: dict[str, int] = {}
     for n in ns_list:
-        for seed in seeds:
+        for seed, strat in zip(seeds, strats):
             args = make_inputs(proc, [Fraction(n)] + base_lits, CodeRegistry())
-            res, used, fuel = run_once(proc, alg, args, Dovetail(seed), ns.fuel)
+            res, used, fuel = run_once(proc, alg, args, strat, ns.fuel)
             rendered = [render_value(v, n + 2, fuel) for v in res.values]
             for key in rendered:
                 census[key] = census.get(key, 0) + 1

@@ -452,11 +452,14 @@ def _mul_pairs(na: int, da: int, nb: int, db: int) -> ConstCode:
 def add_codes(x: ECode, y: ECode) -> ECode:
     if x.is_const and y.is_const:
         na, da, nb, db = x.numerator, x.denominator, y.numerator, y.denominator
-        # nested denominators: add over the larger one, reduce on first read
-        if db % da == 0:
-            return _pair_const(na * (db // da) + nb, db)
-        if da % db == 0:
-            return _pair_const(nb * (da // db) + na, da)
+        # nested denominators: add over the larger one, reduce on first read;
+        # one division decides the nesting and gives the quotient
+        q, r = divmod(db, da)
+        if not r:
+            return _pair_const(na * q + nb, db)
+        q, r = divmod(da, db)
+        if not r:
+            return _pair_const(nb * q + na, da)
         if x._value is None:
             x._reduce()
         if y._value is None:
@@ -598,20 +601,24 @@ class CodeRegistry:
     space is only ever validated on a finite prefix (the full predicate is
     undecidable). `register` checks that prefix on the caller's budget;
     `mint` skips it, for codes that are fast Cauchy by construction.
+
+    `codes` is the store itself: a code's index is its position, and the
+    list only ever grows, so a hot caller may read `codes[i]` and append to
+    it in place of `code(i)` and `mint`.
     """
 
     def __init__(self):
-        self._codes: list[ECode] = []
+        self.codes: list[ECode] = []
         self._named: dict[str, int] = {}
         self.mint(ConstCode(0))  # index 0: the default real
 
     def __len__(self):
-        return len(self._codes)
+        return len(self.codes)
 
     def mint(self, code: ECode) -> int:
         """Register a construction-derived code without prefix validation."""
-        self._codes.append(code)
-        return len(self._codes) - 1
+        self.codes.append(code)
+        return len(self.codes) - 1
 
     def register(self, code: ECode, fuel: Fuel) -> int:
         """Register a code after checking its fast Cauchy prefix on `fuel`."""
@@ -621,7 +628,7 @@ class CodeRegistry:
         return self.mint(code)
 
     def code(self, index: int) -> ECode:
-        return self._codes[index]
+        return self.codes[index]
 
     # named builtin codes (CLI input literals)
 

@@ -54,6 +54,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional
 
 from .algebra import (PartialAlgebra, Value, NatV, DIV, FUEL_OUT, value_key,
@@ -115,13 +116,17 @@ class Dovetail:
     choice among a block's witnesses rather than always the least one.
     Every candidate is still visited at a stage within one block of its
     index, so fairness and budget growth are unchanged. Without a seed the
-    scan is the plain ascending one.
+    scan is the plain ascending one. A seed is a non-negative integer:
+    `random.Random` seeds by absolute value, so -s would visit the first
+    block as s does.
     """
 
     BLOCK_BITS = 13
     MASK = (1 << BLOCK_BITS) - 1
 
     def __init__(self, seed: Optional[int] = None):
+        if seed is not None and seed < 0:
+            raise ValueError(f"a dovetail seed must be non-negative, got {seed}")
         self.seed = seed
         self._strides: dict[int, int] = {}
 
@@ -916,14 +921,16 @@ def _enum_values(ctx: Ctx, t: Term, f, b: dict, out: OutcomeSet):
 
 def _combos(ctx: Ctx, value_lists: list, out: OutcomeSet) -> list:
     """The ordered product of value_lists, cut at ctx.node_cap combinations;
-    each cut is a truncation noted in out."""
+    each cut is a truncation noted in out. A stage builds at most one
+    combination past the cap, the one that shows the cut."""
+    cap = ctx.node_cap
     combos = [()]
     for vs in value_lists:
-        combos = [c + (v,) for c in combos for v in vs]
-        if len(combos) > ctx.node_cap:
+        combos = list(islice((c + (v,) for c in combos for v in vs), cap + 1))
+        if len(combos) > cap:
             out.truncated = True
             out.note("application combination cap hit")
-            del combos[ctx.node_cap:]
+            del combos[cap:]
     return combos
 
 

@@ -23,7 +23,8 @@ from typing import Callable, Optional
 
 from .algebra import (PartialAlgebra, Value, BoolV, NatV, RealV, ArrV, DIV,
                       FUEL_OUT, Failure, TT, FF, InterpRule, compare_codes,
-                      rat_value, nat_value, array_rules, AlgebraError)
+                      rat_value, nat_value, array_rules, AlgebraError,
+                      SHARED_NATS, NATS)
 from .codes import (Fuel, ECode, ConstCode, CodeRegistry, CodeProducerError,
                     DiagonalCode, OutOfFuel, add_codes, neg_code, mul_codes,
                     abs_diff_code, inv_code, prog_rat_decode)
@@ -79,19 +80,25 @@ def code_algebra(base: PartialAlgebra, registry: CodeRegistry) -> PartialAlgebra
     strict tracking functions for every symbol of the built-in real /
     interval algebras (starred or not). Codes travel as nat values holding
     registry indices; bool and nat are tracked identically. Running the
-    generic interpreter over it is concrete computation on codes."""
-    sig = base.signature
+    generic interpreter over it is concrete computation on codes.
 
-    def code_of(v: NatV) -> ECode:
-        return registry.code(v.n)
+    The trackers read their operands' codes from the registry's list in
+    place, and each real result mints exactly one code; its index comes
+    back as the shared `NATS[i]` below `SHARED_NATS`. The arithmetic is
+    called through this module's globals, which the perfbench tracer
+    patches."""
+    sig = base.signature
+    codes = registry.codes
 
     def mint(c: ECode) -> NatV:
-        return NatV(registry.mint(c))
+        i = len(codes)
+        codes.append(c)
+        return NATS[i] if i < SHARED_NATS else NatV(i)
 
     def zero_real(fuel):
         if fuel.remaining:
             fuel.remaining -= 1
-        return NatV(0)  # index 0 is const 0
+        return NATS[0]  # index 0 is const 0
 
     def one_real(fuel):
         if fuel.remaining:
@@ -101,20 +108,20 @@ def code_algebra(base: PartialAlgebra, registry: CodeRegistry) -> PartialAlgebra
     def add(fuel, a, b):
         if fuel.remaining:
             fuel.remaining -= 1
-        return mint(add_codes(code_of(a), code_of(b)))
+        return mint(add_codes(codes[a.n], codes[b.n]))
 
     def mul(fuel, a, b):
         if fuel.remaining:
             fuel.remaining -= 1
-        return mint(mul_codes(code_of(a), code_of(b)))
+        return mint(mul_codes(codes[a.n], codes[b.n]))
 
     def neg(fuel, a):
         if fuel.remaining:
             fuel.remaining -= 1
-        return mint(neg_code(code_of(a)))
+        return mint(neg_code(codes[a.n]))
 
     def inv(fuel, a):
-        c, status = inv_code(code_of(a), fuel)
+        c, status = inv_code(codes[a.n], fuel)
         if status == "zero":
             return DIV
         if status == "fuel":
@@ -122,10 +129,10 @@ def code_algebra(base: PartialAlgebra, registry: CodeRegistry) -> PartialAlgebra
         return mint(c)
 
     def eq_real(fuel, a, b):
-        return compare_codes(code_of(a), code_of(b), fuel, "eq")
+        return compare_codes(codes[a.n], codes[b.n], fuel, "eq")
 
     def less_real(fuel, a, b):
-        return compare_codes(code_of(a), code_of(b), fuel, "less")
+        return compare_codes(codes[a.n], codes[b.n], fuel, "less")
 
     def nat2real(fuel, a):
         if fuel.remaining:
@@ -140,7 +147,7 @@ def code_algebra(base: PartialAlgebra, registry: CodeRegistry) -> PartialAlgebra
     def dist(fuel, a, b):
         if fuel.remaining:
             fuel.remaining -= 1
-        return mint(abs_diff_code(code_of(a), code_of(b)))
+        return mint(abs_diff_code(codes[a.n], codes[b.n]))
 
     def i_I(fuel, a):
         if fuel.remaining:
@@ -164,13 +171,13 @@ def code_algebra(base: PartialAlgebra, registry: CodeRegistry) -> PartialAlgebra
     metrics = {k: base.metrics[k] for k in ("bool", "nat") if k in base.metrics}
     return PartialAlgebra("codes(" + base.name + ")", sig, interp, metrics,
                           total=False, carrier_check=_accepts_code,
-                          real_literal=lambda q: NatV(registry.mint(ConstCode(q))))
+                          real_literal=lambda q: mint(ConstCode(q)))
 
 
 def _code_default(elem: Sort) -> Value:
     if elem.kind == "bool":
         return FF
-    return NatV(0)  # nat zero, or the index of the constant-zero code
+    return NATS[0]  # nat zero, or the index of the constant-zero code
 
 
 def _accepts_code(sort: Sort, v: Value) -> bool:
@@ -201,7 +208,7 @@ def encode_input(v: Value, sort: Sort, registry: CodeRegistry) -> Value:
     if sort.kind in ("bool", "nat"):
         return v
     if sort.kind in ("real", "interval"):
-        return NatV(registry.mint(v.code))
+        return nat_value(registry.mint(v.code))
     if sort.kind == "array":
         return ArrV(sort.elem, tuple(encode_input(x, sort.elem, registry)
                                      for x in v.items))

@@ -97,6 +97,20 @@ def test_bad_numbers_are_one_error_line(capsys, monkeypatch, argv, env, says):
     assert err.startswith("error: ") and err.count("\n") == 1 and says in err
 
 
+@pytest.mark.parametrize("command, option", [
+    ("run", "--seed=-5"), ("run", "--strategy=dovetail:-5"),
+    ("sweep", "--seeds=-7,7"), ("sweep", "--seeds=-9..-7"),
+])
+def test_a_negative_dovetail_seed_is_one_error_line(capsys, command, option):
+    # a Dovetail seeded -s would repeat the run seeded s (and a sweep would
+    # count it as a second witness), so a negative seed is a usage error
+    code, out, err = run_cli(capsys, command, "--program", "root_bisect",
+                             "--input", "[-2, 0, 1]", "--n", "3", option)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dovetail seed must be non-negative" in err
+
+
 def test_missing_program_exit_1(capsys):
     code, _, err = run_cli(capsys, "run", "--program", "no_such_prog",
                            "--input", "1")

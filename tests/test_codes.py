@@ -365,6 +365,53 @@ def test_exp_approx_sums_skip_full_size_gcds(monkeypatch):
     assert len(big) <= 2
 
 
+def _counting_int(log: list):
+    """An int type that logs each division it is the dividend of, as True
+    when the division is full size (the dividend is not below the divisor)."""
+
+    class Counted(int):
+        def __mod__(self, other):
+            log.append(self >= other)
+            return int.__mod__(self, other)
+
+        def __floordiv__(self, other):
+            log.append(self >= other)
+            return int.__floordiv__(self, other)
+
+        def __divmod__(self, other):
+            log.append(self >= other)
+            return int.__divmod__(self, other)
+
+    return Counted
+
+
+def _pair_const_of(q: Fraction, int_type) -> ConstCode:
+    """q as a constant whose pair holds int_type, in lowest terms."""
+    return codes._pair_const(int_type(q.numerator), int_type(q.denominator),
+                             codes._LOWEST)
+
+
+@pytest.mark.parametrize("larger_first", [False, True])
+def test_a_nested_sum_divides_its_denominators_once(larger_first):
+    # denominators of over 1000 bits, one a multiple of the other: one
+    # full-size division decides the nesting and gives the quotient, and the
+    # sum is the unreduced pair over the larger denominator
+    log: list = []
+    Counted = _counting_int(log)
+    small, big = 3 ** 700 * 10, 3 ** 700 * 10 * 7 ** 90
+    a, b = Fraction(11 ** 290, small), Fraction(-13 ** 270, big)
+    assert (a.denominator, b.denominator) == (small, big)
+    assert small.bit_length() > 1000
+    x, y = _pair_const_of(a, Counted), _pair_const_of(b, Counted)
+    if larger_first:
+        x, y = y, x
+    c = add_codes(x, y)
+    assert log.count(True) == 1
+    na, nb = a.numerator * (big // small), b.numerator
+    assert (_pair(c), _state(c)) == ((na + nb, big), "unreduced")
+    assert c.value == a + b
+
+
 def test_inverse_code():
     inv, status = inv_code(ConstCode(Fraction(3, 4)), Fuel(100))
     assert status == "ok" and inv.value == Fraction(4, 3)

@@ -14,7 +14,7 @@ from whilecc.interp import (Enumerate, Oracle, Dovetail, State, eval_term,
                             comp_tree_stage, tree_is_prefix, eval_stmt,
                             eval_proc, initial_state, is_deterministic_on,
                             choose_eliminate, ChooseEliminationError,
-                            _dovetail_choose)
+                            _dovetail_choose, _combos, Ctx, OutcomeSet)
 from whilecc.lang import parse
 from whilecc.lang.ast import (Var, Lit, App, Choose, Skip, Div, Assign, Seq,
                               If, While)
@@ -914,6 +914,14 @@ def test_dovetail_visits_as_recorded(seed):
     assert len(d._strides) == (0 if seed is None else 3)
 
 
+def test_a_negative_dovetail_seed_is_rejected():
+    # random.Random seeds by absolute value: -5 would visit the first
+    # block as 5 does
+    with pytest.raises(ValueError, match="non-negative"):
+        Dovetail(-5)
+    assert Dovetail(0).seed == 0 and Dovetail().seed is None
+
+
 @pytest.mark.parametrize("steps, cap", [(10, 3), (3, 10), (5, 5), (5, 0),
                                         (0, 4), (0, 0)])
 def test_spawn_carves_a_plain_fuel_of_min_cap_remaining(steps, cap):
@@ -1356,6 +1364,29 @@ def test_enumerate_cuts_a_product_of_choose_values_at_the_node_cap(
     assert 10**7 - fuel.remaining == steps
     assert [(v[0].n, v[1].n) if isinstance(v, tuple) else unpair(v.n)
             for v in out.values] == [divmod(i, 40) for i in range(1_000)]
+
+
+class CountingList(list):
+    """A list that counts the items its iterators yield."""
+
+    yielded = 0
+
+    def __iter__(self):
+        for v in super().__iter__():
+            self.yielded += 1
+            yield v
+
+
+def test_combos_build_at_most_one_combination_past_the_cap():
+    # 300 * 300 combinations under a node cap of 1000: the second stage
+    # takes 1001 of them, not all 90 000, and keeps the first 1000 in order
+    lists = [CountingList(NatV(i) for i in range(300)) for _ in range(2)]
+    out = OutcomeSet()
+    combos = _combos(Ctx(RN, Enumerate(300, 1_000), Fuel(0)), lists, out)
+    assert [vs.yielded for vs in lists] == [300, 1_001]
+    assert [(a.n, b.n) for a, b in combos] == [divmod(i, 300)
+                                               for i in range(1_000)]
+    assert out.truncated and out.diagnostics == ["application combination cap hit"]
 
 
 def test_enumerate_bounds_validation():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from whilecc.algebra import (get_algebra, rat_value, value_key, NatV, RealV,
-                             ArrV, TT, FF, DIV, FUEL_OUT)
+                             ArrV, TT, FF, DIV, FUEL_OUT, NATS, SHARED_NATS)
 from whilecc.codes import (Fuel, CodeRegistry, ConstCode, RuleCode, SumCode,
                            OutOfFuel, sqrt_code, mul_codes, add_codes, inv_code,
                            rat_encode, check_fast_cauchy_prefix)
@@ -56,6 +56,47 @@ def test_code_algebra_doubling(rn_codes):
     code = reg.code(out.values[0].n)
     for n in (1, 5, 9):
         assert abs(ecode_eval(code, n, Fuel(10**7)) - Fraction(2, 3)) < Fraction(1, 1 << (n - 1))
+
+
+# the trackers that mint no code: the constant zero and i_I return an
+# existing one, and the comparisons a bool
+MINT_NONE = {"zero_real", "zero_interval", "i_I", "eq_real", "less_real"}
+
+
+def test_each_real_tracker_mints_exactly_one_code(registry):
+    IN = get_algebra("IN")
+    calg = code_algebra(IN, registry)
+    samples = {"real": (rat_value(Fraction(1, 3)), rat_value(Fraction(-2, 5))),
+               "interval": (rat_value(Fraction(3, 4)),), "nat": (NatV(5),)}
+    grew = {}
+    for name, sym in IN.signature.symbols.items():
+        sorts = sym.arg_sorts + (sym.result_sort,)
+        if sym.conditional or all(s.kind in ("bool", "nat") for s in sorts):
+            continue  # tracked by the value rule itself
+        args = tuple(samples[s.kind][i % len(samples[s.kind])]
+                     for i, s in enumerate(sym.arg_sorts))
+        want = IN.apply(sym, args, Fuel(100))
+        coded = tuple(encode_input(a, s, registry)
+                      for a, s in zip(args, sym.arg_sorts))
+        before = len(registry)
+        got = calg.apply(sym, coded, Fuel(100))
+        grew[name] = len(registry) - before
+        decoded = decode_code_value(got, sym.result_sort, registry)
+        assert value_key(decoded) == value_key(want), name
+    assert MINT_NONE | {"add", "mul", "neg", "inv", "dist"} <= set(grew)
+    assert grew == {name: int(name not in MINT_NONE) for name in grew}
+
+
+def test_trackers_return_the_shared_nat_of_their_index(registry):
+    add = code_algebra(get_algebra("IN"), registry).interp["add"]
+    third = encode_input(rat_value(Fraction(1, 3)), real_sort(), registry)
+    got = add(Fuel(5), third, third)
+    assert got is NATS[len(registry) - 1]
+    while len(registry) <= SHARED_NATS:
+        registry.mint(ConstCode(0))
+    got = add(Fuel(5), third, third)
+    assert type(got) is NatV and got.n == len(registry) - 1 > SHARED_NATS
+    assert registry.code(got.n).value == Fraction(2, 3)
 
 
 ARRAY_SAMPLES = {
