@@ -154,7 +154,9 @@ def check_value(sort: Sort, v: Value) -> bool:
 
 def compare_codes(x: ECode, y: ECode, fuel: Fuel, op: str):
     """op "less": tt if x<y, ff if x>y, undecided forever if x=y.
-    op "eq": ff if x!=y, undecided forever if x=y. Undecided is FUEL_OUT."""
+    op "eq": ff if x!=y, undecided forever if x=y. Undecided is FUEL_OUT.
+    The RN/IN rules decide two constants inline, as the first branch does;
+    the code-algebra trackers come here for them."""
     if x.is_const and y.is_const:
         if fuel.remaining:
             fuel.remaining -= 1
@@ -403,11 +405,28 @@ def _real_rules() -> dict:
             return FUEL_OUT
         return RealV(code)
 
+    # compare_codes' constant case, spelled inline: choose_near's candidate
+    # test and every bisection comparison reach it here
     def eq_real(fuel, a, b):
-        return compare_codes(a.code, b.code, fuel, "eq")
+        x, y = a.code, b.code
+        if x.is_const and y.is_const:
+            if fuel.remaining:
+                fuel.remaining -= 1
+            if x.numerator * y.denominator == y.numerator * x.denominator:
+                return FUEL_OUT
+            return FF
+        return compare_codes(x, y, fuel, "eq")
 
     def less_real(fuel, a, b):
-        return compare_codes(a.code, b.code, fuel, "less")
+        x, y = a.code, b.code
+        if x.is_const and y.is_const:
+            if fuel.remaining:
+                fuel.remaining -= 1
+            l, r = x.numerator * y.denominator, y.numerator * x.denominator
+            if l == r:
+                return FUEL_OUT
+            return TT if l < r else FF
+        return compare_codes(x, y, fuel, "less")
 
     return {"zero_real": zero_real, "one_real": one_real, "add": add,
             "mul": mul, "neg": neg, "inv": inv, "if_real": _if,
@@ -437,8 +456,10 @@ def builtin_R_N() -> PartialAlgebra:
     sig.add_symbol(FuncSymbol("fst", (NAT,), NAT))
     sig.add_symbol(FuncSymbol("snd", (NAT,), NAT))
     interp = {**_bool_rules(), **_nat_rules(), **_real_rules()}
-    # decode caches: these symbols are hammered by dovetailed searches
+    # decode caches: these symbols are hammered by dovetailed searches, and
+    # nat2real returns one shared constant per n (no rule mutates a value)
     rat_of = cache(lambda n: rat_value(prog_rat_decode(n)))
+    real_of = cache(rat_value)
     unpair_of = cache(unpair)
 
     def rat(fuel, a):
@@ -459,7 +480,7 @@ def builtin_R_N() -> PartialAlgebra:
     def nat2real(fuel, a):
         if fuel.remaining:
             fuel.remaining -= 1
-        return rat_value(a.n)
+        return real_of(a.n)
 
     def dist(fuel, a, b):
         if fuel.remaining:
@@ -518,10 +539,10 @@ def builtin_interval() -> PartialAlgebra:
     sig.add_symbol(FuncSymbol("if_interval", (Sort("bool", "bool"), INTERVAL, INTERVAL),
                               INTERVAL, conditional=True))
 
-    def i_I(fuel, a):
+    def i_I(fuel, a):  # the embedding: the same value, sort real
         if fuel.remaining:
             fuel.remaining -= 1
-        return RealV(a.code)
+        return a
 
     interp = dict(base.interp)
     interp.update({"zero_interval": base.interp["zero_real"], "i_I": i_I,

@@ -45,9 +45,9 @@ def _int(text: str, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
-def _dovetail(seed) -> Dovetail:
+def _seeded(strategy, seed):
     try:
-        return Dovetail(seed)
+        return strategy(seed)
     except ValueError as e:  # a negative seed
         raise UsageError(str(e)) from None
 
@@ -60,11 +60,11 @@ def parse_strategy(spec: str, seed):
             seed = _int(parts[1], "the dovetail seed")
         elif len(parts) > 2:
             raise UsageError("strategy dovetail takes at most one seed field")
-        return _dovetail(seed)
+        return _seeded(Dovetail, seed)
     if kind == "oracle":
         if len(parts) != 2:
             raise UsageError("strategy oracle needs a seed: oracle:<seed>")
-        return Oracle(_int(parts[1], "the oracle seed"))
+        return _seeded(Oracle, _int(parts[1], "the oracle seed"))
     if kind == "enumerate":
         if len(parts) != 3:
             raise UsageError("strategy enumerate:<maxnat>:<depth>")
@@ -268,7 +268,7 @@ def cmd_sweep(ns) -> int:
     proc, alg = load_program(ns.program, ns.proc)
     base_lits = [parse_literal(t) for t in _split_top(ns.input)] if ns.input else []
     seeds = _parse_int_list(ns.seeds)
-    strats = [_dovetail(seed) for seed in seeds]  # every seed checked first
+    strats = [_seeded(Dovetail, seed) for seed in seeds]  # every seed checked first
     ns_list = _parse_int_list(ns.ns) if ns.ns else [int(ns.n)] if ns.n is not None else [4]
     cells = []
     census: dict[str, int] = {}

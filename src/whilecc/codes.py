@@ -17,8 +17,9 @@ until that read, which reduces the pair in place:
 So the stored denominator is a multiple of the reduced one. A negation keeps
 its operand's pair reduced or not; every other result is made in lowest
 terms, with gcds on component-sized integers, after its operands are reduced
-in place. Comparisons of two constants cross-multiply the stored pairs and
-never reduce them. Derived codes (sum, product, inverse, ...) re-query their
+in place. Each arithmetic function builds its constant result in place, with
+no helper call. Comparisons of two constants cross-multiply the stored pairs
+and never reduce them. Derived codes (sum, product, inverse, ...) re-query their
 children at shifted precisions chosen so the fast Cauchy bound is preserved.
 The module also hosts the Cantor pairing utilities and the rational codecs
 used by enumerations, plus the append-only code registry.
@@ -45,7 +46,7 @@ else:
 
 def rat_dist(a: Fraction, b: Fraction) -> Fraction:
     """Exact |a - b| in lowest terms."""
-    return _dist_pair(a, b).value
+    return abs_diff_code(ConstCode(a), ConstCode(b)).value
 
 
 class CodeProducerError(Exception):
@@ -409,80 +410,54 @@ class DiagonalCode(ECode):
         return code.approx(m, fuel)
 
 
-def _pair_const(num: int, den: int, mark=None) -> ConstCode:
-    """The constant num/den (den > 0) with no Fraction; `mark` is None for a
-    pair that may be unreduced, `_LOWEST` for one in lowest terms."""
-    c = ConstCode.__new__(ConstCode)
-    c.numerator, c.denominator, c._value = num, den, mark
-    return c
-
-
-# Sum and product of two constants in lowest terms, with gcds on
-# component-sized integers (Henrici; Knuth, TAOCP vol. 2, 4.5.1). They take
-# and give integer pairs only: the result is in lowest terms, and its
-# Fraction is built on the first read of `value`.
-
-
-def _add_pairs(na: int, da: int, nb: int, db: int) -> ConstCode:
-    """na/da + nb/db for pairs in lowest terms, as a pair in lowest terms."""
-    g = gcd(da, db)
-    if g == 1:
-        return _pair_const(na * db + da * nb, da * db, _LOWEST)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return _pair_const(t, s * db, _LOWEST)
-    return _pair_const(t // g2, s * (db // g2), _LOWEST)
-
-
-def _mul_pairs(na: int, da: int, nb: int, db: int) -> ConstCode:
-    """na/da * nb/db for pairs in lowest terms, as a pair in lowest terms."""
-    g1 = gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return _pair_const(na * nb, db * da, _LOWEST)
+# A constant result is `_new(ConstCode)` given its pair and the `_value`
+# mark: None for a pair that may be unreduced, `_LOWEST` for one in lowest
+# terms, which takes gcds on component-sized integers only (Henrici; Knuth,
+# TAOCP vol. 2, 4.5.1).
 
 
 def add_codes(x: ECode, y: ECode) -> ECode:
     if x.is_const and y.is_const:
         na, da, nb, db = x.numerator, x.denominator, y.numerator, y.denominator
+        c = _new(ConstCode)
         # nested denominators: add over the larger one, reduce on first read;
         # one division decides the nesting and gives the quotient
         q, r = divmod(db, da)
         if not r:
-            return _pair_const(na * q + nb, db)
+            c.numerator, c.denominator, c._value = na * q + nb, db, None
+            return c
         q, r = divmod(da, db)
         if not r:
-            return _pair_const(nb * q + na, da)
+            c.numerator, c.denominator, c._value = nb * q + na, da, None
+            return c
         if x._value is None:
             x._reduce()
+            na, da = x.numerator, x.denominator
         if y._value is None:
             y._reduce()
-        return _add_pairs(x.numerator, x.denominator, y.numerator, y.denominator)
+            nb, db = y.numerator, y.denominator
+        g = gcd(da, db)
+        if g == 1:
+            c.numerator, c.denominator = na * db + da * nb, da * db
+        else:
+            s = da // g
+            t = na * (db // g) + nb * s
+            g2 = gcd(t, g)
+            if g2 == 1:
+                c.numerator, c.denominator = t, s * db
+            else:
+                c.numerator, c.denominator = t // g2, s * (db // g2)
+        c._value = _LOWEST
+        return c
     return SumCode(x, y)
-
-
-def _dist_pair(a, b) -> ConstCode:
-    """|a - b| of two exact rationals (Fractions or constants) over
-    lcm(da, db), with one gcd of the denominators (Henrici) and no
-    reduction. For operands in lowest terms with gcd(da, db) = 1 it is in
-    lowest terms already."""
-    na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
-    g = gcd(da, db)
-    s = da // g
-    return _pair_const(abs(na * (db // g) - nb * s), s * db)
 
 
 def neg_code(x: ECode) -> ECode:
     if x.is_const:
-        return _pair_const(-x.numerator, x.denominator,
-                           None if x._value is None else _LOWEST)
+        c = _new(ConstCode)
+        c.numerator, c.denominator = -x.numerator, x.denominator
+        c._value = None if x._value is None else _LOWEST
+        return c
     return NegCode(x)
 
 
@@ -492,13 +467,33 @@ def mul_codes(x: ECode, y: ECode) -> ECode:
             x._reduce()
         if y._value is None:
             y._reduce()
-        return _mul_pairs(x.numerator, x.denominator, y.numerator, y.denominator)
+        na, da, nb, db = x.numerator, x.denominator, y.numerator, y.denominator
+        g = gcd(na, db)
+        if g > 1:
+            na //= g
+            db //= g
+        g = gcd(nb, da)
+        if g > 1:
+            nb //= g
+            da //= g
+        c = _new(ConstCode)
+        c.numerator, c.denominator, c._value = na * nb, db * da, _LOWEST
+        return c
     return MulCode(x, y)
 
 
 def abs_diff_code(x: ECode, y: ECode) -> ECode:
+    """|x - y|. Of two constants, over lcm(da, db) with one gcd of the
+    denominators (Henrici) and no reduction; for operands in lowest terms
+    with gcd(da, db) = 1 that is lowest terms already."""
     if x.is_const and y.is_const:
-        return _dist_pair(x, y)
+        da, db = x.denominator, y.denominator
+        g = gcd(da, db)
+        s = da // g
+        c = _new(ConstCode)
+        c.numerator = abs(x.numerator * (db // g) - y.numerator * s)
+        c.denominator, c._value = s * db, None
+        return c
     return AbsDiffCode(x, y)
 
 
@@ -530,7 +525,9 @@ def inv_code(x: ECode, fuel: Fuel) -> tuple[Optional[ECode], str]:
         n, d = x.numerator, x.denominator
         if n < 0:
             n, d = -n, -d
-        return _pair_const(d, n, _LOWEST), "ok"
+        c = _new(ConstCode)
+        c.numerator, c.denominator, c._value = d, n, _LOWEST
+        return c, "ok"
     m = separation_witness(x, fuel)
     if m is None:
         return None, "fuel"

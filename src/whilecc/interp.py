@@ -85,9 +85,14 @@ class Enumerate:
 
 
 class Oracle:
-    """One implementation of choose: the c-th evaluation proposes f(c)."""
+    """One implementation of choose: the c-th evaluation proposes f(c).
+
+    A seed is a non-negative integer: `random.Random` seeds by absolute
+    value, so -s would propose s's first answer."""
 
     def __init__(self, seed: int = 0, f: Optional[Callable[[int], int]] = None):
+        if seed < 0:
+            raise ValueError(f"an oracle seed must be non-negative, got {seed}")
         self.seed = seed
         self.f = f if f is not None else self._seeded
         self.counter = 0

@@ -1,6 +1,7 @@
 """Built-in algebras, rule outcomes, fuel behavior, and metrics."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -233,3 +234,51 @@ def test_real_metric_is_exact_on_rationals(q1, q2):
     RN = get_algebra("RN")
     real = RN.signature.sort("real")
     assert RN.metric(real, rat_value(q1), rat_value(q2), 12, F()) == abs(q1 - q2)
+
+
+def _entered(rule, *args):
+    """The rule's result, and the Python functions entered while it ran
+    after the rule itself, as (module, name) pairs."""
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.append((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        result = rule(*args)
+    finally:
+        sys.setprofile(None)
+    assert seen[0][1] == rule.__name__
+    return result, seen[1:]
+
+
+@pytest.mark.parametrize("name", ["RN", "IN"])
+def test_constant_operations_enter_one_codes_function(request, name):
+    # a real operation on exact constants runs in its rule plus at most one
+    # function of whilecc.codes: the arithmetic builds its constant in place
+    alg = request.getfixturevalue(name)
+    rules = alg.interp
+    a, b = Fraction(3, 7), Fraction(5, 11)
+    x, y, z = rat_value(a), rat_value(b), rat_value(Fraction(5, 14))
+    for op, args, codes_fn, want in (
+            ("add", (x, z), "add_codes", a + Fraction(5, 14)),  # nested
+            ("add", (x, y), "add_codes", a + b),
+            ("mul", (x, y), "mul_codes", a * b),
+            ("neg", (x,), "neg_code", -a),
+            ("inv", (x,), "inv_code", 1 / a),
+            ("dist", (x, y), "abs_diff_code", abs(a - b))):
+        out, entered = _entered(rules[op], F(), *args)
+        assert [f for m, f in entered if m == "whilecc.codes"] == [codes_fn], op
+        assert out.code.value == want
+    for op, want in (("less_real", TT), ("eq_real", FF)):
+        out, entered = _entered(rules[op], F(), x, y)
+        assert (out, entered) == (want, []), op
+    seven = rules["nat2real"](F(), NatV(7))
+    out, entered = _entered(rules["nat2real"], F(), NatV(7))
+    assert out is seven and entered == [] and seven.code.value == 7
+    if name == "IN":
+        half = interval_value(ConstCode(Fraction(1, 2)))
+        out, entered = _entered(rules["i_I"], F(), half)
+        assert out is half and entered == []

@@ -111,6 +111,15 @@ def test_a_negative_dovetail_seed_is_one_error_line(capsys, command, option):
     assert "dovetail seed must be non-negative" in err
 
 
+def test_a_negative_oracle_seed_is_one_error_line(capsys):
+    # an Oracle seeded -s would propose the answers seeded s
+    code, out, err = run_cli(capsys, "run", "--program", "pivot3",
+                             "--input", "0, 3/2, 0", "--strategy", "oracle:-5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "oracle seed must be non-negative" in err
+
+
 def test_missing_program_exit_1(capsys):
     code, _, err = run_cli(capsys, "run", "--program", "no_such_prog",
                            "--input", "1")

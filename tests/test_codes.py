@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whilecc import codes
-from whilecc.algebra import (FF, FUEL_OUT, TT, RealV, compare_codes,
-                             interval_value, rat_value, value_key)
+from whilecc.algebra import (DIV, FF, FUEL_OUT, TT, RealV, builtin_R_N,
+                             compare_codes, interval_value, rat_value,
+                             value_key)
 from whilecc.codes import (pair, unpair, rat_decode, rat_encode,
                            prog_rat_decode, ConstCode, RuleCode, SumCode,
                            MulCode, DiagonalCode, Fuel, CodeRegistry, ECode,
@@ -127,11 +128,15 @@ def test_const_arithmetic_exact(a, b):
 @settings(max_examples=200, derandomize=True)
 def test_fast_rational_helpers_agree_with_operators(a, b):
     from whilecc.codes import rat_dist
-    # the pair functions take pairs in lowest terms and give one, like a
-    # Fraction's (positive denominator), with no Fraction built
-    pairs = (a.numerator, a.denominator, b.numerator, b.denominator)
-    for c, r in ((codes._add_pairs(*pairs), a + b),
-                 (codes._mul_pairs(*pairs), a * b)):
+    # on operands in lowest terms, a product and a sum over unrelated
+    # denominators give a pair in lowest terms, like a Fraction's (positive
+    # denominator), with no Fraction built; a nested sum stays unreduced
+    x, y = ConstCode(a), ConstCode(b)
+    da, db = a.denominator, b.denominator
+    results = [(mul_codes(x, y), a * b)]
+    if da % db and db % da:
+        results.append((add_codes(x, y), a + b))
+    for c, r in results:
         assert (_pair(c), _state(c)) == (_pair(r), "lowest")
     if a != 0:
         c, _ = inv_code(ConstCode(a), Fuel(0))
@@ -257,6 +262,72 @@ def test_const_chains_read_canonical_values(chain):
     for x, a, _ in pool[-4:]:
         for y, b, _ in pool:
             _check_compare(x, y, a, b)
+
+
+RN_RULES = builtin_R_N().interp
+
+
+def _check_rule_compare(x: RealV, y: RealV, a: Fraction, b: Fraction):
+    # the RN comparison rules decide two constants inline: one step on a
+    # live budget and none on an empty one, FUEL_OUT when they are equal,
+    # and no operand pair reduced
+    states = [_state(x.code), _state(y.code)]
+    for op in ("less_real", "eq_real"):
+        want = FUEL_OUT if a == b else TT if op == "less_real" and a < b else FF
+        for steps in (3, 0):
+            fuel = Fuel(steps)
+            assert RN_RULES[op](fuel, x, y) is want
+            assert fuel.remaining == max(steps - 1, 0)
+    assert [_state(x.code), _state(y.code)] == states
+
+
+@given(const_chains())
+@settings(max_examples=300, derandomize=True)
+def test_const_chains_through_the_rules_read_canonical_values(chain):
+    # the same chains driven through the RN rules, which build their
+    # constants in place and compare two constants without compare_codes
+    leaves, steps = chain
+    pool = [(rat_value(q), q, q.denominator) for q in leaves]
+    for op, i, j, read in steps:
+        (x, a, _), (y, b, _) = pool[i % len(pool)], pool[j % len(pool)]
+        if _bits(a) + _bits(b) > 4000:  # repeated products grow exponentially
+            continue
+        dx, dy = x.code.denominator, y.code.denominator
+        _check_rule_compare(x, y, a, b)
+        fuel = Fuel(2)
+        if op == "add":
+            v, r = RN_RULES["add"](fuel, x, y), a + b
+        elif op == "neg":
+            v, r = RN_RULES["neg"](fuel, x), -a
+        elif op == "mul":
+            v, r = RN_RULES["mul"](fuel, x, y), a * b
+        elif op == "absdiff":
+            v, r = RN_RULES["dist"](fuel, x, y), abs(a - b)
+        else:
+            v = RN_RULES["inv"](fuel, x)
+            assert fuel.remaining == 2  # inv takes no step (ROADMAP item 3)
+            if a == 0:
+                assert v is DIV
+                continue
+            r = 1 / a
+        if op != "inv":
+            assert fuel.remaining == 1  # a total rule takes one step
+        c = v.code
+        stored = c.denominator
+        assert type(v) is RealV and type(c) is ConstCode
+        assert _state(c) != "read"  # no rule builds a Fraction
+        if op == "add" and _unreduced(c):
+            assert stored <= max(dx, dy)  # an unreduced sum never grows
+        if op == "absdiff":
+            assert stored == dx * dy // gcd(dx, dy)
+        if read:
+            _check_canonical(c, r, stored)
+        pool.append((v, r, stored))
+    for v, r, stored in pool:
+        _check_canonical(v.code, r, stored)
+    for x, a, _ in pool[-4:]:
+        for y, b, _ in pool:
+            _check_rule_compare(x, y, a, b)
 
 
 def test_constants_are_one_type():
@@ -387,8 +458,10 @@ def _counting_int(log: list):
 
 def _pair_const_of(q: Fraction, int_type) -> ConstCode:
     """q as a constant whose pair holds int_type, in lowest terms."""
-    return codes._pair_const(int_type(q.numerator), int_type(q.denominator),
-                             codes._LOWEST)
+    c = ConstCode.__new__(ConstCode)
+    c.numerator, c.denominator = int_type(q.numerator), int_type(q.denominator)
+    c._value = codes._LOWEST
+    return c
 
 
 @pytest.mark.parametrize("larger_first", [False, True])

@@ -922,6 +922,14 @@ def test_a_negative_dovetail_seed_is_rejected():
     assert Dovetail(0).seed == 0 and Dovetail().seed is None
 
 
+def test_a_negative_oracle_seed_is_rejected():
+    # random.Random seeds by absolute value: Oracle(-5) would propose
+    # Oracle(5)'s first answer
+    with pytest.raises(ValueError, match="non-negative"):
+        Oracle(-5)
+    assert Oracle(0).seed == 0 and Oracle().seed == 0
+
+
 @pytest.mark.parametrize("steps, cap", [(10, 3), (3, 10), (5, 5), (5, 0),
                                         (0, 4), (0, 0)])
 def test_spawn_carves_a_plain_fuel_of_min_cap_remaining(steps, cap):
