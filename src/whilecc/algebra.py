@@ -3,7 +3,8 @@
 Every basic operation is a rule `rule(fuel, *values)` that charges its own
 fuel and makes partiality observable in finite time: it returns a Value when
 it converges, DIV when it is proven divergent (its divergence condition is
-decidable, e.g. inverting an exact 0), or FUEL_OUT when it exhausts its
+decidable, e.g. inverting an exact 0 or comparing two equal exact
+constants), or FUEL_OUT when it exhausts its
 budget while still undecided; it does not raise OutOfFuel. Constant-time
 total operations (booleans,
 naturals, real ring operations) take one step and never fail; fuel gates the
@@ -153,17 +154,19 @@ def check_value(sort: Sort, v: Value) -> bool:
 
 
 def compare_codes(x: ECode, y: ECode, fuel: Fuel, op: str):
-    """op "less": tt if x<y, ff if x>y, undecided forever if x=y.
-    op "eq": ff if x!=y, undecided forever if x=y. Undecided is FUEL_OUT.
-    The RN/IN rules decide two constants inline, as the first branch does;
-    the code-algebra trackers come here for them."""
+    """op "less": tt if x<y, ff if x>y; op "eq": ff if x!=y. Both diverge
+    at x=y. For two exact constants that is decided in one step, and a tie
+    is DIV; otherwise interval refinement never separates equal reals, and
+    the result is FUEL_OUT once fuel runs out. The RN/IN rules decide two
+    constants inline, as the first branch does; the code-algebra trackers
+    come here for them."""
     if x.is_const and y.is_const:
         if fuel.remaining:
             fuel.remaining -= 1
         # cross-multiply the stored pairs (denominators are positive)
         l, r = x.numerator * y.denominator, y.numerator * x.denominator
         if l == r:
-            return FUEL_OUT  # equality holds; the operation diverges
+            return DIV  # equality holds: the operation diverges, decidedly
         return TT if op == "less" and l < r else FF
     n = 0
     while fuel.take():
@@ -413,7 +416,7 @@ def _real_rules() -> dict:
             if fuel.remaining:
                 fuel.remaining -= 1
             if x.numerator * y.denominator == y.numerator * x.denominator:
-                return FUEL_OUT
+                return DIV
             return FF
         return compare_codes(x, y, fuel, "eq")
 
@@ -424,7 +427,7 @@ def _real_rules() -> dict:
                 fuel.remaining -= 1
             l, r = x.numerator * y.denominator, y.numerator * x.denominator
             if l == r:
-                return FUEL_OUT
+                return DIV
             return TT if l < r else FF
         return compare_codes(x, y, fuel, "less")
 
@@ -457,7 +460,9 @@ def builtin_R_N() -> PartialAlgebra:
     sig.add_symbol(FuncSymbol("snd", (NAT,), NAT))
     interp = {**_bool_rules(), **_nat_rules(), **_real_rules()}
     # decode caches: these symbols are hammered by dovetailed searches, and
-    # nat2real returns one shared constant per n (no rule mutates a value)
+    # nat2real returns one shared constant per n (no rule mutates a value).
+    # Only n below SHARED_NATS is kept, so each cache holds at most that
+    # many entries for the algebra's life; a larger n is decoded afresh.
     rat_of = cache(lambda n: rat_value(prog_rat_decode(n)))
     real_of = cache(rat_value)
     unpair_of = cache(unpair)
@@ -465,22 +470,26 @@ def builtin_R_N() -> PartialAlgebra:
     def rat(fuel, a):
         if fuel.remaining:
             fuel.remaining -= 1
-        return rat_of(a.n)
+        n = a.n
+        return rat_of(n) if n < SHARED_NATS else rat_value(prog_rat_decode(n))
 
     def fst(fuel, a):
         if fuel.remaining:
             fuel.remaining -= 1
-        return nat_value(unpair_of(a.n)[0])
+        n = a.n
+        return nat_value((unpair_of(n) if n < SHARED_NATS else unpair(n))[0])
 
     def snd(fuel, a):
         if fuel.remaining:
             fuel.remaining -= 1
-        return nat_value(unpair_of(a.n)[1])
+        n = a.n
+        return nat_value((unpair_of(n) if n < SHARED_NATS else unpair(n))[1])
 
     def nat2real(fuel, a):
         if fuel.remaining:
             fuel.remaining -= 1
-        return real_of(a.n)
+        n = a.n
+        return real_of(n) if n < SHARED_NATS else rat_value(n)
 
     def dist(fuel, a, b):
         if fuel.remaining:

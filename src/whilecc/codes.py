@@ -516,10 +516,13 @@ def separation_witness(x: ECode, fuel: Fuel) -> Optional[int]:
 
 
 def inv_code(x: ECode, fuel: Fuel) -> tuple[Optional[ECode], str]:
-    """Build 1/x. Returns (code, "ok"), (None, "zero") or (None, "fuel")."""
+    """Build 1/x. Returns (code, "ok"), (None, "zero") or (None, "fuel").
+    A non-zero constant takes one step, as a total rule does."""
     if x.is_const:
         if x.numerator == 0:
             return None, "zero"
+        if fuel.remaining:
+            fuel.remaining -= 1
         if x._value is None:
             x._reduce()
         n, d = x.numerator, x.denominator

@@ -4,8 +4,9 @@ The semantics is the branching small-step one: First gives the atomic head,
 Rest the possible remainders in a state, CompStep executes the head, and the
 computation tree collects all outcomes. Divergence is never certified, only
 under-approximated: outcome sets carry a proven-divergence flag (a div leaf,
-or an operation whose divergence condition is decidable) and a truncation
-flag (fuel, candidate bounds, node caps). `maybe_divergent` is their union;
+an operation whose divergence condition is decidable, or a choose whose
+whole domain was searched without a witness) and a truncation flag (fuel,
+candidate bounds, node caps). `maybe_divergent` is their union;
 diagnostics say which happened.
 
 Terms have one evaluator: a run compiles each term once into a closure
@@ -36,16 +37,24 @@ mutable bindings dict and build a State only for the final one; Enumerate
 walks them depth first over (node, State) work items. `eval_atomic`, `rest`
 and the computation trees keep the First/Rest reading of statements.
 
+A choose's guard can bound its domain: an interval [lo, hi) outside which
+the guard is ff on every budget, read once per run from its nat
+comparisons of the choose variable (`_guard_domain`). Dovetail and
+Enumerate search only the domain, and a search that refutes every
+candidate of a finite one proves the choose divergent.
+
 Strategies:
-  * Enumerate explores every branch, with choose ranging over 0..max_nat.
+  * Enumerate explores every branch, with choose ranging over its domain up
+    to max_nat.
   * Oracle answers the c-th choose with f(c) for a seed-derived f and
-    diverges when the guard rejects it.
+    diverges when the guard rejects it; it proposes over all naturals.
   * Dovetail searches candidates fairly: stage k takes one step, first
-    tries one new candidate and re-tries those due, each on a budget of
-    k + 1 steps; a candidate whose guard ran out of budget at stage k is due
-    again at stage max(2k, k + 1). A seed jitters the visiting order so
-    independent runs can find different witnesses. The adequacy approximant
-    (`tracking.adequacy_g`) searches its indices on the same schedule.
+    tries one new candidate, while the domain has one, and re-tries those
+    due, each on a budget of k + 1 steps; a candidate whose guard ran out
+    of budget at stage k is due again at stage max(2k, k + 1). A seed
+    jitters the visiting order so independent runs can find different
+    witnesses. The adequacy approximant (`tracking.adequacy_g`) searches
+    its indices on the same schedule, over all naturals.
 """
 
 from __future__ import annotations
@@ -55,6 +64,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from math import gcd
+from sys import maxsize
 from typing import Callable, Optional
 
 from .algebra import (PartialAlgebra, Value, NatV, DIV, FUEL_OUT, value_key,
@@ -115,15 +126,24 @@ class Oracle:
 class Dovetail:
     """Fair budgeted search; stage k gives each tried candidate k + 1 steps.
 
-    A seed permutes the scan order: within each block of 2^13 consecutive
-    candidates the visiting order follows a seeded odd stride (a bijection
-    on the block), so independently seeded searches reach a roughly uniform
-    choice among a block's witnesses rather than always the least one.
-    Every candidate is still visited at a stage within one block of its
-    index, so fairness and budget growth are unchanged. Without a seed the
-    scan is the plain ascending one. A seed is a non-negative integer:
-    `random.Random` seeds by absolute value, so -s would visit the first
-    block as s does.
+    A search over all naturals gives each stage a new candidate. A seed
+    permutes that scan: within each block of 2^13 consecutive candidates
+    the visiting order follows a seeded odd stride (a bijection on the
+    block), so independently seeded searches reach a roughly uniform choice
+    among a block's witnesses rather than always the least one. Every
+    candidate is still visited at a stage within one block of its index, so
+    fairness and budget growth are unchanged. Without a seed the scan is
+    the plain ascending one.
+
+    A search over a finite domain of N candidates, which a choose's guard
+    bounds (see `_guard_domain`), gives new candidates at stages 0..N-1
+    only, in a bijection onto the domain: lo + (offset + k * stride) mod N
+    at stage k, with offset and stride (coprime to N) drawn once per N from
+    the seed, or ascending from lo without one. Once every candidate is
+    refuted and none is due again, no witness exists: the search is DIV.
+
+    A seed is a non-negative integer: `random.Random` seeds by absolute
+    value, so -s would visit the first block as s does.
     """
 
     BLOCK_BITS = 13
@@ -134,53 +154,94 @@ class Dovetail:
             raise ValueError(f"a dovetail seed must be non-negative, got {seed}")
         self.seed = seed
         self._strides: dict[int, int] = {}
+        self._orders: dict[int, tuple[int, int]] = {}
+        # (lo, N, offset, stride) of the finite search under way, else None
+        self._scan: Optional[tuple[int, int, int, int]] = None
 
     def _stride(self, block: int) -> int:
         s = random.Random((self.seed << 24) ^ block).randrange(1 << self.BLOCK_BITS) | 1
         self._strides[block] = s
         return s
 
+    def _order(self, n: int) -> tuple[int, int]:
+        """The seeded (offset, stride) of a domain of n candidates."""
+        rng = random.Random(f"dovetail {self.seed} {n}")
+        offset = rng.randrange(n)
+        stride = 1 if n < 3 else rng.randrange(1, n)
+        while gcd(stride, n) != 1:
+            stride = rng.randrange(1, n)
+        order = self._orders[n] = (offset, stride)
+        return order
+
     def visit(self, stage: int) -> int:
-        """The candidate given its first budget at this stage: the stage
-        itself without a seed, else its position in its block times the
-        block's stride, mod the block size. A block's stride is drawn once
-        (`_stride`) and read from `_strides` after; strides are odd, never 0."""
+        """The candidate given its first budget at this stage. In a finite
+        domain it is lo + (offset + stage * stride) mod N. Over all naturals
+        it is the stage itself without a seed, else its position in its
+        block times the block's stride, mod the block size. A block's stride
+        is drawn once (`_stride`) and read from `_strides` after; strides
+        are odd, never 0."""
+        scan = self._scan
+        if scan is not None:
+            lo, n, offset, stride = scan
+            return lo + (offset + stage * stride) % n
         if self.seed is None:
             return stage
         block = stage >> self.BLOCK_BITS
         s = self._strides.get(block) or self._stride(block)
         return (block << self.BLOCK_BITS) | ((stage * s) & self.MASK)
 
-    def search(self, fuel: Fuel, attempt: Callable[[int, int], object]):
-        """The first result of attempt(candidate, stage), or FUEL_OUT once
-        fuel runs out. Each stage takes one step of fuel and tries the candidate
-        visit(stage) and then those due again. attempt returns a result,
+    def search(self, fuel: Fuel, attempt: Callable[[int, int], object],
+               domain: Optional[range] = None):
+        """The first result of attempt(candidate, stage), over the finite
+        domain or, when it is None, over all naturals. Each stage takes one
+        step of fuel and tries the candidate visit(stage), while the domain
+        has new ones, and then those due again. attempt returns a result,
         FUEL_OUT (undecided on its budget at stage k: due again at stage
-        max(2k, k + 1)) or DIV (refuted for good)."""
-        stage = 0
-        retry: list[tuple[int, int]] = []  # (due stage, candidate)
-        while fuel.remaining:
-            fuel.remaining -= 1
-            cand = self.visit(stage)
-            while True:
-                r = attempt(cand, stage)
-                if r is FUEL_OUT:
-                    # due after this stage: no pop of this stage reaches it
-                    heapq.heappush(retry, (max(stage * 2, stage + 1), cand))
-                elif r is not DIV:
-                    return r
-                if not retry or retry[0][0] > stage:
-                    break
-                cand = heapq.heappop(retry)[1]
-            stage += 1
-        return FUEL_OUT
+        max(2k, k + 1)) or DIV (refuted for good). The search returns
+        FUEL_OUT once fuel runs out, and DIV once every candidate of the
+        domain is refuted (at once for an empty one)."""
+        # the stages that give a new candidate: all of them, over the naturals
+        end, scan = (maxsize if domain is None else len(domain)), None
+        if domain:
+            order = ((0, 1) if self.seed is None
+                     else self._orders.get(end) or self._order(end))
+            scan = (domain.start, end) + order
+        outer, self._scan = self._scan, scan  # a guard's search nests
+        try:
+            stage = 0
+            retry: list[tuple[int, int]] = []  # (due stage, candidate)
+            while fuel.remaining:
+                if stage < end:
+                    fuel.remaining -= 1
+                    cand = self.visit(stage)
+                elif not retry:
+                    return DIV
+                else:
+                    fuel.remaining -= 1
+                    if retry[0][0] > stage:
+                        stage += 1
+                        continue
+                    cand = heapq.heappop(retry)[1]
+                while True:
+                    r = attempt(cand, stage)
+                    if r is FUEL_OUT:
+                        # due after this stage: no pop of this stage reaches it
+                        heapq.heappush(retry, (max(stage * 2, stage + 1), cand))
+                    elif r is not DIV:
+                        return r
+                    if not retry or retry[0][0] > stage:
+                        break
+                    cand = heapq.heappop(retry)[1]
+                stage += 1
+            return FUEL_OUT if stage < end or retry else DIV
+        finally:
+            self._scan = outer
 
     def fresh(self):
         return Dovetail(self.seed)
 
     def __repr__(self):
         return f"Dovetail(seed={self.seed})"
-
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +308,12 @@ class OutcomeSet:
 
 class Ctx:
     """One run's evaluation context. `closures` maps each term node, by
-    identity, to its closure (see `_compile`), built on first use."""
+    identity, to its closure (see `_compile`), built on first use. Under
+    Enumerate, `domains` maps each choose node that way to the domain its
+    guard gives (`_guard_domain`), read when the node is compiled."""
 
-    __slots__ = ("alg", "strat", "fuel", "enum", "closures", "nodes",
-                 "node_cap")
+    __slots__ = ("alg", "strat", "fuel", "enum", "closures", "domains",
+                 "nodes", "node_cap")
 
     def __init__(self, alg: PartialAlgebra, strat, fuel: Fuel):
         self.alg = alg
@@ -258,6 +321,7 @@ class Ctx:
         self.fuel = fuel
         self.enum = isinstance(strat, Enumerate)
         self.closures: dict[int, Optional[Callable]] = {}
+        self.domains: dict[int, tuple] = {}
         self.nodes = 0
         self.node_cap = getattr(strat, "max_depth", 1_000_000_000)
 
@@ -299,13 +363,21 @@ def _compile(ctx: Ctx, t: Term) -> Optional[Callable]:
 
         return real_lit
     if tt is Choose:
+        lo, hi, _ = _guard_domain(t.var, t.body)
         if ctx.enum:
+            ctx.domains[id(t)] = (lo, hi)
             return None
         strat, var, body = ctx.strat, t.var, ctx.compiled(t.body)
-        if isinstance(strat, Oracle):
+        if isinstance(strat, Oracle):  # proposes over all naturals
             return lambda b, fuel, out: _oracle_choose(strat, var, body, b, fuel)
-        # looked up at call time, so a wrapper set on the module sees it
-        return lambda b, fuel, out: _dovetail_choose(strat, var, body, b, fuel)
+        # _dovetail_choose is looked up at call time, so a wrapper set on the
+        # module sees it; Dovetail searches a domain only when it is finite
+        if hi is None or (type(lo) is int and type(hi) is int):
+            dom = None if hi is None else range(lo, hi)
+            return lambda b, fuel, out: _dovetail_choose(strat, var, body, b,
+                                                         fuel, dom)
+        return lambda b, fuel, out: _dovetail_choose(
+            strat, var, body, b, fuel, range(_at(lo, b), _at(hi, b)))
     if tt is not App:
         raise TypeError(f"not a term: {t!r}")
     fs = [ctx.compiled(a) for a in t.args]
@@ -535,7 +607,8 @@ def _oracle_choose(strat, var: str, body, b: dict, fuel: Fuel):
     return nat_value(cand)
 
 
-def _dovetail_choose(strat, var: str, body, b: dict, fuel: Fuel):
+def _dovetail_choose(strat, var: str, body, b: dict, fuel: Fuel,
+                     domain: Optional[range] = None):
     b2 = dict(b)
 
     def attempt(cand: int, stage: int):
@@ -550,7 +623,99 @@ def _dovetail_choose(strat, var: str, body, b: dict, fuel: Fuel):
             return g
         return v if g.b else DIV  # a ff guard is refuted
 
-    return strat.search(fuel, attempt)
+    return strat.search(fuel, attempt, domain)
+
+
+# ---------------------------------------------------------------------------
+# choose domains read from the guard
+#
+# The domain of `choose z : g` is an interval [lo, hi) of naturals outside
+# which g is ff on every budget: evaluating g there can neither fail nor run
+# out, so a candidate outside is one that every strategy would refute, and
+# a search may skip it. Only the total nat comparisons less_nat and eq_nat
+# of z with a nat literal or another variable bound it, read in place at
+# no cost. `c andthen t` (if_bool(c, t, false)) meets c's domain, and t's
+# when c is exact: built of such comparisons alone, so that no failure of
+# c is skipped. `c orelse e` (if_bool(c, true, e)) takes the hull of both.
+# Any other guard gives [0, hi = None), all naturals.
+#
+# A bound is an int, a variable's name, or a tuple ("succ", x), ("max", x,
+# y) or ("min", x, y) of bounds; `_at` reads it under a choose's bindings,
+# and `choose_eliminate` turns it into a term. Constant bounds are folded.
+
+
+def _guard_domain(z: str, t: Term) -> tuple:
+    """(lo, hi, exact) for the guard t of `choose z`: hi None has no upper
+    end, and exact says that t is built from comparisons of z alone."""
+    if type(t) is App:
+        name, args = t.sym.name, t.args
+        if name == "less_nat" or name == "eq_nat":
+            x, y = args
+            left = type(x) is Var and x.name == z  # z < e or z = e
+            e = (_bound_operand(y, z) if left else _bound_operand(x, z)
+                 if type(y) is Var and y.name == z else None)
+            if e is not None:
+                if name == "eq_nat":
+                    return e, _succ(e), True
+                return (0, e, True) if left else (_succ(e), None, True)
+        if name == "if_bool":
+            c, x, y = args
+            if _is_const(y, "false"):  # c andthen x
+                lo, hi, exact = _guard_domain(z, c)
+                if not exact:
+                    return lo, hi, False
+                lo2, hi2, exact = _guard_domain(z, x)
+                return _max(lo, lo2), _min(hi, hi2), exact
+            if _is_const(x, "true"):  # c orelse y
+                lo, hi, exact = _guard_domain(z, c)
+                lo2, hi2, exact2 = _guard_domain(z, y)
+                hull = None if hi is None or hi2 is None else _max(hi, hi2)
+                return _min(lo, lo2), hull, exact and exact2
+    return 0, None, False
+
+
+def _is_const(t: Term, name: str) -> bool:
+    return type(t) is App and t.sym.name == name and not t.args
+
+
+def _bound_operand(t: Term, z: str):
+    """t as a bound: a nat literal's value, or another variable's name."""
+    if type(t) is Lit and t.sort.kind == "nat":
+        return int(t.value)
+    if type(t) is Var and t.name != z:
+        return t.name
+    return None
+
+
+def _succ(x):
+    return x + 1 if type(x) is int else ("succ", x)
+
+
+def _max(x, y):
+    if type(x) is int and type(y) is int:
+        return max(x, y)
+    return y if x == 0 else x if y == 0 else ("max", x, y)
+
+
+def _min(x, y):
+    """The lesser bound; None, no upper end, is the greatest."""
+    if x is None or y is None:
+        return y if x is None else x
+    if type(x) is int and type(y) is int:
+        return min(x, y)
+    return 0 if x == 0 or y == 0 else ("min", x, y)
+
+
+def _at(x, b: dict) -> int:
+    """The value of the bound x under the bindings b."""
+    if type(x) is int:
+        return x
+    if type(x) is str:
+        return b[x].n
+    if x[0] == "succ":
+        return _at(x[1], b) + 1
+    v, w = _at(x[1], b), _at(x[2], b)
+    return max(v, w) if x[0] == "max" else min(v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +756,14 @@ def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
         g = OutcomeSet()
         b2 = dict(b)
         clean_witness = False
-        any_flag = False
-        for cand in range(ctx.strat.max_nat + 1):
+        any_flag = undecided = False
+        # the domain's candidates up to max_nat
+        lo, hi = ctx.domains[id(t)]
+        lo, top = _at(lo, b), ctx.strat.max_nat + 1
+        hi = None if hi is None else _at(hi, b)
+        inside = hi is not None and hi <= top
+        end = hi if inside else top
+        for cand in range(lo, end):
             b2[var] = v_cand = NATS[cand] if cand < SHARED_NATS else NatV(cand)
             if single is not None:
                 # a single-valued guard: one call, tested inline
@@ -610,16 +781,23 @@ def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
                     clean_witness = True
             if flagged:
                 any_flag = True
+                undecided = undecided or g.truncated
                 out.note(f"choose candidate {cand}: "
                          + ("divergent guard" if g.proven_divergent
                             else "undecided guard"))
                 g = OutcomeSet()  # the next candidate's flags start clear
         if not clean_witness:
-            # cannot refute "all candidates fail"; divergence stays possible
-            out.truncated = True
+            # the whole domain tested, with no witness and no guard left
+            # undecided: no natural is one. Else divergence stays possible.
+            proven = inside and not out.values and not undecided
+            if proven:
+                out.proven_divergent = True
+            else:
+                out.truncated = True
             if not any_flag:
-                out.note(f"choose candidates 0..{ctx.strat.max_nat} "
-                         "all rejected; rest unexplored")
+                tested = (f"choose candidates {lo}..{end - 1} all rejected"
+                          if lo < end else "no choose candidate to test")
+                out.note(tested if proven else tested + "; rest unexplored")
         return out
     raise TypeError(f"not a term: {t!r}")
 
@@ -1074,7 +1252,9 @@ def choose_eliminate(p: Procedure, alg: PartialAlgebra) -> Procedure:
     """Rewrite every choose into a least-witness while search (Prop 3.4.1
     style); sound for deterministic procedures over total algebras. A search
     in a branch of a conditional term runs only when that branch is taken,
-    and a search in a choose guard runs again for every candidate.
+    and a search in a choose guard runs again for every candidate. A search
+    starts at the low end of the domain its guard gives (`_guard_domain`)
+    and, past a finite high end, ends in `div`.
 
     Precondition: a search nested in a choose guard must have a witness for
     every candidate that the outer least-witness search reaches. Where one
@@ -1098,6 +1278,19 @@ def choose_eliminate(p: Procedure, alg: PartialAlgebra) -> Procedure:
                 new_aux.append((name, sort))
                 return Var(name, sort)
 
+    def bound_term(x) -> Term:
+        """A domain bound (see `_guard_domain`) as a nat term."""
+        if type(x) is int:
+            return Lit(x, NAT)
+        if type(x) is str:
+            return Var(x, NAT)
+        if x[0] == "succ":
+            return App(sig.symbol("succ"), (bound_term(x[1]),))
+        v, w = bound_term(x[1]), bound_term(x[2])
+        less = App(sig.symbol("less_nat"), (v, w))
+        return App(sig.symbol("if_nat"), (less, w, v) if x[0] == "max"
+                   else (less, v, w))
+
     def strip_term(t: Term, pre: list) -> Term:
         """t without choose; the searches it needs are appended to pre."""
         if isinstance(t, (Var, Lit)):
@@ -1117,14 +1310,18 @@ def choose_eliminate(p: Procedure, alg: PartialAlgebra) -> Procedure:
             return App(t.sym, tuple(strip_term(a, pre) for a in t.args))
         if isinstance(t, Choose):
             z = fresh(NAT)
+            lo, hi, _ = _guard_domain(t.var, t.body)
             # substitute first, so a search in the guard sees the candidate
             guard_pre: list = []
             body = strip_term(subst_term(t.body, {t.var: z}), guard_pre)
-            step = Assign((z.name,), (App(sig.symbol("succ"), (z,)),))
-            pre.append(Assign((z.name,), (Lit(0, NAT),)))
+            steps = [Assign((z.name,), (App(sig.symbol("succ"), (z,)),))]
+            if hi is not None:  # past the domain no candidate is a witness
+                steps.append(If(App(sig.symbol("less_nat"),
+                                    (z, bound_term(hi))), Skip(), Div()))
+            pre.append(Assign((z.name,), (bound_term(lo),)))
             pre.extend(guard_pre)
             pre.append(While(App(sig.symbol("not"), (body,)),
-                             seq_all([step] + guard_pre)))
+                             seq_all(steps + guard_pre)))
             return z
         raise TypeError(f"not a term: {t!r}")
 

@@ -458,9 +458,10 @@ def adequacy_g(f: InterpRule, F_cover: LUCModulus, alpha: Enumeration,
     Steps: modulus M at precision n+1; Dovetail search (strat, or an
     unseeded Dovetail) for an index k with d(alpha(k), x) < 2^-M and f
     defined on the constant code of alpha(k); then return
-    alpha({f(e_con[k])}(n+1)). An index whose nearness or f-run is undecided
-    on its stage budget is tried again; one refuted or proven divergent is
-    not. A rational's constant code is minted once per call."""
+    alpha({f(e_con[k])}(n+1)). The f-run and the reading of its code share
+    the stage's carved budget. An index whose nearness, f-run or reading is
+    undecided on its stage budget is tried again; one refuted or proven
+    divergent is not. A rational's constant code is minted once per call."""
     mc = adequacy_mc(F_cover, alpha, x, n + 1, fuel)
     if mc is FUEL_OUT:
         return mc
@@ -481,11 +482,13 @@ def adequacy_g(f: InterpRule, F_cover: LUCModulus, alpha: Enumeration,
         run_fuel = fuel.spawn(stage + 1)
         try:
             run = f(run_fuel, NatV(e_cons[q]))
+            if run is DIV or run is FUEL_OUT:
+                return run
+            return rat_value(ecode_eval(registry.code(run.n), n + 1, run_fuel))
+        except OutOfFuel:
+            return FUEL_OUT
         finally:
             fuel.repay(run_fuel)
-        if run is DIV or run is FUEL_OUT:
-            return run
-        return rat_value(ecode_eval(registry.code(run.n), n + 1, fuel))
 
     return (strat or Dovetail()).search(fuel, attempt)
 

@@ -1,5 +1,6 @@
 """Built-in algebras, rule outcomes, fuel behavior, and metrics."""
 
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -11,9 +12,9 @@ from whilecc.algebra import (apply, get_algebra, rat_value, interval_value,
                              interval_containment, INTERVAL_SLACK_BITS,
                              product_metric, AlgebraError,
                              BoolV, NatV, RealV, ArrV, TT, FF, Value, DIV,
-                             FUEL_OUT)
+                             FUEL_OUT, SHARED_NATS)
 from whilecc.codes import (Fuel, ConstCode, OutOfFuel, sqrt_code, e_code,
-                           add_codes)
+                           add_codes, prog_rat_decode, unpair)
 from whilecc.signature import ProductType, REAL, NAT
 
 
@@ -54,6 +55,27 @@ def test_nat_and_bool_rules_return_shared_values(N):
         assert nat_value(n + 1).n == n + 1
 
 
+def test_rn_decode_caches_stop_growing_past_the_shared_nats():
+    # rat, nat2real, fst and snd share one decoded value per n below
+    # SHARED_NATS; a larger n is decoded afresh, so no cache grows with it
+    rules = get_algebra("RN").interp
+    caches = [inspect.getclosurevars(rules[rule]).nonlocals[name]
+              for rule, name in (("rat", "rat_of"), ("nat2real", "real_of"),
+                                 ("fst", "unpair_of"))]
+    for n in (0, 5, SHARED_NATS - 1):
+        for rule in ("rat", "nat2real"):
+            assert rules[rule](F(), NatV(n)) is rules[rule](F(), NatV(n))
+    sizes = [c.cache_info().currsize for c in caches]
+    for n in range(SHARED_NATS, SHARED_NATS + 2_000):
+        a = NatV(n)
+        assert rules["rat"](F(), a).code.value == prog_rat_decode(n)
+        assert rules["nat2real"](F(), a).code.value == n
+        assert (rules["fst"](F(), a).n, rules["snd"](F(), a).n) == unpair(n)
+    assert [c.cache_info().currsize for c in caches] == sizes
+    big = NatV(SHARED_NATS)
+    assert rules["rat"](F(), big) is not rules["rat"](F(), big)
+
+
 def test_total_algebras_never_fail(B, N):
     # even at a dead budget the discrete total operations complete
     assert isinstance(apply(B, "and", (TT, TT), Fuel(0)), Value)
@@ -64,8 +86,8 @@ def test_real_field_and_partial_comparisons(RN):
     v = apply(RN, "add", (rat_value(Fraction(1, 2)), rat_value(Fraction(1, 3))), F())
     assert v.code.value == Fraction(5, 6)
     assert apply(RN, "less_real", (rat_value(1), rat_value(2)), F()).b
-    for fuel in (1, 10, 1000):
-        assert apply(RN, "eq_real", (rat_value(1), rat_value(1)), Fuel(fuel)) is FUEL_OUT
+    for fuel in (1, 10, 1000):  # a tie of exact constants is decided
+        assert apply(RN, "eq_real", (rat_value(1), rat_value(1)), Fuel(fuel)) is DIV
     assert apply(RN, "inv", (rat_value(0),), F()) is DIV
     assert apply(RN, "inv", (rat_value(2),), F()).code.value == Fraction(1, 2)
 

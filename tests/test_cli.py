@@ -38,7 +38,8 @@ def test_run_pivot_divergent_exit_2(capsys):
                            "--input", "(0, 0, 0)", "--fuel", "1000")
     assert code == 2
     assert "value (none)" in out
-    assert "truncated" in out
+    # each candidate of the guard's domain 1..3 ties with an exact 0
+    assert "flags divergence-proven" in out and "fuel_used=11 " in out
 
 
 def test_run_pivot_converged(capsys):
@@ -167,8 +168,8 @@ def test_run_prints_diagnostics_in_order(capsys):
     code, out, _ = run_cli(capsys, *args)
     assert code == 2
     lines = out.splitlines()
-    notes = [f"diag choose candidate {k}: undecided guard" for k in (1, 2, 3)]
-    assert lines[lines.index("flags truncated") + 1:][:3] == notes
+    notes = [f"diag choose candidate {k}: divergent guard" for k in (1, 2, 3)]
+    assert lines[lines.index("flags divergence-proven") + 1:][:3] == notes
     assert run_cli(capsys, *args)[1] == out
     code, out, _ = run_cli(capsys, *args, "--format", "json-lines")
     summary = json.loads(out.strip().splitlines()[-1])
@@ -240,18 +241,18 @@ def test_a_run_started_with_no_stdout_completes_quietly():
 
 
 def test_code_value_renders_on_what_the_run_left(capsys):
-    # the run takes 17 steps and rendering sqrt2 + 1 to 2^-32 two more
+    # the run takes 14 steps and rendering sqrt2 + 1 to 2^-32 two more
     args = ("run", "--program", "scaled_sum", "--input", "sqrt2, 1")
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert "value ~2.41421356 (code)" in out
-    assert "fuel_used=17 " in out
-    code, out, _ = run_cli(capsys, *args, "--fuel", "18")
+    assert "fuel_used=14 " in out
+    code, out, _ = run_cli(capsys, *args, "--fuel", "15")
     assert code == 0  # the run converged cleanly; rendering is not the run
     assert out.splitlines()[0] == \
         "value (code: fuel ran out rendering it to 2^-32)"
-    assert "stats outcomes=1 fuel_used=17 fuel_budget=18" in out
-    code, out, _ = run_cli(capsys, *args, "--fuel", "18",
+    assert "stats outcomes=1 fuel_used=14 fuel_budget=15" in out
+    code, out, _ = run_cli(capsys, *args, "--fuel", "15",
                            "--format", "json-lines")
     assert json.loads(out.splitlines()[0]) == \
         {"value": "(code: fuel ran out rendering it to 2^-32)"}

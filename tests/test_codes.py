@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whilecc import codes
-from whilecc.algebra import (DIV, FF, FUEL_OUT, TT, RealV, builtin_R_N,
+from whilecc.algebra import (DIV, FF, TT, RealV, builtin_R_N,
                              compare_codes, interval_value, rat_value,
                              value_key)
 from whilecc.codes import (pair, unpair, rat_decode, rat_encode,
@@ -196,10 +196,10 @@ def _unreduced(*cs: ConstCode) -> list[ConstCode]:
 
 
 def _check_compare(x: ConstCode, y: ConstCode, a: Fraction, b: Fraction):
-    # eq_real and less_real on constants: one step, FUEL_OUT when equal
+    # eq_real and less_real on constants: one step, DIV when equal
     for op in ("less", "eq"):
         fuel = Fuel(3)
-        want = FUEL_OUT if a == b else TT if op == "less" and a < b else FF
+        want = DIV if a == b else TT if op == "less" and a < b else FF
         assert compare_codes(x, y, fuel, op) is want
         assert fuel.remaining == 2
 
@@ -269,11 +269,11 @@ RN_RULES = builtin_R_N().interp
 
 def _check_rule_compare(x: RealV, y: RealV, a: Fraction, b: Fraction):
     # the RN comparison rules decide two constants inline: one step on a
-    # live budget and none on an empty one, FUEL_OUT when they are equal,
-    # and no operand pair reduced
+    # live budget and none on an empty one, DIV when they are equal, and
+    # no operand pair reduced
     states = [_state(x.code), _state(y.code)]
     for op in ("less_real", "eq_real"):
-        want = FUEL_OUT if a == b else TT if op == "less_real" and a < b else FF
+        want = DIV if a == b else TT if op == "less_real" and a < b else FF
         for steps in (3, 0):
             fuel = Fuel(steps)
             assert RN_RULES[op](fuel, x, y) is want
@@ -305,13 +305,11 @@ def test_const_chains_through_the_rules_read_canonical_values(chain):
             v, r = RN_RULES["dist"](fuel, x, y), abs(a - b)
         else:
             v = RN_RULES["inv"](fuel, x)
-            assert fuel.remaining == 2  # inv takes no step (ROADMAP item 3)
             if a == 0:
-                assert v is DIV
+                assert v is DIV and fuel.remaining == 2  # decided, no step
                 continue
             r = 1 / a
-        if op != "inv":
-            assert fuel.remaining == 1  # a total rule takes one step
+        assert fuel.remaining == 1  # a rule on constants takes one step
         c = v.code
         stored = c.denominator
         assert type(v) is RealV and type(c) is ConstCode

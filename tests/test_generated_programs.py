@@ -38,14 +38,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from whilecc.algebra import (DIV, FF, FUEL_OUT, TT, get_algebra,
+from whilecc import interp
+from whilecc.algebra import (DIV, FF, FUEL_OUT, TT, RealV, get_algebra,
                              rat_value, value_key)
-from whilecc.codes import CodeRegistry, Fuel
+from whilecc.codes import CodeRegistry, Fuel, sqrt_code
 from whilecc.interp import (Dovetail, Enumerate, Oracle, State,
                             choose_eliminate, comp_tree_stage, eval_proc,
-                            eval_stmt, initial_state, nat_value,
+                            eval_stmt, eval_term, initial_state, nat_value,
                             tree_is_prefix)
 from whilecc.lang import parse_program
 from whilecc.lang.ast import (App, Assign, Choose, Div, If, Lit, Procedure,
@@ -435,3 +436,65 @@ def test_enumerate_assigns_every_combination_of_reference_values(case):
             for combo in product(*(vs for vs, _ in refs))}
     got = {tuple(value_key(st.get(n)) for n in s.lhs) for st in run.values}
     assert got == want, s
+
+
+# Choose guards for the domain differential: comparisons of z with a literal
+# or the variable w, which bound the domain, and others that do not: real
+# comparisons that tie (DIV) at some z or need refinement, inv at z = 0, and
+# total ones the domain does not read, nested in andthen, orelse and not.
+_GUARD_ATOMS = ("z < {a}", "{a} < z", "z = {a}", "{a} = z", "x <> nat2real(z)",
+                "nat2real(z) < x", "inv(nat2real(z)) < x", "succ(z) < {a}",
+                "w < {a}")
+_GUARD_XS = (Fraction(0), Fraction(2), Fraction(1, 2), "sqrt2")
+
+
+@st.composite
+def guards(draw, depth=3):
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return draw(st.sampled_from(_GUARD_ATOMS)).format(
+            a=draw(st.sampled_from(("0", "1", "3", "5", "12", "w"))))
+    op = draw(st.sampled_from(("andthen", "andthen", "orelse", "not")))
+    if op == "not":
+        return f"not ({draw(guards(depth - 1))})"
+    return f"({draw(guards(depth - 1))}) {op} ({draw(guards(depth - 1))})"
+
+
+@_settings(250)
+@given(guards(), st.integers(0, 5), st.sampled_from(_GUARD_XS),
+       st.integers(0, 3))
+@example("z = 12", 0, Fraction(0), 0)  # a domain past Enumerate's bound
+@example("(z < 3) andthen (z = 5)", 0, Fraction(0), 1)  # an empty one
+@example("(x <> nat2real(z)) andthen (z < 3)", 0, Fraction(2), 2)
+def test_a_guard_domain_never_changes_what_a_search_finds(guard, w, x, seed):
+    # the same choose with and without its domain (read all naturals, as
+    # for a guard that gives none): Enumerate finds the same values and
+    # notes the same candidates, and a domain proves divergence only where
+    # no natural is a witness; a bounded Dovetail value is a witness
+    proc = parse_program("algebra RN\nfunc f in w: nat, x: real out k: nat "
+                         f"begin k := choose z : {guard} end").proc("f")
+    chooser = proc.body.s2.rhs[0]
+    rn = get_algebra("RN")
+    args = (nat_value(w), RealV(sqrt_code(2)) if x == "sqrt2" else rat_value(x))
+    pruned = eval_proc(proc, args, rn, Enumerate(8), Fuel(100_000))
+    run = eval_proc(proc, args, rn, Dovetail(seed), Fuel(3_000))
+    bounded = interp._guard_domain
+    interp._guard_domain = lambda z, t: (0, None, False)
+    try:
+        full = eval_proc(proc, args, rn, Enumerate(8), Fuel(100_000))
+        wide = eval_proc(proc, args, rn, Enumerate(40), Fuel(1_000_000))
+    finally:
+        interp._guard_domain = bounded
+
+    def notes(res):
+        return [n for n in res.diagnostics if n.startswith("choose candidate ")]
+
+    assert [v.n for v in pruned.values] == [v.n for v in full.values], guard
+    assert notes(pruned) == notes(full), guard
+    assert pruned.maybe_divergent == full.maybe_divergent, guard
+    if pruned.proven_divergent or run.proven_divergent:
+        assert not wide.values and not notes(wide)[len(notes(pruned)):], guard
+    if run.values:
+        [v] = run.values
+        b = {"w": args[0], "x": args[1], "k": nat_value(0), chooser.var: v}
+        g = eval_term(chooser.body, State(b), rn, Enumerate(1), Fuel(10_000))
+        assert [u.b for u in g.values] == [True] and not g.maybe_divergent, guard

@@ -6,15 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from whilecc.algebra import (get_algebra, rat_value, NatV, RealV, FUEL_OUT,
-                             TT, FF, SHARED_NATS)
+from whilecc.algebra import (get_algebra, rat_value, NatV, RealV, DIV,
+                             FUEL_OUT, TT, FF, SHARED_NATS)
 from whilecc.codes import Fuel, sqrt_code, unpair
 from whilecc.interp import (Enumerate, Oracle, Dovetail, State, eval_term,
                             eval_atomic, first, rest, comp_step,
                             comp_tree_stage, tree_is_prefix, eval_stmt,
                             eval_proc, initial_state, is_deterministic_on,
                             choose_eliminate, ChooseEliminationError,
-                            _dovetail_choose, _combos, Ctx, OutcomeSet)
+                            _dovetail_choose, _combos, Ctx, OutcomeSet,
+                            _guard_domain, _at)
 from whilecc.lang import parse
 from whilecc.lang.ast import (Var, Lit, App, Choose, Skip, Div, Assign, Seq,
                               If, While)
@@ -88,14 +89,15 @@ def test_short_circuit_conditional_recovers():
 
 
 def test_strict_and_evaluates_every_argument():
-    # a tie in the first argument does not stop the second being compared
+    # a tie in the first argument does not stop the second being compared;
+    # a tie of two exact constants is divergent, and makes no note
     t = term("(x < 0) and (y < 1)", frame="x: real, y: real")
-    for y, notes in ((1, 2), (Fraction(1, 2), 1)):
+    for y in (1, Fraction(1, 2)):
         fuel = Fuel(100)
         out = eval_term(t, state(x=rat_value(0), y=rat_value(y)), RN,
                         Enumerate(4), fuel)
-        assert out.values == [] and out.truncated and not out.proven_divergent
-        assert out.diagnostics == ["less_real: fuel exhausted"] * notes
+        assert out.values == [] and out.proven_divergent and not out.truncated
+        assert out.diagnostics == []
         assert fuel.remaining == 98  # both comparisons, no `and`
     fuel = Fuel(100)  # the deterministic path stops at the first failure
     eval_term(t, state(x=rat_value(0), y=rat_value(1)), RN, Dovetail(), fuel)
@@ -166,12 +168,12 @@ SHAPE_ROWS = [
     ("x + z", "dovetail", 200, ["RealV(-1/4)"], False, False, [], 199),
     ("x + z", "enumerate", 1, ["RealV(-1/4)"], False, False, [], 0),
     ("x + z", "enumerate", 200, ["RealV(-1/4)"], False, False, [], 199),
-    ("x < x", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("x < x", "oracle", 200, [], False, True, ["term evaluation: fuel exhausted"], 199),
-    ("x < x", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("x < x", "dovetail", 200, [], False, True, ["term evaluation: fuel exhausted"], 199),
-    ("x < x", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
-    ("x < x", "enumerate", 200, [], False, True, ["less_real: fuel exhausted"], 199),
+    ("x < x", "oracle", 1, [], True, False, [], 0),
+    ("x < x", "oracle", 200, [], True, False, [], 199),
+    ("x < x", "dovetail", 1, [], True, False, [], 0),
+    ("x < x", "dovetail", 200, [], True, False, [], 199),
+    ("x < x", "enumerate", 1, [], True, False, [], 0),
+    ("x < x", "enumerate", 200, [], True, False, [], 199),
     ("w < x", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
     ("w < x", "oracle", 200, ["ff"], False, False, [], 194),
     ("w < x", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
@@ -274,18 +276,18 @@ SHAPE_ROWS = [
     ("inv(y) + (if w < x then x else z fi)", "dovetail", 200, [], True, False, [], 200),
     ("inv(y) + (if w < x then x else z fi)", "enumerate", 1, [], True, True, ["less_real: fuel exhausted"], 0),
     ("inv(y) + (if w < x then x else z fi)", "enumerate", 200, [], True, False, [], 194),
-    ("(if x < x then x else z fi) + inv(y)", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("(if x < x then x else z fi) + inv(y)", "oracle", 200, [], False, True, ["term evaluation: fuel exhausted"], 199),
-    ("(if x < x then x else z fi) + inv(y)", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("(if x < x then x else z fi) + inv(y)", "dovetail", 200, [], False, True, ["term evaluation: fuel exhausted"], 199),
-    ("(if x < x then x else z fi) + inv(y)", "enumerate", 1, [], True, True, ["less_real: fuel exhausted"], 0),
-    ("(if x < x then x else z fi) + inv(y)", "enumerate", 200, [], True, True, ["less_real: fuel exhausted"], 199),
+    ("(if x < x then x else z fi) + inv(y)", "oracle", 1, [], True, False, [], 0),
+    ("(if x < x then x else z fi) + inv(y)", "oracle", 200, [], True, False, [], 199),
+    ("(if x < x then x else z fi) + inv(y)", "dovetail", 1, [], True, False, [], 0),
+    ("(if x < x then x else z fi) + inv(y)", "dovetail", 200, [], True, False, [], 199),
+    ("(if x < x then x else z fi) + inv(y)", "enumerate", 1, [], True, False, [], 0),
+    ("(if x < x then x else z fi) + inv(y)", "enumerate", 200, [], True, False, [], 199),
     ("choose j : (j = 2) andthen (x < nat2real(j))", "oracle", 1, [], True, False, [], 0),
     ("choose j : (j = 2) andthen (x < nat2real(j))", "oracle", 200, [], True, False, [], 198),
-    ("choose j : (j = 2) andthen (x < nat2real(j))", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("choose j : (j = 2) andthen (x < nat2real(j))", "dovetail", 200, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("choose j : (j = 2) andthen (x < nat2real(j))", "dovetail", 1, ["NatV(2)"], False, False, [], 0),
+    ("choose j : (j = 2) andthen (x < nat2real(j))", "dovetail", 200, ["NatV(2)"], False, False, [], 198),
     ("choose j : (j = 2) andthen (x < nat2real(j))", "enumerate", 1, ["NatV(2)"], False, False, [], 0),
-    ("choose j : (j = 2) andthen (x < nat2real(j))", "enumerate", 200, ["NatV(2)"], False, False, [], 189),
+    ("choose j : (j = 2) andthen (x < nat2real(j))", "enumerate", 200, ["NatV(2)"], False, False, [], 197),
     ("less_nat(2, 7)", "oracle", 1, ["tt"], False, False, [], 0),
     ("less_nat(2, 7)", "oracle", 200, ["tt"], False, False, [], 199),
     ("less_nat(2, 7)", "dovetail", 1, ["tt"], False, False, [], 0),
@@ -537,18 +539,18 @@ COND_ROWS = [
     ("n < k orelse x < z", "enumerate", 1, ["ff"], False, False, [], 0),
     ("n < k orelse x < z", "enumerate", 2, ["ff"], False, False, [], 0),
     ("n < k orelse x < z", "enumerate", 200, ["ff"], False, False, [], 198),
-    ("x < x orelse k = 1", "oracle", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("x < x orelse k = 1", "oracle", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("x < x orelse k = 1", "oracle", 2, [], False, True, ["term evaluation: fuel exhausted"], 1),
-    ("x < x orelse k = 1", "oracle", 200, [], False, True, ["term evaluation: fuel exhausted"], 199),
-    ("x < x orelse k = 1", "dovetail", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("x < x orelse k = 1", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("x < x orelse k = 1", "dovetail", 2, [], False, True, ["term evaluation: fuel exhausted"], 1),
-    ("x < x orelse k = 1", "dovetail", 200, [], False, True, ["term evaluation: fuel exhausted"], 199),
-    ("x < x orelse k = 1", "enumerate", 0, [], False, True, ["less_real: fuel exhausted"], 0),
-    ("x < x orelse k = 1", "enumerate", 1, [], False, True, ["less_real: fuel exhausted"], 0),
-    ("x < x orelse k = 1", "enumerate", 2, [], False, True, ["less_real: fuel exhausted"], 1),
-    ("x < x orelse k = 1", "enumerate", 200, [], False, True, ["less_real: fuel exhausted"], 199),
+    ("x < x orelse k = 1", "oracle", 0, [], True, False, [], 0),
+    ("x < x orelse k = 1", "oracle", 1, [], True, False, [], 0),
+    ("x < x orelse k = 1", "oracle", 2, [], True, False, [], 1),
+    ("x < x orelse k = 1", "oracle", 200, [], True, False, [], 199),
+    ("x < x orelse k = 1", "dovetail", 0, [], True, False, [], 0),
+    ("x < x orelse k = 1", "dovetail", 1, [], True, False, [], 0),
+    ("x < x orelse k = 1", "dovetail", 2, [], True, False, [], 1),
+    ("x < x orelse k = 1", "dovetail", 200, [], True, False, [], 199),
+    ("x < x orelse k = 1", "enumerate", 0, [], True, False, [], 0),
+    ("x < x orelse k = 1", "enumerate", 1, [], True, False, [], 0),
+    ("x < x orelse k = 1", "enumerate", 2, [], True, False, [], 1),
+    ("x < x orelse k = 1", "enumerate", 200, [], True, False, [], 199),
     ("1 < n orelse w < x", "oracle", 0, ["tt"], False, False, [], 0),
     ("1 < n orelse w < x", "oracle", 1, ["tt"], False, False, [], 0),
     ("1 < n orelse w < x", "oracle", 2, ["tt"], False, False, [], 0),
@@ -710,25 +712,25 @@ COND_ROWS = [
     ("choose j : (1 < j) andthen (j < 4)", "oracle", 2, [], True, False, [], 0),
     ("choose j : (1 < j) andthen (j < 4)", "oracle", 200, [], True, False, [], 198),
     ("choose j : (1 < j) andthen (j < 4)", "dovetail", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("choose j : (1 < j) andthen (j < 4)", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("choose j : (1 < j) andthen (j < 4)", "dovetail", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("choose j : (1 < j) andthen (j < 4)", "dovetail", 200, [], False, True, ["term evaluation: fuel exhausted"], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "dovetail", 1, ["NatV(3)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "dovetail", 2, ["NatV(3)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 4)", "dovetail", 200, ["NatV(3)"], False, False, [], 198),
     ("choose j : (1 < j) andthen (j < 4)", "enumerate", 0, ["NatV(2)", "NatV(3)"], False, False, [], 0),
     ("choose j : (1 < j) andthen (j < 4)", "enumerate", 1, ["NatV(2)", "NatV(3)"], False, False, [], 0),
     ("choose j : (1 < j) andthen (j < 4)", "enumerate", 2, ["NatV(2)", "NatV(3)"], False, False, [], 0),
-    ("choose j : (1 < j) andthen (j < 4)", "enumerate", 200, ["NatV(2)", "NatV(3)"], False, False, [], 190),
+    ("choose j : (1 < j) andthen (j < 4)", "enumerate", 200, ["NatV(2)", "NatV(3)"], False, False, [], 196),
     ("choose j : (1 < j) andthen (j < 5000)", "oracle", 0, ["NatV(5)"], False, False, [], 0),
     ("choose j : (1 < j) andthen (j < 5000)", "oracle", 1, ["NatV(5)"], False, False, [], 0),
     ("choose j : (1 < j) andthen (j < 5000)", "oracle", 2, ["NatV(5)"], False, False, [], 0),
     ("choose j : (1 < j) andthen (j < 5000)", "oracle", 200, ["NatV(5)"], False, False, [], 198),
     ("choose j : (1 < j) andthen (j < 5000)", "dovetail", 0, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("choose j : (1 < j) andthen (j < 5000)", "dovetail", 1, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("choose j : (1 < j) andthen (j < 5000)", "dovetail", 2, [], False, True, ["term evaluation: fuel exhausted"], 0),
-    ("choose j : (1 < j) andthen (j < 5000)", "dovetail", 200, ["NatV(4702)"], False, False, [], 168),
+    ("choose j : (1 < j) andthen (j < 5000)", "dovetail", 1, ["NatV(2274)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 5000)", "dovetail", 2, ["NatV(2274)"], False, False, [], 0),
+    ("choose j : (1 < j) andthen (j < 5000)", "dovetail", 200, ["NatV(2274)"], False, False, [], 198),
     ("choose j : (1 < j) andthen (j < 5000)", "enumerate", 0, ["NatV(2)", "NatV(3)", "NatV(4)"], False, False, [], 0),
     ("choose j : (1 < j) andthen (j < 5000)", "enumerate", 1, ["NatV(2)", "NatV(3)", "NatV(4)"], False, False, [], 0),
     ("choose j : (1 < j) andthen (j < 5000)", "enumerate", 2, ["NatV(2)", "NatV(3)", "NatV(4)"], False, False, [], 0),
-    ("choose j : (1 < j) andthen (j < 5000)", "enumerate", 200, ["NatV(2)", "NatV(3)", "NatV(4)"], False, False, [], 190),
+    ("choose j : (1 < j) andthen (j < 5000)", "enumerate", 200, ["NatV(2)", "NatV(3)", "NatV(4)"], False, False, [], 194),
 ]
 
 
@@ -796,13 +798,18 @@ def test_a_guards_carved_budget_is_emptied_when_its_attempt_returns():
 
 
 # A witness past the shared NatV table (SHARED_NATS), as recorded:
-# (strategy, fuel left)
-@pytest.mark.parametrize("strat, left", [
-    (Dovetail(None), 81_996), (Dovetail(1), 68_076), (Enumerate(9000), 90_997)])
-def test_a_choose_witness_past_the_shared_nats_is_found_as_recorded(strat,
-                                                                    left):
+# (guard, strategy, fuel left). `z = w` bounds the search to the witness;
+# `succ(z) = succ(w)` gives no domain, so the search scans up to it.
+@pytest.mark.parametrize("guard, strat, left", [
+    ("z = w", Dovetail(None), 99_996), ("z = w", Dovetail(1), 99_996),
+    ("z = w", Enumerate(9000), 99_997),
+    ("succ(z) = succ(w)", Dovetail(None), 63_997),
+    ("succ(z) = succ(w)", Dovetail(1), 36_157),
+    ("succ(z) = succ(w)", Enumerate(9000), 72_995)])
+def test_a_choose_witness_past_the_shared_nats_is_found_as_recorded(
+        guard, strat, left):
     p = parse("algebra N\nfunc t in w: nat out k: nat "
-              "begin k := choose z : z = w end")
+              f"begin k := choose z : {guard} end")
     assert 9000 >= SHARED_NATS
     fuel = Fuel(100_000)
     res = eval_proc(p, (NatV(9000),), N, strat, fuel)
@@ -845,7 +852,7 @@ class LoggingDovetail(Dovetail):
         self.log["visits"].append((self.log["searches"], stage, cand))
         return cand
 
-    def search(self, fuel, attempt):
+    def search(self, fuel, attempt, domain=None):
         self.log["searches"] += 1
         search = self.log["searches"]
 
@@ -853,36 +860,42 @@ class LoggingDovetail(Dovetail):
             self.log["attempts"].append((search, stage, cand))
             return attempt(cand, stage)
 
-        return super().search(fuel, logged)
+        return super().search(fuel, logged, domain)
 
     def fresh(self):
         return LoggingDovetail(self.seed, self.log)
 
 
-# (program, inputs, seed, value, guard attempts, stages, fuel left), as
-# recorded
+# (program, inputs, seed, values, guard attempts, stages, fuel left), as
+# recorded. root_bisect's division points and pivot3 search the finite
+# domains their guards give; on (0, sqrt2, 0) pivot3 retries candidate 2
+# at stages 4 and 8, past the domain's last new candidate.
 @pytest.mark.parametrize("name, args, seed, value, attempts, stages, left", [
     ("root_bisect", (NatV(2), real_array([-2, 0, 1])), None,
-     "RealV(227/162)", 1267, 1021, 1_987_618),
+     ["RealV(227/162)"], 989, 989, 1_989_491),
     ("root_bisect", (NatV(2), real_array([-2, 0, 1])), 5,
-     "RealV(-59833/41472)", 3687, 3626, 1_981_328),
+     ["RealV(-11663/8192)"], 402, 402, 1_994_787),
     ("choose_near", (rat_value(Fraction(1, 3)), NatV(4)), None,
-     "RealV(1/3)", 90, 90, 1_999_612),
+     ["RealV(1/3)"], 90, 90, 1_999_608),
     ("choose_near", (rat_value(Fraction(1, 3)), NatV(4)), 5,
-     "RealV(2/7)", 66, 66, 1_999_708)])
+     ["RealV(2/7)"], 66, 66, 1_999_704),
+    ("pivot3", (rat_value(0), rat_value(0), rat_value(0)), 5,
+     [], 3, 3, 1_999_989),
+    ("pivot3", (rat_value(0), RealV(sqrt_code(2)), rat_value(0)), 5,
+     ["NatV(2)"], 5, 3, 1_999_970)])
 def test_harness_hooks_see_one_spawn_per_attempt_and_one_visit_per_stage(
         name, args, seed, value, attempts, stages, left):
     p, alg = load(name)
     strat, fuel = LoggingDovetail(seed), SpawnCountingFuel(2_000_000)
     res = eval_proc(p, args, alg, strat, fuel)
-    assert [repr(v) for v in res.values] == [value]
+    assert [repr(v) for v in res.values] == value
     log = strat.log
     assert fuel.spawns == len(log["attempts"]) == attempts
     assert len(log["visits"]) == stages and fuel.remaining == left
-    firsts = {}
+    firsts = {}  # each candidate's first attempt in each search, in order
     for search, stage, cand in log["attempts"]:
-        firsts.setdefault((search, stage), cand)
-    assert log["visits"] == [(s, k, c) for (s, k), c in firsts.items()]
+        firsts.setdefault((search, cand), stage)
+    assert log["visits"] == [(s, k, c) for (s, c), k in firsts.items()]
 
 
 STAGES = [*range(21), *range(8190, 8201), *range(16380, 16391)]
@@ -1058,7 +1071,8 @@ end""")
                 "2 i=2 y=0", "3 i=2 y=0", "4 i=2 y=-1", "5 i=3 y=-1",
                 "6 i=3 y=-1", "7 i=3 y=-1/2", "8 i=4 y=-1/2", "9 i=4 y=-1/2 f"]
     sigma = initial_state(p, RN, (rat_value(1),))
-    for budget, left in ((40, 0), (10_000, 9949)):
+    # 1 / ... takes a step where its divisor is not 0: three times
+    for budget, left in ((40, 0), (10_000, 9946)):
         fuel = Fuel(budget)
         t = comp_tree_stage(p.body, sigma, 9, RN, Enumerate(5), fuel=fuel)
         assert rows(t) == expected and fuel.remaining == left
@@ -1276,6 +1290,111 @@ def test_is_deterministic_on():
 
 
 # ---------------------------------------------------------------------------
+# choose domains read from the guard
+
+
+# (guard of `choose z`, its domain (lo, hi) under w = 5; hi None is no upper
+# end): only comparisons of z with a nat literal or a variable bound it, an
+# andthen narrows by its second conjunct only after an exact first one, and
+# an orelse takes the hull of its sides
+@pytest.mark.parametrize("guard, lo, hi", [
+    ("z < 3", 0, 3), ("2 < z", 3, None), ("z = 4", 4, 5), ("4 = z", 4, 5),
+    ("(z < 3) andthen (z = 5)", 5, 3),
+    ("(7 < z) andthen ((z < 17) andthen (x <> nat2real(z)))", 8, 17),
+    ("(z = 1 andthen x <> 0) orelse ((z = 2 andthen x <> 1) orelse "
+     "(z = 3 andthen x <> 2))", 1, 4),
+    ("((z < 5) andthen (1 < z)) andthen (x <> nat2real(z))", 2, 5),
+    ("(z < 5 andthen x <> 0) andthen (1 < z)", 0, 5),
+    ("(z < 9) andthen ((x < nat2real(z)) andthen (2 < z))", 0, 9),
+    ("z < w", 0, 5), ("(w < z) andthen (z < 9)", 6, 9),
+    ("(z = w) orelse (z = 2)", 2, 6), ("(z < w) andthen (z = 7)", 7, 5),
+    ("(x < nat2real(z)) andthen (z < 3)", 0, None),
+    ("(z = 1) orelse (x < nat2real(z))", 0, None),
+    ("succ(z) < 3", 0, None), ("not (z < 3)", 0, None),
+    ("(z < 3) and (z = 1)", 0, None), ("w < 3", 0, None),
+    ("z < z", 0, None)])
+def test_a_choose_domain_is_read_from_its_guard(guard, lo, hi):
+    c = term(f"choose z : {guard}", frame="w: nat, x: real",
+             assign_to=("i", "nat"))
+    dlo, dhi, _ = _guard_domain(c.var, c.body)
+    b = {"w": NatV(5)}
+    assert (_at(dlo, b), None if dhi is None else _at(dhi, b)) == (lo, hi)
+
+
+def test_a_choose_with_an_empty_domain_is_proven_divergent():
+    # no candidate is left to test: Dovetail is DIV at once, with no step
+    # taken, and Enumerate is proven divergent whatever its bound
+    t = term("choose z : (z < 3) andthen (z = 5)", assign_to=("i", "nat"))
+    for strat in (Dovetail(), Dovetail(3), Enumerate(2), Enumerate(8)):
+        fuel = Fuel(100)
+        out = eval_term(t, state(), RN, strat, fuel)
+        assert out.values == [] and out.proven_divergent, strat
+        assert not out.truncated and fuel.remaining == 100, strat
+        assert out.diagnostics == (["no choose candidate to test"]
+                                   if isinstance(strat, Enumerate) else []), strat
+
+
+@pytest.mark.parametrize("max_nat, flags, note", [
+    (3, (False, True), "choose candidates 2..3 all rejected; rest unexplored"),
+    (8, (True, False), "choose candidates 2..5 all rejected")])
+def test_enumerate_proves_divergence_only_when_it_tests_the_whole_domain(
+        max_nat, flags, note):
+    t = term("choose z : (1 < z) andthen ((z < 6) andthen (x < 0))",
+             frame="x: real", assign_to=("i", "nat"))
+    fuel = Fuel(1_000)
+    out = eval_term(t, state(x=rat_value(1)), RN, Enumerate(max_nat), fuel)
+    assert out.values == [] and (out.proven_divergent, out.truncated) == flags
+    assert out.diagnostics == [note]
+    # candidates 2..min(5, max_nat), each with three comparisons
+    assert fuel.remaining == 1_000 - 3 * (min(5, max_nat) - 1)
+
+
+def test_a_partial_first_conjunct_leaves_the_domain_unbounded():
+    # z < 3 comes after a comparison that diverges at z = 5: Enumerate
+    # still tests candidate 5 and notes the divergence it would skip
+    t = term("choose z : (x <> nat2real(z)) andthen (z < 3)",
+             frame="x: real", assign_to=("i", "nat"))
+    sigma = state(x=rat_value(5))
+    out = eval_term(t, sigma, RN, Enumerate(8), Fuel(1_000))
+    assert [v.n for v in out.values] == [0, 1, 2]
+    assert out.diagnostics == ["choose candidate 5: divergent guard"]
+    for seed in (None, 0, 1, 2):
+        out = eval_term(t, sigma, RN, Dovetail(seed), Fuel(100_000))
+        assert len(out.values) == 1 and out.values[0].n < 3, seed
+
+
+def test_dovetail_searches_a_variable_domain_read_at_each_choose():
+    t = term("choose z : (w < z) andthen ((z < 9) andthen (x < nat2real(z)))",
+             frame="w: nat, x: real", assign_to=("i", "nat"))
+    found = set()
+    for seed in (None, *range(12)):
+        out = eval_term(t, state(w=NatV(5), x=rat_value(6)), RN,
+                        Dovetail(seed), Fuel(1_000))
+        assert not out.maybe_divergent and out.values[0].n in (7, 8), seed
+        found.add(out.values[0].n)
+        # every candidate of 6..8 refuted once: no witness, and no retry.
+        # Stages 0..2 take a step each, and their guards 1 + 2 + 3 steps
+        fuel = Fuel(1_000)
+        out = eval_term(t, state(w=NatV(5), x=rat_value(9)), RN,
+                        Dovetail(seed), fuel)
+        assert out.values == [] and out.proven_divergent, seed
+        assert not out.truncated and fuel.remaining == 1_000 - 3 - 6
+    assert found == {7, 8}  # seeds reach either witness
+
+
+def test_a_seeded_dovetail_order_is_a_bijection_onto_the_domain():
+    for n in (1, 2, 3, 9, 12, 64):
+        for seed in (None, 0, 1, 7):
+            d = Dovetail(seed)
+            seen = []
+            d.search(Fuel(10_000), lambda cand, stage: seen.append(cand) or DIV,
+                     range(5, 5 + n))
+            assert sorted(seen) == list(range(5, 5 + n)), (n, seed)
+            if seed is None:
+                assert seen == list(range(5, 5 + n))
+
+
+# ---------------------------------------------------------------------------
 # choose elimination
 
 
@@ -1329,7 +1448,7 @@ def test_choose_eliminate_keeps_searches_where_they_run(rhs):
 def test_choose_eliminate_diverges_where_a_guard_search_has_no_witness():
     # the precondition of choose_eliminate: candidate 0 reaches an inner
     # search with no witness; the strategies go on to the witness 1, the
-    # eliminated procedure runs that search until fuel runs out
+    # eliminated procedure's search ends in div past its domain y < 4
     rhs = ("choose z : (z < 4) andthen ((z = 1) orelse "
            "((choose y : (y < 4) andthen (y = 5)) = 0))")
     p = parse(f"algebra N\nfunc f in n: nat out r: nat begin r := {rhs} end")
@@ -1339,7 +1458,23 @@ def test_choose_eliminate_diverges_where_a_guard_search_has_no_witness():
         assert not res.maybe_divergent, strat
     res = eval_proc(choose_eliminate(p, N), (NatV(0),), N, Dovetail(),
                     Fuel(5_000))
-    assert res.values == [] and res.truncated and not res.proven_divergent
+    assert res.values == [] and res.proven_divergent and not res.truncated
+
+
+def test_choose_eliminate_searches_the_guard_domain_and_ends_in_div_past_it():
+    # the domain is [max(w + 1, k), min(9, k + 1)): the least-witness loop
+    # starts at its low end, and past its high end it ends in div
+    p = parse("algebra N\nfunc f in w: nat, k: nat out r: nat begin "
+              "r := choose z : (w < z) andthen ((z < 9) andthen (z = k)) end")
+    elim = choose_eliminate(p, N)
+    for w, k in [(5, k) for k in range(12)] + [(1_000, 1_001)]:
+        want = eval_proc(p, (NatV(w), NatV(k)), N, Enumerate(1_100),
+                         Fuel(100_000))
+        fuel = Fuel(1_000)
+        got = eval_proc(elim, (NatV(w), NatV(k)), N, Dovetail(), fuel)
+        assert [v.n for v in got.values] == [v.n for v in want.values], k
+        assert got.proven_divergent == (not want.values), k
+        assert not got.truncated and fuel.remaining > 950, k
 
 
 def test_deterministic_programs_agree_with_elimination_spot():
@@ -1356,8 +1491,8 @@ def test_deterministic_programs_agree_with_elimination_spot():
 
 
 @pytest.mark.parametrize("body, outs, steps", [
-    ("x, y := (choose z : z < n), (choose w : w < n)", "x: nat, y: nat", 84),
-    ("x := pair((choose z : z < n), (choose w : w < n))", "x: nat", 1_084),
+    ("x, y := (choose z : z < n), (choose w : w < n)", "x: nat, y: nat", 82),
+    ("x := pair((choose z : z < n), (choose w : w < n))", "x: nat", 1_082),
 ])
 def test_enumerate_cuts_a_product_of_choose_values_at_the_node_cap(
         body, outs, steps):

@@ -8,9 +8,9 @@ import pytest
 
 from whilecc.algebra import (get_algebra, rat_value, value_key, NatV, RealV,
                              ArrV, TT, FF, DIV, FUEL_OUT, NATS, SHARED_NATS)
-from whilecc.codes import (Fuel, CodeRegistry, ConstCode, RuleCode, SumCode,
-                           OutOfFuel, sqrt_code, mul_codes, add_codes, inv_code,
-                           rat_encode, check_fast_cauchy_prefix)
+from whilecc.codes import (Fuel, CodeRegistry, ConstCode, ECode, RuleCode,
+                           SumCode, OutOfFuel, sqrt_code, mul_codes, add_codes,
+                           inv_code, rat_encode, check_fast_cauchy_prefix)
 from whilecc.interp import Dovetail, eval_proc, nat_value
 from whilecc.lang import parse
 from whilecc.programs import load
@@ -38,6 +38,33 @@ def real_sort():
 
 # ---------------------------------------------------------------------------
 # the code algebra
+
+
+@pytest.mark.parametrize("alg_name", ["RN", "IN", "codes(IN)"])
+def test_exact_constants_tie_as_div_and_invert_in_one_step(alg_name):
+    # equal exact constants compare as a decided divergence, after the one
+    # step every rule takes (none on an empty budget); inv of a non-zero
+    # constant takes that step too, and is DIV at 0 with no step
+    if alg_name == "codes(IN)":
+        reg = CodeRegistry()
+        alg = code_algebra(get_algebra("IN"), reg)
+        real = lambda q: NatV(reg.mint(ConstCode(q)))
+        read = lambda v: reg.code(v.n).value
+    else:
+        alg, real, read = get_algebra(alg_name), rat_value, lambda v: v.code.value
+    half = Fraction(1, 2)
+    for steps in (0, 1, 10):
+        for rule, y, want in (("eq_real", half, DIV), ("less_real", half, DIV),
+                              ("eq_real", 1, FF), ("less_real", 1, TT)):
+            fuel = Fuel(steps)
+            assert alg.apply(rule, (real(half), real(y)), fuel) is want
+            assert fuel.remaining == max(steps - 1, 0), (rule, steps)
+        fuel = Fuel(steps)
+        assert read(alg.apply("inv", (real(half),), fuel)) == 2
+        assert fuel.remaining == max(steps - 1, 0)
+        fuel = Fuel(steps)
+        assert alg.apply("inv", (real(0),), fuel) is DIV
+        assert fuel.remaining == steps
 
 
 def test_code_algebra_identity_procedure(rn_codes):
@@ -293,7 +320,7 @@ def test_lift_levels_are_paid_for_by_the_caller():
 def test_lifted_approx_spends_as_recorded():
     # n = 5 runs level 7 on a budget carved from the caller's and the rest
     # repaid; the caller is charged the recorded spend. The cached level
-    # costs nothing
+    # costs nothing. Level 7 makes 256 divisions by a constant, one step each
     reg = CodeRegistry()
     calg = code_algebra(get_algebra("IN"), reg)
     p, _ = load("exp_approx")
@@ -301,7 +328,7 @@ def test_lifted_approx_spends_as_recorded():
     lifted = soundness_lift(p, calg, reg, (x,))
     fuel = Fuel(10**6)
     assert lifted.approx(5, fuel) == exp_partial_sum(Fraction(1, 4), 2 ** 8)
-    assert fuel.remaining == 995_308
+    assert fuel.remaining == 995_052
     fuel = Fuel(10**6)
     lifted.approx(5, fuel)
     assert fuel.remaining == 10**6
@@ -516,6 +543,42 @@ def test_adequacy_g_spends_as_recorded(square_setup, xq, n, y, left):
     out = adequacy_g(sq, cover, alpha, reg, rat_value(xq), n, Dovetail(),
                      fuel=fuel)
     assert out.code.value == y and fuel.remaining == left
+
+
+class SlowCode(ECode):
+    """The constant q, each level of which costs `cost` steps to read."""
+
+    def __init__(self, q: Fraction, cost: int):
+        super().__init__()
+        self.q, self.cost = q, cost
+
+    def _compute(self, n, fuel):
+        for _ in range(self.cost):
+            if not fuel.take():
+                raise OutOfFuel("slow", n)
+        return self.q
+
+
+@pytest.mark.parametrize("cost, budget, out, left", [
+    (40, 7_520, FUEL_OUT, 0), (40, 7_540, Fraction(5, 8), 1),
+    (400, 100_000, Fraction(5, 8), 92_101)])
+def test_adequacy_g_reads_the_tracked_code_on_its_stage_budget(
+        square_setup, cost, budget, out, left):
+    # f's code is read on the stage's carved budget: an index whose code
+    # costs more than that is undecided and tried again at a later stage,
+    # and a caller's budget that runs out while reading it gives FUEL_OUT
+    # (OutOfFuel escaped when the code was read on the caller's budget)
+    alpha, reg, cover, _ = square_setup
+
+    def slow(fuel, a):
+        fuel.take()
+        return NatV(reg.mint(SlowCode(reg.code(a.n).value, cost)))
+
+    fuel = Fuel(budget)
+    r = adequacy_g(slow, cover, alpha, reg, rat_value(Fraction(5, 8)), 3,
+                   Dovetail(), fuel=fuel)
+    assert (r if r is FUEL_OUT else r.code.value) == out
+    assert fuel.remaining == left
 
 
 @pytest.mark.parametrize("side", [1, -1])
