@@ -610,10 +610,11 @@ def star_algebra(a: PartialAlgebra) -> PartialAlgebra:
     defaults: dict[str, Value] = {}
 
     def default_of(sort: Sort) -> Value:
-        # resolved lazily, so that the starred algebra object exists first
+        # an element sort's default is a's: a rule that held the starred
+        # algebra would keep it alive from every code compiled on it
         v = defaults.get(sort.name)
         if v is None:
-            v = defaults[sort.name] = star.default_value(sort)
+            v = defaults[sort.name] = a.default_value(sort)
         return v
 
     for s in [s for s in a.signature.sorts.values() if s.kind != "array"]:
@@ -622,8 +623,7 @@ def star_algebra(a: PartialAlgebra) -> PartialAlgebra:
         interp[f"if_{sx.name}"] = _if
         if s.name in metrics:
             metrics[sx.name] = _array_metric(metrics[s.name])
-    star = PartialAlgebra(a.name + "*", sig, interp, metrics, total=a.total)
-    return star
+    return PartialAlgebra(a.name + "*", sig, interp, metrics, total=a.total)
 
 
 _BUILTINS = {"B": builtin_B, "N": builtin_N, "R": builtin_R,

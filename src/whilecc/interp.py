@@ -9,10 +9,11 @@ whole domain was searched without a witness) and a truncation flag (fuel,
 candidate bounds, node caps). `maybe_divergent` is their union;
 diagnostics say which happened.
 
-Terms have one evaluator: a run compiles each term once into a closure
-(`_compile`) with its rules, nat literals and choose handler fixed; a real
-literal is minted on first evaluation, so a code algebra's registry grows in
-evaluation order. One closure serves every strategy; how a strict operation
+Terms have one evaluator: each term is compiled once into a closure
+(`_compile`) with its rules, nat literals and choose handler fixed. A real
+literal is minted on its first evaluation in each run, so a code algebra's
+registry grows in evaluation order, and a choose reads the run's strategy
+when it is evaluated. One closure serves every strategy; how a strict operation
 treats a failed argument follows its argument `out`. Oracle and Dovetail
 pass None and stop at the first one. Enumerate passes its outcome set,
 evaluates every argument, since its operation applies to every combination
@@ -29,17 +30,26 @@ and beside one reads a guard of such a shape in place too (`_cond`). Under
 Enumerate a choose tests each candidate's guard with one call and no
 outcome set of its own, unless the guard holds a nested choose.
 
-Statements are compiled too: a run turns a body once into a flat list of
-nodes (`_compile_stmt`), each an assignment, `skip`, `div` or the guard test
-of an `if` or `while`, with its successors resolved past `Seq` and the ends
-of branches and loop bodies. Oracle and Dovetail walk the nodes on one
-mutable bindings dict and build a State only for the final one; Enumerate
-walks them depth first over (node, State) work items. `eval_atomic`, `rest`
-and the computation trees keep the First/Rest reading of statements.
+Statements are compiled too: a body becomes a flat list of nodes
+(`_compile_stmt`), each an assignment, `skip`, `div` or the guard test of an
+`if` or `while`, with its successors resolved past `Seq` and the ends of
+branches and loop bodies. Oracle and Dovetail walk the nodes on one mutable
+bindings dict and build a State only for the final one; Enumerate walks them
+depth first over (node, State) work items. `eval_atomic`, `rest` and the
+computation trees keep the First/Rest reading of statements.
+
+A procedure's body is compiled once per algebra and strategy kind
+(Enumerate, Oracle or Dovetail), and every later `eval_proc` of it on that
+algebra reuses the nodes and closures (`_compiled`). What stays per run is
+the strategy instance, which the choose closures read from the code's run
+record, and the real literals minted in the run, which sit in closure cells
+that each run clears on entry and restores on exit, so a nested run of the
+same code leaves its caller's as they were. `eval_stmt`, `eval_term` and the
+computation trees compile into a code of their own on each call.
 
 A choose's guard can bound its domain: an interval [lo, hi) outside which
-the guard is ff on every budget, read once per run from its nat
-comparisons of the choose variable (`_guard_domain`). Dovetail and
+the guard is ff on every budget, read when the choose is compiled from its
+nat comparisons of the choose variable (`_guard_domain`). Dovetail and
 Enumerate search only the domain, and a search that refutes every
 candidate of a finite one proves the choose divergent.
 
@@ -306,30 +316,66 @@ class OutcomeSet:
         return f"OutcomeSet({self.values}{', ' + '+'.join(flags) if flags else ''})"
 
 
+class _Run:
+    """What the closures of a code read of the run under way: its strategy.
+    `eval_proc` sets it for the length of a run; a one-off code keeps its
+    Ctx's strategy. It is not a field of the code: the code holds the
+    closures that hold it, and that cycle would leave each dropped code to
+    the cyclic collector."""
+
+    __slots__ = ("strat",)
+
+    def __init__(self, strat=None):
+        self.strat = strat
+
+
+class _Code:
+    """The compiled form of terms and statements on one algebra, for one
+    strategy kind. `closures` maps each term node, by identity, to its
+    closure (see `_compile`). Under Enumerate, `domains` maps each choose
+    node that way to the domain its guard gives (`_guard_domain`), read when
+    the node is compiled. `literals` holds the memo cell of each real
+    literal's closure, and `run` the record the choose closures read the
+    strategy from. A procedure's code (`_compiled`) keeps its body's `nodes`
+    and `entry`. A code holds no algebra and no Ctx: it is cached on the
+    procedure and keyed weakly by the algebra, which either would keep
+    alive."""
+
+    __slots__ = ("closures", "domains", "literals", "run", "nodes", "entry")
+
+    def __init__(self, strat=None):
+        self.closures: dict[int, Optional[Callable]] = {}
+        self.domains: dict[int, tuple] = {}
+        self.literals: list = []
+        self.run = _Run(strat)
+        self.nodes: list = []
+        self.entry = END
+
+
 class Ctx:
-    """One run's evaluation context. `closures` maps each term node, by
-    identity, to its closure (see `_compile`), built on first use. Under
-    Enumerate, `domains` maps each choose node that way to the domain its
-    guard gives (`_guard_domain`), read when the node is compiled."""
+    """One run's evaluation context: the algebra, strategy and budget, the
+    Enumerate node count, and the `_Code` the run compiles into and reads
+    its closures from. Without a code given, it compiles into one of its
+    own, whose run record holds strat."""
 
-    __slots__ = ("alg", "strat", "fuel", "enum", "closures", "domains",
-                 "nodes", "node_cap")
+    __slots__ = ("alg", "strat", "fuel", "enum", "code", "nodes", "node_cap")
 
-    def __init__(self, alg: PartialAlgebra, strat, fuel: Fuel):
+    def __init__(self, alg: PartialAlgebra, strat, fuel: Fuel,
+                 code: Optional[_Code] = None):
         self.alg = alg
         self.strat = strat
         self.fuel = fuel
         self.enum = isinstance(strat, Enumerate)
-        self.closures: dict[int, Optional[Callable]] = {}
-        self.domains: dict[int, tuple] = {}
+        self.code = _Code(strat) if code is None else code
         self.nodes = 0
         self.node_cap = getattr(strat, "max_depth", 1_000_000_000)
 
     def compiled(self, t: Term) -> Optional[Callable]:
+        closures = self.code.closures
         try:
-            return self.closures[id(t)]
+            return closures[id(t)]
         except KeyError:
-            f = self.closures[id(t)] = _compile(self, t)
+            f = closures[id(t)] = _compile(self, t)
             return f
 
 
@@ -340,8 +386,10 @@ class Ctx:
 # or DIV or FUEL_OUT. Fuel is an argument, so a dovetailed guard runs on its
 # stage budget. Under Enumerate, out is the caller's outcome set and collects
 # the failure flags and notes; Oracle and Dovetail pass None.
-# Closures hold no reference to the Ctx whose map holds them: that cycle
-# would keep every run's closures alive until a full collection.
+# Closures hold rules, real_literal and their code's run record, never a Ctx
+# or the algebra: a procedure's code is cached on it, keyed weakly by the
+# algebra (`_compiled`), and a reference to either would keep the algebra
+# and the code alive as long as the procedure.
 
 
 def _compile(ctx: Ctx, t: Term) -> Optional[Callable]:
@@ -353,31 +401,37 @@ def _compile(ctx: Ctx, t: Term) -> Optional[Callable]:
         if t.sort.kind == "nat":
             nat = nat_value(t.value)
             return lambda b, fuel, out: nat
-        alg, q, v = ctx.alg, Fraction(t.value), None
+        real_literal, q, v = ctx.alg.real_literal, Fraction(t.value), None
 
         def real_lit(b, fuel, out):
             nonlocal v
             if v is None:
-                v = alg.real_literal(q)
+                v = real_literal(q)
             return v
 
+        # the cell of v, which each run of the code clears (`eval_proc`)
+        ctx.code.literals.append(
+            real_lit.__closure__[real_lit.__code__.co_freevars.index("v")])
         return real_lit
     if tt is Choose:
         lo, hi, _ = _guard_domain(t.var, t.body)
+        # the guard is compiled here under Enumerate too, so that a run of a
+        # cached code compiles nothing
+        run, var, body = ctx.code.run, t.var, ctx.compiled(t.body)
         if ctx.enum:
-            ctx.domains[id(t)] = (lo, hi)
+            ctx.code.domains[id(t)] = (lo, hi)
             return None
-        strat, var, body = ctx.strat, t.var, ctx.compiled(t.body)
-        if isinstance(strat, Oracle):  # proposes over all naturals
-            return lambda b, fuel, out: _oracle_choose(strat, var, body, b, fuel)
+        if isinstance(ctx.strat, Oracle):  # proposes over all naturals
+            return lambda b, fuel, out: _oracle_choose(run.strat, var, body,
+                                                       b, fuel)
         # _dovetail_choose is looked up at call time, so a wrapper set on the
         # module sees it; Dovetail searches a domain only when it is finite
         if hi is None or (type(lo) is int and type(hi) is int):
             dom = None if hi is None else range(lo, hi)
-            return lambda b, fuel, out: _dovetail_choose(strat, var, body, b,
-                                                         fuel, dom)
+            return lambda b, fuel, out: _dovetail_choose(run.strat, var, body,
+                                                         b, fuel, dom)
         return lambda b, fuel, out: _dovetail_choose(
-            strat, var, body, b, fuel, range(_at(lo, b), _at(hi, b)))
+            run.strat, var, body, b, fuel, range(_at(lo, b), _at(hi, b)))
     if tt is not App:
         raise TypeError(f"not a term: {t!r}")
     fs = [ctx.compiled(a) for a in t.args]
@@ -758,7 +812,7 @@ def _enum_term(ctx: Ctx, t: Term, b: dict) -> OutcomeSet:
         clean_witness = False
         any_flag = undecided = False
         # the domain's candidates up to max_nat
-        lo, hi = ctx.domains[id(t)]
+        lo, hi = ctx.code.domains[id(t)]
         lo, top = _at(lo, b), ctx.strat.max_nat + 1
         hi = None if hi is None else _at(hi, b)
         inside = hi is not None and hi <= top
@@ -981,7 +1035,8 @@ def tree_is_prefix(a: CompTree, b: CompTree) -> bool:
 # statement and procedure semantics
 
 
-# A body is compiled once per run into a list of nodes (`_compile_stmt`).
+# A body is compiled into a list of nodes (`_compile_stmt`), once per
+# algebra and strategy kind for a procedure (`_compiled`).
 # Each node is an atomic statement or the guard test of an `if` or `while`;
 # its successors are list indices resolved past `Seq` and past the end of
 # each branch and loop body, so moving from node to node costs no step, and
@@ -1182,11 +1237,17 @@ def _eval_stmt_enum(ctx: Ctx, nodes: list, entry: int, sigma: State) -> OutcomeS
 def eval_stmt(s: Stmt, sigma: State, alg: PartialAlgebra, strat,
               fuel: Fuel) -> OutcomeSet:
     ctx = Ctx(alg, strat, fuel)
-    nodes: list[_Node] = []
-    entry = _compile_stmt(ctx, nodes, s, END)
+    code = ctx.code
+    code.entry = _compile_stmt(ctx, code.nodes, s, END)
+    return _walk(ctx, sigma)
+
+
+def _walk(ctx: Ctx, sigma: State) -> OutcomeSet:
+    """Run the body compiled in ctx.code from sigma."""
+    code = ctx.code
     if ctx.enum:
-        return _eval_stmt_enum(ctx, nodes, entry, sigma)
-    return _eval_stmt_det(ctx, nodes, entry, sigma)
+        return _eval_stmt_enum(ctx, code.nodes, code.entry, sigma)
+    return _eval_stmt_det(ctx, code.nodes, code.entry, sigma)
 
 
 def initial_state(p: Procedure, alg: PartialAlgebra, args,
@@ -1207,12 +1268,49 @@ def initial_state(p: Procedure, alg: PartialAlgebra, args,
     return State(b)
 
 
+def _compiled(p: Procedure, alg: PartialAlgebra, strat) -> _Code:
+    """p's body compiled on alg for strat's kind, Enumerate, Oracle or
+    Dovetail (any other strategy searches as Dovetail does): built on first
+    use and kept in p.compiled, which is keyed weakly by the algebra. Only
+    the choose closures, and Enumerate's None for a term that holds a
+    choose, differ by kind. The code holds alg's rules, so a rule that
+    refers to its own algebra would keep it alive as long as p; no built-in
+    rule does."""
+    kind = (Enumerate if isinstance(strat, Enumerate)
+            else Oracle if isinstance(strat, Oracle) else Dovetail)
+    codes = p.compiled.get(alg)
+    if codes is None:
+        codes = p.compiled[alg] = {}
+    code = codes.get(kind)
+    if code is None:
+        ctx = Ctx(alg, strat, None, _Code())
+        code = ctx.code
+        code.entry = _compile_stmt(ctx, code.nodes, p.body, END)
+        codes[kind] = code
+    return code
+
+
 def eval_proc(p: Procedure, args, alg: PartialAlgebra, strat, fuel: Fuel,
               junk: Optional[dict] = None) -> OutcomeSet:
-    """Run a procedure; outcome values are outputs (tuples if several)."""
+    """Run a procedure; outcome values are outputs (tuples if several).
+    The run reuses the body compiled for alg and strat's kind, with strat's
+    fresh copy in its run record and its real literals unminted; both are
+    restored on exit, so a run nested in another of the same code (by a
+    rule that runs p) leaves the outer one's as they were."""
     strat = strat.fresh()
     sigma = initial_state(p, alg, args, junk)
-    res = eval_stmt(p.body, sigma, alg, strat, fuel)
+    code = _compiled(p, alg, strat)
+    run, cells = code.run, code.literals
+    outer, minted = run.strat, [c.cell_contents for c in cells]
+    run.strat = strat
+    for c in cells:
+        c.cell_contents = None
+    try:
+        res = _walk(Ctx(alg, strat, fuel, code), sigma)
+    finally:
+        run.strat = outer
+        for c, v in zip(cells, minted):
+            c.cell_contents = v
     out = OutcomeSet(proven_divergent=res.proven_divergent,
                      truncated=res.truncated,
                      diagnostics=list(res.diagnostics))

@@ -9,6 +9,7 @@ values in one step.
 from __future__ import annotations
 
 from typing import Optional
+from weakref import WeakKeyDictionary
 
 from ..signature import Sort, FuncSymbol
 
@@ -225,8 +226,12 @@ def normalize_seq(s: Stmt) -> Stmt:
 
 
 class Procedure:
+    """A procedure declaration. `compiled` is the interpreter's cache of the
+    body compiled per algebra, a WeakKeyDictionary keyed by the algebra, so
+    that it keeps no algebra alive (see `interp._compiled`)."""
+
     __slots__ = ("name", "algebra_name", "in_vars", "out_vars", "aux_vars",
-                 "body", "var_sorts")
+                 "body", "var_sorts", "compiled")
 
     def __init__(self, name, algebra_name, in_vars, out_vars, aux_vars, body):
         self.name = name
@@ -237,6 +242,7 @@ class Procedure:
         self.body = body
         self.var_sorts = {n: s for n, s in
                           self.in_vars + self.out_vars + self.aux_vars}
+        self.compiled = WeakKeyDictionary()
 
     @property
     def in_type(self):

@@ -263,7 +263,11 @@ def check_tracking(F: InterpRule, f: InterpRule, samples,
 
 
 class LiftError(CodeProducerError):
-    pass
+    """A level of a lift could not be read: its approximating run did not
+    converge within the level's cap (`fuel_per_level`), or the lift's code
+    algebra or registry was freed. It says that a cap was hit or the lift
+    was dropped, not that divergence was proven; the same level read again
+    fails the same way."""
 
 
 class LiftedCode(ECode):
@@ -461,7 +465,11 @@ def adequacy_g(f: InterpRule, F_cover: LUCModulus, alpha: Enumeration,
     alpha({f(e_con[k])}(n+1)). The f-run and the reading of its code share
     the stage's carved budget. An index whose nearness, f-run or reading is
     undecided on its stage budget is tried again; one refuted or proven
-    divergent is not. A rational's constant code is minted once per call."""
+    divergent is not. Neither is one whose reading raises `LiftError` (f is
+    a lift's tracker): that says a level cap was hit, not that the index
+    diverges, but a retry runs the level under the same cap and fails the
+    same way, so the index is given up as DIV. A rational's constant code
+    is minted once per call."""
     mc = adequacy_mc(F_cover, alpha, x, n + 1, fuel)
     if mc is FUEL_OUT:
         return mc
@@ -487,6 +495,8 @@ def adequacy_g(f: InterpRule, F_cover: LUCModulus, alpha: Enumeration,
             return rat_value(ecode_eval(registry.code(run.n), n + 1, run_fuel))
         except OutOfFuel:
             return FUEL_OUT
+        except LiftError:
+            return DIV
         finally:
             fuel.repay(run_fuel)
 

@@ -135,8 +135,11 @@ def _args(program: str, inputs: tuple) -> tuple:
                  for i, x in enumerate(inputs))
 
 
-def _run(program: str, strat, inputs: tuple, fuel: int) -> dict:
-    proc, alg = _load(program)
+def _run(program: str, strat, inputs: tuple, fuel: int,
+         loaded: tuple = ()) -> dict:
+    """The record of one run, on `loaded` (procedure, algebra) or on a
+    freshly loaded pair."""
+    proc, alg = loaded or _load(program)
     budget = Fuel(fuel)
     res = eval_proc(proc, _args(program, inputs), alg, strat, budget)
     keys = [value_key(v) for v in res.values]
@@ -311,6 +314,25 @@ def test_fuel_boundary_matches_golden(golden, idx):
                          ids=[f"{a}-{r}" for a, r in RULE_GRID])
 def test_rule_matches_golden(golden, idx):
     assert _run_rule(*RULE_GRID[idx]) == golden[len(GRID) + idx]
+
+
+@pytest.mark.parametrize("program", [c[0] for c in CASES])
+def test_warm_runs_match_cold_runs(program):
+    # one procedure and algebra run every input under two Dovetail seeds,
+    # an Oracle and Enumerate, interleaved and twice over, so that each run
+    # but the first of its kind reuses the code an earlier one compiled;
+    # each record equals that of a run on a freshly loaded pair
+    _, max_nat, inputs = next(c for c in CASES if c[0] == program)
+    makes = [lambda: Dovetail(0), lambda: Dovetail(1), lambda: Oracle(2)]
+    if max_nat is not None:
+        makes.append(lambda: Enumerate(max_nat))
+    loaded = _load(program)
+    for _ in range(2):
+        for fuel in FUELS[1:]:
+            for args in inputs:
+                for make in makes:
+                    warm = _run(program, make(), args, fuel, loaded)
+                    assert warm == _run(program, make(), args, fuel), warm
 
 
 @pytest.mark.parametrize("make, last", BOUNDARIES,

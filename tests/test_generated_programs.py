@@ -477,11 +477,14 @@ def test_a_guard_domain_never_changes_what_a_search_finds(guard, w, x, seed):
     args = (nat_value(w), RealV(sqrt_code(2)) if x == "sqrt2" else rat_value(x))
     pruned = eval_proc(proc, args, rn, Enumerate(8), Fuel(100_000))
     run = eval_proc(proc, args, rn, Dovetail(seed), Fuel(3_000))
+    # the unbounded runs take an algebra of their own: the code compiled on
+    # rn, domain and all, is reused by every later run on rn
+    rn_all = get_algebra("RN")
     bounded = interp._guard_domain
     interp._guard_domain = lambda z, t: (0, None, False)
     try:
-        full = eval_proc(proc, args, rn, Enumerate(8), Fuel(100_000))
-        wide = eval_proc(proc, args, rn, Enumerate(40), Fuel(1_000_000))
+        full = eval_proc(proc, args, rn_all, Enumerate(8), Fuel(100_000))
+        wide = eval_proc(proc, args, rn_all, Enumerate(40), Fuel(1_000_000))
     finally:
         interp._guard_domain = bounded
 

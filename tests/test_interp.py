@@ -2,6 +2,7 @@
 strategies, and choose elimination."""
 
 import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -1203,6 +1204,53 @@ def test_a_run_leaves_no_cyclic_garbage():
             assert gc.collect() == 0, name
     finally:
         gc.enable()
+
+
+def test_a_starred_algebra_run_on_is_freed_without_the_cyclic_collector():
+    # the code compiled on RN* holds its array rules, which read element
+    # defaults from RN, not from RN*: so no rule keeps RN* alive, and the
+    # code cached on the procedure goes with it
+    p, alg = load("root_bisect")
+    gc.collect()
+    gc.disable()
+    try:
+        out = eval_proc(p, (NatV(2), real_array([-2, 0, 1])), alg, Dovetail(1),
+                        Fuel(200_000))
+        assert out.values and p.compiled
+        ref = weakref.ref(alg)
+        del alg
+        assert ref() is None and not p.compiled
+    finally:
+        gc.enable()
+
+
+def test_a_second_run_on_an_algebra_compiles_nothing(monkeypatch):
+    # eval_proc compiles a body once per algebra and strategy kind: a later
+    # run of that kind on that algebra reuses the nodes and closures, with
+    # its own seed; another kind or another algebra compiles its own
+    import whilecc.interp as interp
+
+    compiled = []
+    compile_term = interp._compile
+    monkeypatch.setattr(interp, "_compile", lambda ctx, t: compiled.append(t)
+                        or compile_term(ctx, t))
+    p, alg = load("root_bisect")
+    args = (NatV(2), real_array([-2, 0, 1]))
+
+    def runs(*strats, on=alg):
+        before = len(compiled)
+        for strat in strats:
+            out = eval_proc(p, args, on, strat, Fuel(200_000))
+            # Enumerate's is cut at its node cap, and an Oracle may diverge
+            assert out.values or not isinstance(strat, Dovetail), strat
+        return len(compiled) - before
+
+    assert runs(Dovetail(1)) > 0
+    assert runs(Dovetail(2), Dovetail(1), Dovetail()) == 0
+    assert runs(Enumerate(8, 200), Enumerate(40, 100)) > 0
+    assert runs(Oracle(0), Oracle(1)) > 0
+    assert runs(Dovetail(3), Enumerate(8, 200), Oracle(2)) == 0
+    assert runs(Dovetail(1), on=get_algebra("RN*")) > 0
 
 
 def test_initialisation_independence():

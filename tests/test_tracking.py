@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from whilecc.algebra import (get_algebra, rat_value, value_key, NatV, RealV,
-                             ArrV, TT, FF, DIV, FUEL_OUT, NATS, SHARED_NATS)
+                             ArrV, TT, FF, DIV, FUEL_OUT, NATS, SHARED_NATS,
+                             PartialAlgebra)
 from whilecc.codes import (Fuel, CodeRegistry, ConstCode, ECode, RuleCode,
                            SumCode, OutOfFuel, sqrt_code, mul_codes, add_codes,
                            inv_code, rat_encode, check_fast_cauchy_prefix)
-from whilecc.interp import Dovetail, eval_proc, nat_value
+from whilecc.interp import Dovetail, Oracle, eval_proc, nat_value
 from whilecc.lang import parse
 from whilecc.programs import load
 from whilecc.programs.oracles import (exp_enclosure, exp_partial_sum,
@@ -473,6 +474,105 @@ def test_a_dropped_lift_is_freed_without_the_cyclic_collector(RN):
         gc.enable()
 
 
+def test_a_code_algebra_run_on_directly_is_freed_without_the_cyclic_collector(RN):
+    # eval_proc keeps the body compiled on calg in p.compiled, keyed weakly
+    # by calg; its closures hold calg's rules and literal minter, not calg,
+    # so calg, its registry and that code go with the last reference to calg
+    p = parse("algebra RN\nfunc c in x: real out y: real begin y := x + 5/8 end")
+    gc.collect()
+    gc.disable()
+    try:
+        reg = CodeRegistry()
+        calg = code_algebra(RN, reg)
+        out = eval_proc(p, (NatV(reg.mint(ConstCode(1))),), calg, Dovetail(),
+                        Fuel(1_000))
+        assert reg.code(out.values[0].n).value == Fraction(13, 8)
+        [code] = p.compiled[calg].values()
+        closure = next(f for f in code.closures.values() if f is not None)
+        refs = [weakref.ref(calg), weakref.ref(reg), weakref.ref(closure)]
+        del out, code, closure, calg, reg
+        assert [r() for r in refs] == [None, None, None]
+        assert not p.compiled
+    finally:
+        gc.enable()
+
+
+def test_a_second_run_on_a_code_algebra_mints_as_a_cold_run(IN):
+    # a run reuses the code compiled on calg but mints its real literals
+    # afresh, so each run adds the codes a run on a fresh code algebra adds
+    p, _ = load("exp_approx")
+    n3 = nat_value(3)
+
+    def run(calg, reg):
+        start = len(reg)
+        x = NatV(reg.mint(ConstCode(Fraction(1, 3))))
+        out = eval_proc(p, (n3, x), calg, Dovetail(), Fuel(100_000))
+        return reg.code(out.values[0].n).value, [c.value for c in reg.codes[start:]]
+
+    cold = []
+    for _ in range(2):
+        reg = CodeRegistry()
+        cold.append(run(code_algebra(IN, reg), reg))
+    reg = CodeRegistry()
+    calg = code_algebra(IN, reg)
+    warm = [run(calg, reg) for _ in range(2)]
+    assert warm == cold
+    assert warm[0][0] == exp_partial_sum(Fraction(1, 3), 16)
+    assert len(reg) == 1 + 2 * len(cold[0][1])
+
+
+NEST = """
+algebra RN
+func nest
+in x: real
+out y: real, j: nat, k: nat
+aux i: nat
+begin
+  j := choose z : z < 8;
+  while i < 2 do y := y + (x + 1/3); i := succ(i) od;
+  k := choose z : z < 8
+end
+"""
+
+
+def test_a_run_nested_in_a_run_of_its_code_leaves_that_run_as_it_was(RN):
+    # a rule runs the procedure again on the same algebra and strategy kind
+    # while the outer run is under way: the inner run has its own Oracle and
+    # literals, and the outer one goes on with its own, minting its 1/3 once
+    p = parse(NEST)
+
+    def run(alg, reg, seed):
+        start = len(reg)
+        x = NatV(reg.mint(ConstCode(Fraction(1, 3))))
+        out = eval_proc(p, (x,), alg, Oracle(seed), Fuel(10_000))
+        [(y, j, k)] = out.values
+        return (reg.code(y.n).value, j.n, k.n), len(reg) - start
+
+    def cold(seed):
+        reg = CodeRegistry()
+        return run(code_algebra(RN, reg), reg, seed)
+
+    outer_cold, inner_cold = cold(1), cold(2)
+    assert outer_cold[0][1:] != inner_cold[0][1:]  # the seeds choose apart
+    reg = CodeRegistry()
+    calg = code_algebra(RN, reg)
+    inner = []
+
+    def add(fuel, a, b):
+        if not inner:  # the outer run's first add; the inner run's do not nest
+            inner.append(None)
+            inner[0] = run(nesting, reg, 2)
+        return calg.interp["add"](fuel, a, b)
+
+    nesting = PartialAlgebra("nesting", calg.signature,
+                             dict(calg.interp, add=add),
+                             carrier_check=calg.accepts,
+                             real_literal=calg.real_literal)
+    outer = run(nesting, reg, 1)
+    assert inner == [inner_cold]
+    assert outer == (outer_cold[0], outer_cold[1] + inner_cold[1])
+
+
 # ---------------------------------------------------------------------------
 # Theorem B machinery
 
@@ -579,6 +679,27 @@ def test_adequacy_g_reads_the_tracked_code_on_its_stage_budget(
                    Dovetail(), fuel=fuel)
     assert (r if r is FUEL_OUT else r.code.value) == out
     assert fuel.remaining == left
+
+
+def test_adequacy_g_gives_up_an_index_whose_lift_hits_its_level_cap():
+    # the round trip with a lift as the tracker: on 200 steps per level,
+    # exp_approx's level 5 does not converge. The LiftError that says so
+    # refutes the index, as a retry under the same cap would fail the same
+    # way, instead of escaping adequacy_g, and the search runs out of fuel
+    p, IN = load("exp_approx")
+    reg = CodeRegistry()
+
+    def lift(fuel, e):
+        return NatV(reg.mint(soundness_lift(p, code_algebra(IN, reg), reg, (e,),
+                                            fuel_per_level=200)))
+
+    centers = [rat_encode(Fraction(i, 4)) for i in range(5)]
+    cover = LUCModulus(cover=lambda i: (centers[i % 5], 2),
+                       lu=lambda i, q: q + 3, cover_size_hint=5)
+    fuel = Fuel(20_000)
+    out = adequacy_g(lift, cover, alpha_rat(), reg, rat_value(0), 2,
+                     Dovetail(), fuel=fuel)
+    assert out is FUEL_OUT and fuel.remaining == 0
 
 
 @pytest.mark.parametrize("side", [1, -1])
