@@ -176,24 +176,43 @@ def make_inputs(proc, lits, registry: CodeRegistry) -> tuple:
     return tuple(to_value(lit, s, registry) for lit, (_, s) in zip(lits, proc.in_vars))
 
 
+def _int_text(n: int) -> str:
+    """n in decimal or, past Python's limit on the digits of an int
+    converted to text (4300 by default), as its count of digits."""
+    try:
+        return str(n)
+    except ValueError:
+        m = abs(n)
+        d = max(1, int((m.bit_length() - 1) * 0.3010299956639812))  # log10(2)
+        while 10 ** d <= m:
+            d += 1
+        return f"{'-' if n < 0 else ''}<{d} digits>"
+
+
+def _exact(q: Fraction) -> str:
+    """q as str(q) writes it, with each too long part as its digit count."""
+    num = _int_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_text(q.denominator)}"
+
+
 def _decimal(q: Fraction, digits: int) -> str:
     sign = "-" if q < 0 else ""
     q = abs(q)
     scaled = (q.numerator * 10 ** digits) // q.denominator
     intpart, frac = divmod(scaled, 10 ** digits)
-    return f"{sign}{intpart}.{str(frac).zfill(digits)}"
+    return f"{sign}{_int_text(intpart)}.{str(frac).zfill(digits)}"
 
 
 def render_value(v: Value, digits: int, fuel: Fuel) -> str:
     """v to `digits` decimals; a non-constant code is approximated on `fuel`."""
     if isinstance(v, NatV):
-        return str(v.n)
+        return _int_text(v.n)
     if isinstance(v, BoolV):
         return "tt" if v.b else "ff"
     if isinstance(v, RealV):
         if v.code.is_const:
             q = v.code.value
-            return f"{q} ({_decimal(q, digits)})"
+            return f"{_exact(q)} ({_decimal(q, digits)})"
         try:
             q = v.code.approx(digits * 4, fuel)
         except OutOfFuel:

@@ -38,6 +38,14 @@ bindings dict and build a State only for the final one; Enumerate walks them
 depth first over (node, State) work items. `eval_atomic`, `rest` and the
 computation trees keep the First/Rest reading of statements.
 
+Oracle and Dovetail sum counting loops, `while j < e do ... od` whose body
+only adds a constant to each of some variables, j by 1 (`_counting_loop`).
+The algebra is N-standard, so succ and less_nat are those of the naturals,
+and each iteration takes the same fuel: the walker takes at once the whole
+iterations that are left and that the budget holds, and then visits the
+guard again, so a run that the budget cuts inside the loop walks its last
+iteration node by node and stops at the step it would have stopped at.
+
 A procedure's body is compiled once per algebra and strategy kind
 (Enumerate, Oracle or Dovetail), and every later `eval_proc` of it on that
 algebra reuses the nodes and closures (`_compiled`). What stays per run is
@@ -1037,12 +1045,13 @@ def tree_is_prefix(a: CompTree, b: CompTree) -> bool:
 
 # A body is compiled into a list of nodes (`_compile_stmt`), once per
 # algebra and strategy kind for a procedure (`_compiled`).
-# Each node is an atomic statement or the guard test of an `if` or `while`;
+# Each node is an atomic statement or the guard test of an `if` or `while`
+# (a counting loop's is a _LOOP node under Oracle and Dovetail);
 # its successors are list indices resolved past `Seq` and past the end of
 # each branch and loop body, so moving from node to node costs no step, and
 # END ends the run. Fuel is taken once per node visited.
 
-_ASSIGN1, _ASSIGN, _GUARD, _SKIP, _DIV = range(5)
+_ASSIGN1, _ASSIGN, _GUARD, _SKIP, _DIV, _LOOP = range(6)
 END = -1
 
 
@@ -1051,22 +1060,25 @@ class _Node:
     closures `fs` of its rhs terms, and when it assigns one variable, that
     `name` and the closure `f`. A guard keeps its term as `rhs[0]` and its
     closure as `f`, and goes to `next` when the guard holds and to `alt`
-    when it does not; `next` is also an atomic node's successor."""
+    when it does not; `next` is also an atomic node's successor. The guard
+    of a counting loop keeps the loop's summary as `loop` (see
+    `_counting_loop`)."""
 
-    __slots__ = ("kind", "lhs", "rhs", "fs", "name", "f", "next", "alt")
+    __slots__ = ("kind", "lhs", "rhs", "fs", "name", "f", "next", "alt",
+                 "loop")
 
     def __init__(self, kind: int, lhs: tuple = (), rhs: tuple = (),
-                 fs: tuple = ()):
+                 fs: tuple = (), loop: Optional[tuple] = None):
         self.kind, self.lhs, self.rhs, self.fs = kind, lhs, rhs, fs
         self.name = lhs[0] if len(lhs) == 1 else None
         self.f = fs[0] if len(fs) == 1 else None
         self.next = self.alt = END
+        self.loop = loop
 
 
-def _compile_stmt(ctx: Ctx, nodes: list, s: Stmt, k: int) -> int:
-    """Append the nodes of s, run before the node k, and return the entry
-    of s. A Seq chain is walked without recursion, so a long one cannot
-    exhaust the stack."""
+def _seq_parts(s: Stmt) -> list:
+    """The statements of a Seq chain, in order. The chain is walked without
+    recursion, so a long one cannot exhaust the stack."""
     parts, todo = [], [s]
     while todo:
         s = todo.pop()
@@ -1074,7 +1086,13 @@ def _compile_stmt(ctx: Ctx, nodes: list, s: Stmt, k: int) -> int:
             todo += (s.s2, s.s1)
         else:
             parts.append(s)
-    for s in reversed(parts):
+    return parts
+
+
+def _compile_stmt(ctx: Ctx, nodes: list, s: Stmt, k: int) -> int:
+    """Append the nodes of s, run before the node k, and return the entry
+    of s."""
+    for s in reversed(_seq_parts(s)):
         i = len(nodes)
         if isinstance(s, Assign):
             fs = tuple(ctx.compiled(t) for t in s.rhs)
@@ -1085,7 +1103,11 @@ def _compile_stmt(ctx: Ctx, nodes: list, s: Stmt, k: int) -> int:
         elif isinstance(s, Div):
             node = _Node(_DIV)
         elif isinstance(s, (If, While)):
-            node = _Node(_GUARD, rhs=(s.b,), fs=(ctx.compiled(s.b),))
+            # Enumerate walks a counting loop as a plain one
+            loop = (_counting_loop(s) if isinstance(s, While) and not ctx.enum
+                    else None)
+            node = _Node(_GUARD if loop is None else _LOOP, rhs=(s.b,),
+                         fs=(ctx.compiled(s.b),), loop=loop)
         else:
             raise TypeError(f"not a statement: {s!r}")
         nodes.append(node)
@@ -1098,6 +1120,39 @@ def _compile_stmt(ctx: Ctx, nodes: list, s: Stmt, k: int) -> int:
             node.next = k
         k = i
     return k
+
+
+def _counting_loop(s: While) -> Optional[tuple]:
+    """The summary (counter, bound, steps, incs) of a counting loop, else
+    None. A counting loop is `while j < e do v1 := succ^c1(v1); ...;
+    vm := succ^cm(vm) od`, with distinct vi, each ci >= 1, j one of them
+    with c = 1, and e a nat literal or a variable that the body does not
+    assign: bound is e's value or name (see `_at`), incs the pairs (vi, ci).
+    Each iteration takes the same `steps` of fuel, K = 2 + sum(1 + ci): the
+    guard's node and its rule, and each assignment's node and succ rules,
+    none of which can fail. The algebra is N-standard, so succ and less_nat
+    are the ones on the naturals, and the loop is read by their names, as
+    `_guard_domain` reads its comparisons."""
+    g = s.b
+    if (type(g) is not App or g.sym.name != "less_nat"
+            or type(g.args[0]) is not Var):
+        return None
+    j = g.args[0].name
+    bound = _bound_operand(g.args[1], j)
+    incs = {}
+    for a in _seq_parts(s.body):
+        if type(a) is not Assign or len(a.lhs) != 1:
+            return None
+        v, t, c = a.lhs[0], a.rhs[0], 0
+        while type(t) is App and t.sym.name == "succ":
+            t, c = t.args[0], c + 1
+        if not c or type(t) is not Var or t.name != v or v in incs:
+            return None
+        incs[v] = c
+    if bound is None or bound in incs or incs.get(j) != 1:
+        return None
+    steps = 2 + sum(1 + c for c in incs.values())
+    return j, bound, steps, tuple(incs.items())
 
 
 def _eval_stmt_det(ctx: Ctx, nodes: list, i: int, sigma: State) -> OutcomeSet:
@@ -1136,6 +1191,23 @@ def _eval_stmt_det(ctx: Ctx, nodes: list, i: int, sigma: State) -> OutcomeSet:
                 vals.append(v)
             b.update(zip(node.lhs, vals))
             i = node.next
+        elif kind == _LOOP:
+            counter, bound, steps, incs = node.loop
+            # the whole iterations that are left and that the budget before
+            # this visit holds, at once
+            k = min(_at(bound, b) - b[counter].n, (fuel.remaining + 1) // steps)
+            if k > 0:
+                for name, c in incs:
+                    b[name] = nat_value(b[name].n + c * k)
+                # this visit's step was the first of theirs; the guard is
+                # visited again, and then evaluated with k = 0
+                fuel.remaining -= k * steps - 1
+                continue
+            v = node.f(b, fuel, None)
+            if v is DIV or v is FUEL_OUT:
+                _failed(out, v, "term evaluation")
+                return out
+            i = node.next if v.b else node.alt
         elif kind == _SKIP:
             i = node.next
         else:
@@ -1260,22 +1332,33 @@ def initial_state(p: Procedure, alg: PartialAlgebra, args,
         if not alg.accepts(s, v):
             raise AlgebraError(f"{p.name}: input {n} expects sort {s.name}, got {v!r}")
         b[n] = v
-    for n, s in p.out_vars + p.aux_vars:
-        if junk and n in junk:
-            b[n] = junk[n]
-        else:
-            b[n] = alg.default_value(s)
+    defaults = _defaults(p, alg)
+    b.update(defaults)
+    if junk:  # junk values in place of the defaults it names
+        b.update((n, junk[n]) for n in defaults if n in junk)
     return State(b)
+
+
+def _defaults(p: Procedure, alg: PartialAlgebra) -> dict:
+    """The initial values of p's out and aux variables on alg, each the value
+    of its sort's default term: built on first use and kept in p.defaults,
+    keyed weakly by the algebra as p.compiled is. A default that does not
+    converge raises AlgebraError and nothing is kept, so every run raises."""
+    defaults = p.defaults.get(alg)
+    if defaults is None:
+        defaults = p.defaults[alg] = {n: alg.default_value(s)
+                                      for n, s in p.out_vars + p.aux_vars}
+    return defaults
 
 
 def _compiled(p: Procedure, alg: PartialAlgebra, strat) -> _Code:
     """p's body compiled on alg for strat's kind, Enumerate, Oracle or
     Dovetail (any other strategy searches as Dovetail does): built on first
     use and kept in p.compiled, which is keyed weakly by the algebra. Only
-    the choose closures, and Enumerate's None for a term that holds a
-    choose, differ by kind. The code holds alg's rules, so a rule that
-    refers to its own algebra would keep it alive as long as p; no built-in
-    rule does."""
+    the choose closures, Enumerate's None for a term that holds a choose,
+    and the counting loops that Oracle and Dovetail sum (`_counting_loop`)
+    differ by kind. The code holds alg's rules, so a rule that refers to its
+    own algebra would keep it alive as long as p; no built-in rule does."""
     kind = (Enumerate if isinstance(strat, Enumerate)
             else Oracle if isinstance(strat, Oracle) else Dovetail)
     codes = p.compiled.get(alg)

@@ -227,11 +227,13 @@ def normalize_seq(s: Stmt) -> Stmt:
 
 class Procedure:
     """A procedure declaration. `compiled` is the interpreter's cache of the
-    body compiled per algebra, a WeakKeyDictionary keyed by the algebra, so
-    that it keeps no algebra alive (see `interp._compiled`)."""
+    body compiled per algebra, and `defaults` of the initial values of the
+    out and aux variables per algebra: WeakKeyDictionaries keyed by the
+    algebra, so that they keep no algebra alive (see `interp._compiled` and
+    `interp._defaults`)."""
 
     __slots__ = ("name", "algebra_name", "in_vars", "out_vars", "aux_vars",
-                 "body", "var_sorts", "compiled")
+                 "body", "var_sorts", "compiled", "defaults")
 
     def __init__(self, name, algebra_name, in_vars, out_vars, aux_vars, body):
         self.name = name
@@ -243,6 +245,7 @@ class Procedure:
         self.var_sorts = {n: s for n, s in
                           self.in_vars + self.out_vars + self.aux_vars}
         self.compiled = WeakKeyDictionary()
+        self.defaults = WeakKeyDictionary()
 
     @property
     def in_type(self):

@@ -33,6 +33,39 @@ def test_run_exp_exact_value(capsys):
     assert "exit 0" in out
 
 
+@pytest.fixture
+def str_digit_limit():
+    """Python's default limit on the digits of an int converted to text."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_a_long_exact_value_prints_its_digit_counts(capsys, str_digit_limit):
+    # the n = 9 stage sums 1025 terms: its numerator and denominator have
+    # 4363 digits each, too many for str(); the value prints their counts
+    q = exp_partial_sum(Fraction(37, 53), 1024)
+    assert 10 ** 4362 <= q.numerator < 10 ** 4363
+    assert 10 ** 4362 <= q.denominator < 10 ** 4363
+    want = "<4363 digits>/<4363 digits> (2.00995675627)"
+    args = ("--program", "exp_approx", "--n", "9", "--input", "37/53",
+            "--fuel", "100000")
+    code, out, err = run_cli(capsys, "run", *args)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == [f"value {want}", "flags none"]
+    code, out, err = run_cli(capsys, "run", *args, "--format", "json-lines")
+    assert (code, err) == (0, "")
+    assert json.loads(out.splitlines()[0]) == {"value": want}
+    code, out, err = run_cli(capsys, "sweep", *args, "--seeds", "0",
+                             "--format", "json-lines")
+    assert (code, err) == (0, "")
+    assert json.loads(out.splitlines()[0])["values"] == [want]
+    code, out, err = run_cli(capsys, "sweep", *args, "--seeds", "0")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"  {want}: 1"
+
+
 def test_run_pivot_divergent_exit_2(capsys):
     code, out, _ = run_cli(capsys, "run", "--program", "pivot3",
                            "--input", "(0, 0, 0)", "--fuel", "1000")
