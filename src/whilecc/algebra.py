@@ -84,8 +84,9 @@ NATS = [NatV(i) for i in range(SHARED_NATS)]
 
 
 def nat_value(i: int) -> NatV:
-    """NatV(i), one shared object for each i below SHARED_NATS."""
-    return NATS[i] if i < SHARED_NATS else NatV(i)
+    """NatV(i), one shared object for each i in 0..SHARED_NATS-1; NatV
+    rejects a negative i."""
+    return NATS[i] if 0 <= i < SHARED_NATS else NatV(i)
 
 
 class RealV(Value):

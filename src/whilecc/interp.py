@@ -10,12 +10,13 @@ candidate bounds, node caps). `maybe_divergent` is their union;
 diagnostics say which happened.
 
 Terms have one evaluator: each term is compiled once into a closure
-(`_compile`) with its rules, nat literals and choose handler fixed. A real
-literal is minted on its first evaluation in each run, so a code algebra's
-registry grows in evaluation order, and a choose reads the run's strategy
-when it is evaluated. One closure serves every strategy; how a strict operation
-treats a failed argument follows its argument `out`. Oracle and Dovetail
-pass None and stop at the first one. Enumerate passes its outcome set,
+(`_compile`) with its rules and literal values fixed; a real literal's value
+is built by the algebra when its closure is, once per code. A choose asks
+the run's strategy when it is evaluated: Oracle and Dovetail each answer it
+with their own `choose` method. One closure serves every strategy; how a
+strict operation treats a failed argument follows its argument `out`.
+Oracle and Dovetail pass None and stop at the first one. Enumerate passes
+its outcome set,
 evaluates every argument, since its operation applies to every combination
 of argument values, records each failure in the set, and leaves a term that
 contains a choose to the set-valued `_enum_term`. That runs the closures of
@@ -46,14 +47,14 @@ iterations that are left and that the budget holds, and then visits the
 guard again, so a run that the budget cuts inside the loop walks its last
 iteration node by node and stops at the step it would have stopped at.
 
-A procedure's body is compiled once per algebra and strategy kind
-(Enumerate, Oracle or Dovetail), and every later `eval_proc` of it on that
-algebra reuses the nodes and closures (`_compiled`). What stays per run is
-the strategy instance, which the choose closures read from the code's run
-record, and the real literals minted in the run, which sit in closure cells
-that each run clears on entry and restores on exit, so a nested run of the
-same code leaves its caller's as they were. `eval_stmt`, `eval_term` and the
-computation trees compile into a code of their own on each call.
+A procedure's body is compiled once per algebra for Enumerate and once for
+every other strategy, and every later `eval_proc` of it on that algebra
+reuses the nodes and closures (`_compiled`). What stays per run is the
+strategy instance, which the choose closures read from the code's run
+record; a run sets it on entry and restores its caller's on exit, so a
+nested run of the same code leaves the outer one's as it was. `eval_stmt`,
+`eval_term` and the computation trees compile into a code of their own on
+each call.
 
 A choose's guard can bound its domain: an interval [lo, hi) outside which
 the guard is ff on every budget, read when the choose is compiled from its
@@ -61,7 +62,11 @@ nat comparisons of the choose variable (`_guard_domain`). Dovetail and
 Enumerate search only the domain, and a search that refutes every
 candidate of a finite one proves the choose divergent.
 
-Strategies:
+Strategies: each has `fresh()`, the copy a run uses, and every one but
+Enumerate has `choose(var, body, b, fuel, lo, hi)`, which answers one
+evaluation of `choose var : g` under the bindings b, given g's closure body
+and the bounds lo, hi of the domain g gives (see `_at`). A subclass of
+Dovetail inherits its choose.
   * Enumerate explores every branch, with choose ranging over its domain up
     to max_nat.
   * Oracle answers the c-th choose with f(c) for a seed-derived f and
@@ -133,6 +138,19 @@ class Oracle:
         c = self.counter
         self.counter += 1
         return self.f(c)
+
+    def choose(self, var: str, body, b: dict, fuel: Fuel, lo, hi):
+        """The next proposal if the guard body holds of it, else DIV (or
+        FUEL_OUT). It proposes over all naturals: lo and hi are not read."""
+        cand = nat_value(self.next_candidate())
+        b2 = dict(b)
+        b2[var] = cand
+        g = body(b2, fuel, None)
+        if g is FUEL_OUT:
+            return FUEL_OUT
+        if g is DIV or not g.b:
+            return DIV  # the guard rejected the oracle's proposal
+        return cand
 
     def fresh(self):
         return Oracle(self.seed, None if self.f == self._seeded else self.f)
@@ -255,6 +273,13 @@ class Dovetail:
         finally:
             self._scan = outer
 
+    def choose(self, var: str, body, b: dict, fuel: Fuel, lo, hi):
+        """A witness of the guard body searched in [lo, hi), or over all
+        naturals when hi is None. `_dovetail_choose` is looked up when this
+        is called, so a wrapper set on the module sees every search."""
+        return _dovetail_choose(self, var, body, b, fuel, None if hi is None
+                                else range(_at(lo, b), _at(hi, b)))
+
     def fresh(self):
         return Dovetail(self.seed)
 
@@ -338,23 +363,21 @@ class _Run:
 
 
 class _Code:
-    """The compiled form of terms and statements on one algebra, for one
-    strategy kind. `closures` maps each term node, by identity, to its
-    closure (see `_compile`). Under Enumerate, `domains` maps each choose
-    node that way to the domain its guard gives (`_guard_domain`), read when
-    the node is compiled. `literals` holds the memo cell of each real
-    literal's closure, and `run` the record the choose closures read the
-    strategy from. A procedure's code (`_compiled`) keeps its body's `nodes`
-    and `entry`. A code holds no algebra and no Ctx: it is cached on the
-    procedure and keyed weakly by the algebra, which either would keep
-    alive."""
+    """The compiled form of terms and statements on one algebra, for
+    Enumerate or for the other strategies. `closures` maps each term node,
+    by identity, to its closure (see `_compile`). Under Enumerate, `domains`
+    maps each choose node that way to the domain its guard gives
+    (`_guard_domain`), read when the node is compiled. `run` is the record
+    the choose closures read the strategy from. A procedure's code
+    (`_compiled`) keeps its body's `nodes` and `entry`. A code holds no
+    algebra and no Ctx: it is cached on the procedure and keyed weakly by
+    the algebra, which either would keep alive."""
 
-    __slots__ = ("closures", "domains", "literals", "run", "nodes", "entry")
+    __slots__ = ("closures", "domains", "run", "nodes", "entry")
 
     def __init__(self, strat=None):
         self.closures: dict[int, Optional[Callable]] = {}
         self.domains: dict[int, tuple] = {}
-        self.literals: list = []
         self.run = _Run(strat)
         self.nodes: list = []
         self.entry = END
@@ -394,8 +417,8 @@ class Ctx:
 # or DIV or FUEL_OUT. Fuel is an argument, so a dovetailed guard runs on its
 # stage budget. Under Enumerate, out is the caller's outcome set and collects
 # the failure flags and notes; Oracle and Dovetail pass None.
-# Closures hold rules, real_literal and their code's run record, never a Ctx
-# or the algebra: a procedure's code is cached on it, keyed weakly by the
+# Closures hold rules, literal values and their code's run record, never a
+# Ctx or the algebra: a procedure's code is cached on it, keyed weakly by the
 # algebra (`_compiled`), and a reference to either would keep the algebra
 # and the code alive as long as the procedure.
 
@@ -406,21 +429,9 @@ def _compile(ctx: Ctx, t: Term) -> Optional[Callable]:
         name = t.name
         return lambda b, fuel, out: b[name]
     if tt is Lit:
-        if t.sort.kind == "nat":
-            nat = nat_value(t.value)
-            return lambda b, fuel, out: nat
-        real_literal, q, v = ctx.alg.real_literal, Fraction(t.value), None
-
-        def real_lit(b, fuel, out):
-            nonlocal v
-            if v is None:
-                v = real_literal(q)
-            return v
-
-        # the cell of v, which each run of the code clears (`eval_proc`)
-        ctx.code.literals.append(
-            real_lit.__closure__[real_lit.__code__.co_freevars.index("v")])
-        return real_lit
+        v = (nat_value(t.value) if t.sort.kind == "nat"
+             else ctx.alg.real_literal(Fraction(t.value)))
+        return lambda b, fuel, out: v
     if tt is Choose:
         lo, hi, _ = _guard_domain(t.var, t.body)
         # the guard is compiled here under Enumerate too, so that a run of a
@@ -429,17 +440,7 @@ def _compile(ctx: Ctx, t: Term) -> Optional[Callable]:
         if ctx.enum:
             ctx.code.domains[id(t)] = (lo, hi)
             return None
-        if isinstance(ctx.strat, Oracle):  # proposes over all naturals
-            return lambda b, fuel, out: _oracle_choose(run.strat, var, body,
-                                                       b, fuel)
-        # _dovetail_choose is looked up at call time, so a wrapper set on the
-        # module sees it; Dovetail searches a domain only when it is finite
-        if hi is None or (type(lo) is int and type(hi) is int):
-            dom = None if hi is None else range(lo, hi)
-            return lambda b, fuel, out: _dovetail_choose(run.strat, var, body,
-                                                         b, fuel, dom)
-        return lambda b, fuel, out: _dovetail_choose(
-            run.strat, var, body, b, fuel, range(_at(lo, b), _at(hi, b)))
+        return lambda b, fuel, out: run.strat.choose(var, body, b, fuel, lo, hi)
     if tt is not App:
         raise TypeError(f"not a term: {t!r}")
     fs = [ctx.compiled(a) for a in t.args]
@@ -629,8 +630,8 @@ def _operands(args: tuple) -> tuple[str, list]:
     """How a closure reads the operands args: one letter each, "v" for a
     variable, "c" for a nat literal and "t" for any other term, and what
     each gives in place: the variable's name, the literal's shared NatV, or
-    None. A real literal is a "t": its closure mints it on first
-    evaluation, so a code algebra's registry keeps its order."""
+    None. A real literal is a "t": its closure returns the value built
+    with it, and no measured traffic carries an in-place shape for it."""
     shape, leaves = "", []
     for a in args:
         if type(a) is Var:
@@ -655,18 +656,6 @@ def _failed(out: OutcomeSet, r, name: Optional[str] = None):
         if name is not None:
             out.note(f"{name}: fuel exhausted")
     return r
-
-
-def _oracle_choose(strat, var: str, body, b: dict, fuel: Fuel):
-    cand = strat.next_candidate()
-    b2 = dict(b)
-    b2[var] = nat_value(cand)
-    g = body(b2, fuel, None)
-    if g is FUEL_OUT:
-        return FUEL_OUT
-    if g is DIV or not g.b:
-        return DIV  # the guard rejected the oracle's proposal
-    return nat_value(cand)
 
 
 def _dovetail_choose(strat, var: str, body, b: dict, fuel: Fuel,
@@ -1044,7 +1033,7 @@ def tree_is_prefix(a: CompTree, b: CompTree) -> bool:
 
 
 # A body is compiled into a list of nodes (`_compile_stmt`), once per
-# algebra and strategy kind for a procedure (`_compiled`).
+# algebra for Enumerate and once for the other strategies (`_compiled`).
 # Each node is an atomic statement or the guard test of an `if` or `while`
 # (a counting loop's is a _LOOP node under Oracle and Dovetail);
 # its successors are list indices resolved past `Seq` and past the end of
@@ -1352,48 +1341,43 @@ def _defaults(p: Procedure, alg: PartialAlgebra) -> dict:
 
 
 def _compiled(p: Procedure, alg: PartialAlgebra, strat) -> _Code:
-    """p's body compiled on alg for strat's kind, Enumerate, Oracle or
-    Dovetail (any other strategy searches as Dovetail does): built on first
-    use and kept in p.compiled, which is keyed weakly by the algebra. Only
-    the choose closures, Enumerate's None for a term that holds a choose,
-    and the counting loops that Oracle and Dovetail sum (`_counting_loop`)
-    differ by kind. The code holds alg's rules, so a rule that refers to its
+    """p's body compiled on alg for Enumerate, or for every other strategy,
+    whose choose closures call the run's strategy (`Oracle.choose`,
+    `Dovetail.choose`): built on first use and kept in p.compiled, which is
+    keyed weakly by the algebra and then by whether strat is an Enumerate.
+    Only Enumerate's None for a term that holds a choose, and the counting
+    loops the others sum (`_counting_loop`), differ between the two. The
+    code holds alg's rules and literal values, so a rule that refers to its
     own algebra would keep it alive as long as p; no built-in rule does."""
-    kind = (Enumerate if isinstance(strat, Enumerate)
-            else Oracle if isinstance(strat, Oracle) else Dovetail)
+    enum = isinstance(strat, Enumerate)
     codes = p.compiled.get(alg)
     if codes is None:
         codes = p.compiled[alg] = {}
-    code = codes.get(kind)
+    code = codes.get(enum)
     if code is None:
         ctx = Ctx(alg, strat, None, _Code())
         code = ctx.code
         code.entry = _compile_stmt(ctx, code.nodes, p.body, END)
-        codes[kind] = code
+        codes[enum] = code
     return code
 
 
 def eval_proc(p: Procedure, args, alg: PartialAlgebra, strat, fuel: Fuel,
               junk: Optional[dict] = None) -> OutcomeSet:
     """Run a procedure; outcome values are outputs (tuples if several).
-    The run reuses the body compiled for alg and strat's kind, with strat's
-    fresh copy in its run record and its real literals unminted; both are
-    restored on exit, so a run nested in another of the same code (by a
-    rule that runs p) leaves the outer one's as they were."""
+    The run reuses the body compiled on alg (`_compiled`), with strat's
+    fresh copy in its run record; the record is restored on exit, so a run
+    nested in another of the same code (by a rule that runs p) leaves the
+    outer one's strategy as it was."""
     strat = strat.fresh()
     sigma = initial_state(p, alg, args, junk)
     code = _compiled(p, alg, strat)
-    run, cells = code.run, code.literals
-    outer, minted = run.strat, [c.cell_contents for c in cells]
-    run.strat = strat
-    for c in cells:
-        c.cell_contents = None
+    run = code.run
+    outer, run.strat = run.strat, strat
     try:
         res = _walk(Ctx(alg, strat, fuel, code), sigma)
     finally:
         run.strat = outer
-        for c, v in zip(cells, minted):
-            c.cell_contents = v
     out = OutcomeSet(proven_divergent=res.proven_divergent,
                      truncated=res.truncated,
                      diagnostics=list(res.diagnostics))

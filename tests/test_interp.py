@@ -899,6 +899,25 @@ def test_harness_hooks_see_one_spawn_per_attempt_and_one_visit_per_stage(
     assert log["visits"] == [(s, k, c) for (s, c), k in firsts.items()]
 
 
+def test_a_wrapper_set_after_compiling_sees_every_dovetailed_choose(
+        monkeypatch):
+    # Dovetail.choose looks _dovetail_choose up in the module when it is
+    # called, so a wrapper set on it once the body is compiled and cached
+    # (as the perfbench tracer sets one) still sees each search of a run
+    import whilecc.interp as interp
+
+    p, alg = load("root_bisect")
+    args = (NatV(2), real_array([-2, 0, 1]))
+    assert eval_proc(p, args, alg, Dovetail(1), Fuel(200_000)).values
+    seen, search = [], interp._dovetail_choose
+    monkeypatch.setattr(interp, "_dovetail_choose",
+                        lambda *a: seen.append(a[0]) or search(*a))
+    strat = LoggingDovetail(1)
+    assert eval_proc(p, args, alg, strat, Fuel(200_000)).values
+    assert len(seen) == strat.log["searches"] > 1
+    assert all(type(s) is LoggingDovetail for s in seen)
+
+
 STAGES = [*range(21), *range(8190, 8201), *range(16380, 16391)]
 VISITS = {
     None: STAGES,
@@ -1170,6 +1189,22 @@ def test_eval_proc_identity_and_arity():
         eval_proc(p, (NatV(1),), RN, Dovetail(), Fuel(100))
 
 
+def test_a_negative_oracle_proposal_is_no_natural():
+    # nat_value(-1) once read NATS[-1], the last shared natural
+    from whilecc.algebra import AlgebraError
+    p = parse("algebra N\nfunc f out y: nat begin y := choose z : 3 < z end")
+    with pytest.raises(AlgebraError):
+        eval_proc(p, (), N, Oracle(0, f=lambda c: -1), Fuel(100))
+
+
+def test_a_negative_nat_literal_is_no_natural():
+    from whilecc.algebra import AlgebraError
+    lit = Lit(-3, NAT)
+    for t in (lit, App(N.signature.symbol("succ"), (lit,))):
+        with pytest.raises(AlgebraError):
+            eval_term(t, state(), N, Dovetail(), Fuel(10))
+
+
 def test_pivot_examples():
     p, alg = load("pivot3")
 
@@ -1225,9 +1260,10 @@ def test_a_starred_algebra_run_on_is_freed_without_the_cyclic_collector():
 
 
 def test_a_second_run_on_an_algebra_compiles_nothing(monkeypatch):
-    # eval_proc compiles a body once per algebra and strategy kind: a later
-    # run of that kind on that algebra reuses the nodes and closures, with
-    # its own seed; another kind or another algebra compiles its own
+    # eval_proc compiles a body once per algebra for Enumerate and once for
+    # Oracle and Dovetail together: a later run on that algebra reuses the
+    # nodes and closures, with its own strategy and seed; Enumerate or
+    # another algebra compiles its own
     import whilecc.interp as interp
 
     compiled = []
@@ -1248,9 +1284,11 @@ def test_a_second_run_on_an_algebra_compiles_nothing(monkeypatch):
     assert runs(Dovetail(1)) > 0
     assert runs(Dovetail(2), Dovetail(1), Dovetail()) == 0
     assert runs(Enumerate(8, 200), Enumerate(40, 100)) > 0
-    assert runs(Oracle(0), Oracle(1)) > 0
+    assert runs(Oracle(0), Oracle(1)) == 0
     assert runs(Dovetail(3), Enumerate(8, 200), Oracle(2)) == 0
-    assert runs(Dovetail(1), on=get_algebra("RN*")) > 0
+    other = get_algebra("RN*")
+    assert runs(Oracle(1), on=other) > 0
+    assert runs(Dovetail(1), Oracle(0), on=other) == 0
 
 
 def test_initialisation_independence():

@@ -497,9 +497,10 @@ def test_a_code_algebra_run_on_directly_is_freed_without_the_cyclic_collector(RN
         gc.enable()
 
 
-def test_a_second_run_on_a_code_algebra_mints_as_a_cold_run(IN):
-    # a run reuses the code compiled on calg but mints its real literals
-    # afresh, so each run adds the codes a run on a fresh code algebra adds
+def test_a_second_run_on_a_code_algebra_mints_no_literal_again(IN):
+    # a run reuses the code compiled on calg, whose real literals were
+    # minted once, when it was compiled: a warm run returns the cold run's
+    # value and mints the codes a cold run mints, less those literals
     p, _ = load("exp_approx")
     n3 = nat_value(3)
 
@@ -516,9 +517,14 @@ def test_a_second_run_on_a_code_algebra_mints_as_a_cold_run(IN):
     reg = CodeRegistry()
     calg = code_algebra(IN, reg)
     warm = [run(calg, reg) for _ in range(2)]
-    assert warm == cold
-    assert warm[0][0] == exp_partial_sum(Fraction(1, 3), 16)
-    assert len(reg) == 1 + 2 * len(cold[0][1])
+    assert cold[0] == cold[1] == warm[0]
+    value, minted = cold[0]
+    assert value == exp_partial_sum(Fraction(1, 3), 16)
+    # x, then the literals as the body is compiled: the 1 of `y := 1` and
+    # `s := 1`, and the 0 the parser assigns y and s on entry
+    assert sorted(minted[1:5]) == [0, 0, 1, 1]
+    assert warm[1] == (value, minted[:1] + minted[5:])
+    assert len(reg) == 1 + 2 * len(minted) - 4
 
 
 NEST = """
@@ -536,9 +542,11 @@ end
 
 
 def test_a_run_nested_in_a_run_of_its_code_leaves_that_run_as_it_was(RN):
-    # a rule runs the procedure again on the same algebra and strategy kind
-    # while the outer run is under way: the inner run has its own Oracle and
-    # literals, and the outer one goes on with its own, minting its 1/3 once
+    # a rule runs the procedure again on the same algebra and strategy while
+    # the outer run is under way: the inner run has its own Oracle, and the
+    # outer one goes on with its own proposals to its own values. The code's
+    # two real literals, the 0 the parser assigns y and the 1/3, were minted
+    # when the outer run compiled it, so the inner run mints neither
     p = parse(NEST)
 
     def run(alg, reg, seed):
@@ -569,8 +577,8 @@ def test_a_run_nested_in_a_run_of_its_code_leaves_that_run_as_it_was(RN):
                              carrier_check=calg.accepts,
                              real_literal=calg.real_literal)
     outer = run(nesting, reg, 1)
-    assert inner == [inner_cold]
-    assert outer == (outer_cold[0], outer_cold[1] + inner_cold[1])
+    assert inner == [(inner_cold[0], inner_cold[1] - 2)]
+    assert outer == (outer_cold[0], outer_cold[1] + inner_cold[1] - 2)
 
 
 # ---------------------------------------------------------------------------
